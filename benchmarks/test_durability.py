@@ -16,22 +16,12 @@ Asserted bounds:
 * fsync-every-tick is recorded as the durability lower bound (no floor
   asserted: its cost is the disk's fsync latency, not the code's).
 
-Writes ``durability_rates.csv`` (this run) and appends the run to the
-cumulative ``BENCH_durability.json`` trajectory.
+The rows are wall-clock noise from one short run, so they go to the
+test's ``tmp_path`` and the terminal, not into the tree.
 """
 
-import os
-
 from repro.bench import report
-from repro.bench.durability import (
-    MODES,
-    durability_replay,
-    update_durability_trajectory,
-)
-
-#: Trajectory label for this PR's point (replaced, not duplicated, on
-#: re-runs).
-_TRAJECTORY_LABEL = "durability subsystem: WAL group commit + snapshots"
+from repro.bench.durability import MODES, durability_replay
 
 #: Machine-independent floor: group commit must retain at least this
 #: fraction of the WAL-off rate measured in the same run.
@@ -45,7 +35,7 @@ def _row(rows, backend, mode):
     return match
 
 
-def test_durability_rates(benchmark, bench_scale, results_dir, tmp_path):
+def test_durability_rates(benchmark, bench_scale, tmp_path):
     cfg = bench_scale["durability"]
 
     rows = benchmark.pedantic(
@@ -81,11 +71,6 @@ def test_durability_rates(benchmark, bench_scale, results_dir, tmp_path):
         # a positive, sane rate (no floor — it measures the disk).
         assert 0 < every["relative_rate"] <= 1.5
 
-    report.write_csv(rows, os.path.join(results_dir, "durability_rates.csv"))
-    update_durability_trajectory(
-        os.path.join(results_dir, "BENCH_durability.json"),
-        rows,
-        label=_TRAJECTORY_LABEL,
-    )
+    report.write_csv(rows, str(tmp_path / "durability_rates.csv"))
     print()
     print(report.format_table(rows))

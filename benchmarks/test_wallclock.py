@@ -16,26 +16,17 @@ Asserted bounds:
   sharded backend is held to >= 3x — its uncached path was already
   faster before the PR).
 
-Writes ``wallclock_rates.csv`` (this run) and appends the run to the
-cumulative ``BENCH_wallclock.json`` trajectory.
+The rows are wall-clock noise from one short run, so they go to the
+test's ``tmp_path`` and the terminal, not into the tree;
+``benchmarks/e2e`` is the reproducible wall-clock record.
 """
 
-import os
-
 from repro.bench import report
-from repro.bench.wallclock import (
-    PRE_PR_BASELINE_OPS_PER_S,
-    wallclock_replay,
-    update_trajectory,
-)
+from repro.bench.wallclock import PRE_PR_BASELINE_OPS_PER_S, wallclock_replay
 
 #: The workload shape the recorded pre-PR baseline was measured on; the
 #: absolute >= 5x floor is only meaningful on this exact replay.
 _BASELINE_SHAPE = dict(num_ops=1 << 16, tick_size=1 << 12)
-
-#: Trajectory label for this PR's point (replaced, not duplicated, on
-#: re-runs).
-_TRAJECTORY_LABEL = "hot-path vectorization + epoch-guarded read cache"
 
 
 def _row(rows, backend, mode, phase):
@@ -47,7 +38,7 @@ def _row(rows, backend, mode, phase):
     return match
 
 
-def test_wallclock_replay_rates(benchmark, bench_scale, results_dir):
+def test_wallclock_replay_rates(benchmark, bench_scale, tmp_path):
     cfg = bench_scale["wallclock"]
 
     rows = benchmark.pedantic(
@@ -67,7 +58,7 @@ def test_wallclock_replay_rates(benchmark, bench_scale, results_dir):
         )
 
     if cfg == _BASELINE_SHAPE:
-        # Absolute trajectory floor vs the recorded pre-PR baseline.  The
+        # Absolute floor vs the recorded pre-PR baseline.  The
         # sharded backend's uncached path was already comparatively fast
         # pre-PR, so its floor is lower than the headline GPULSM one.
         for backend, floor in (("gpulsm", 5.0), ("sharded4", 3.0)):
@@ -79,11 +70,6 @@ def test_wallclock_replay_rates(benchmark, bench_scale, results_dir):
                 f"is only {speedup:.2f}x the pre-PR {base:,.0f} ops/s"
             )
 
-    report.write_csv(rows, os.path.join(results_dir, "wallclock_rates.csv"))
-    update_trajectory(
-        os.path.join(results_dir, "BENCH_wallclock.json"),
-        rows,
-        label=_TRAJECTORY_LABEL,
-    )
+    report.write_csv(rows, str(tmp_path / "wallclock_rates.csv"))
     print()
     print(report.format_table(rows))

@@ -28,7 +28,6 @@ also a correctness proof at this scale:
 
 from __future__ import annotations
 
-import json
 import os
 import shutil
 import tempfile
@@ -238,40 +237,3 @@ def durability_replay(
         if own_workdir:
             shutil.rmtree(workdir, ignore_errors=True)
     return rows
-
-
-def update_durability_trajectory(path: str, rows: Sequence[dict], label: str) -> dict:
-    """Record this run's rates in the cumulative ``BENCH_durability.json``.
-
-    One entry per recorded point; an existing entry with the same
-    ``label`` is replaced so re-runs do not duplicate.  Returns the full
-    trajectory document.
-    """
-    doc = {"metric": "wall-clock ops/s of the serve replay by durability mode",
-           "entries": []}
-    if os.path.exists(path):
-        with open(path) as handle:
-            doc = json.load(handle)
-    rates: Dict[str, Dict[str, float]] = {}
-    relative: Dict[str, Dict[str, float]] = {}
-    for row in rows:
-        rates.setdefault(row["backend"], {})[row["mode"]] = round(
-            row["ops_per_s"], 1
-        )
-        relative.setdefault(row["backend"], {})[row["mode"]] = round(
-            row["relative_rate"], 4
-        )
-    entry = {
-        "label": label,
-        "num_ops": rows[0]["num_ops"] if rows else 0,
-        "ticks": rows[0]["ticks"] if rows else 0,
-        "ops_per_s": rates,
-        "relative_rate": relative,
-    }
-    doc["entries"] = [e for e in doc["entries"] if e.get("label") != label]
-    doc["entries"].append(entry)
-    os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
-    with open(path, "w") as handle:
-        json.dump(doc, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-    return doc

@@ -29,16 +29,14 @@ also a correctness proof at this scale:
   whole-tick retry re-executes the same canonical fold from the same
   pre-tick state).
 
-The recorded rows feed ``resilience_rates.csv`` and the cumulative
-``BENCH_resilience.json`` trajectory.
+The rows are wall-clock numbers of one short run; the benchmark asserts
+its floors on them and does not record them.
 """
 
 from __future__ import annotations
 
-import json
-import os
 import time
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 from repro.bench.mixed import _make_backend
 from repro.bench.runner import PAPER_INSERTION_ELEMENTS, scaled_spec
@@ -211,50 +209,3 @@ def resilience_replay(
                 }
             )
     return rows
-
-
-def update_resilience_trajectory(
-    path: str, rows: Sequence[dict], label: str
-) -> dict:
-    """Record this run's rates in the cumulative ``BENCH_resilience.json``.
-
-    One entry per recorded point; an existing entry with the same
-    ``label`` is replaced so re-runs do not duplicate.  Returns the full
-    trajectory document.
-    """
-    doc = {
-        "metric": (
-            "goodput ops/s of the threaded serve replay by resilience "
-            "mode under injected faults"
-        ),
-        "entries": [],
-    }
-    if os.path.exists(path):
-        with open(path) as handle:
-            doc = json.load(handle)
-    rates: Dict[str, Dict[str, float]] = {}
-    goodput: Dict[str, Dict[str, float]] = {}
-    for row in rows:
-        rates.setdefault(row["backend"], {})[row["mode"]] = round(
-            row["ops_per_s"], 1
-        )
-        goodput.setdefault(row["backend"], {})[row["mode"]] = round(
-            row["goodput"], 4
-        )
-    entry = {
-        "label": label,
-        "num_ops": rows[0]["num_ops"] if rows else 0,
-        "ticks": rows[0]["ticks"] if rows else 0,
-        "fault_every": next(
-            (r["fault_every"] for r in rows if r["fault_every"]), None
-        ),
-        "ops_per_s": rates,
-        "goodput": goodput,
-    }
-    doc["entries"] = [e for e in doc["entries"] if e.get("label") != label]
-    doc["entries"].append(entry)
-    os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
-    with open(path, "w") as handle:
-        json.dump(doc, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-    return doc

@@ -22,17 +22,15 @@ Each backend is replayed twice on identical fresh state — once uncached,
 once with the read cache — and every tick's :class:`ResultBatch` is
 asserted **bit-identical** between the two runs before any rate is
 reported; a divergence raises (and fails the CI job) instead of producing
-a tainted trajectory point.
+a tainted rate.
 
-Results land in ``benchmarks/results/wallclock_rates.csv`` (this run's
-rows) and ``benchmarks/results/BENCH_wallclock.json`` (the cumulative
-ops/s trajectory across PRs, seeded with the measured pre-PR baseline).
+The rows are wall-clock numbers of one short run — the benchmark asserts
+its floors on ratios taken inside that run and does not record them;
+``benchmarks/e2e`` is the repository's reproducible wall-clock record.
 """
 
 from __future__ import annotations
 
-import json
-import os
 import time
 from typing import Dict, List, Optional, Sequence
 
@@ -46,8 +44,8 @@ from repro.gpu.spec import GPUSpec
 from repro.serve.cache import DEFAULT_CACHE_CAPACITY
 from repro.serve.engine import Engine
 
-#: Seed of the replay workload (kept fixed so every PR's trajectory point
-#: measures the same op stream).
+#: Seed of the replay workload (kept fixed so every run measures the same
+#: op stream).
 REPLAY_SEED = 7
 
 #: The hot phase is pure point lookups: the regime the hot-key read
@@ -60,9 +58,9 @@ HOT_MIX = {OpCode.LOOKUP: 1.0}
 #: tick_size=2^12, 127 prefill batches, seed=7, scaled smoke spec),
 #: measured by replaying the identical serialized tick stream on the
 #: commit preceding the hot-path PR — the uncached, pre-vectorization
-#: engine (best of 3 runs).  These constants seed the trajectory so every
-#: later point has a fixed reference; re-measure only if the replay
-#: workload definition changes.
+#: engine (best of 3 runs).  The fixed reference of the
+#: ``speedup_vs_baseline`` column; re-measure only if the replay workload
+#: definition changes.
 PRE_PR_BASELINE_OPS_PER_S: Dict[str, Dict[str, float]] = {
     "gpulsm": {"mixed": 203_444.0, "hot": 1_329_307.0, "overall": 352_857.0},
     "sharded4": {"mixed": 185_258.0, "hot": 1_435_789.0, "overall": 328_172.0},
@@ -304,42 +302,3 @@ def wallclock_replay(
                         row[col] = sum(s.get(key, 0) for s in stats_src)
                 rows.append(row)
     return rows
-
-
-def update_trajectory(
-    path: str, rows: Sequence[dict], label: str, baseline: Optional[dict] = None
-) -> dict:
-    """Append this run's rates to the cumulative ``BENCH_wallclock.json``.
-
-    The file holds one entry per recorded point (the pre-PR baseline
-    first, then one per benchmark run/PR); an existing entry with the
-    same ``label`` is replaced, so re-running a PR's benchmark does not
-    duplicate its point.  Returns the full trajectory document.
-    """
-    if baseline is None:
-        baseline = PRE_PR_BASELINE_OPS_PER_S
-    doc = {"metric": "wall-clock ops/s, serve replay", "entries": []}
-    if os.path.exists(path):
-        with open(path) as handle:
-            doc = json.load(handle)
-    if not any(e.get("label") == "pre-PR baseline" for e in doc["entries"]):
-        doc["entries"].insert(
-            0,
-            {
-                "label": "pre-PR baseline",
-                "mode": "uncached",
-                "ops_per_s": baseline,
-            },
-        )
-    rates: Dict[str, Dict[str, float]] = {}
-    for row in rows:
-        if row["mode"] != "cached":
-            continue
-        rates.setdefault(row["backend"], {})[row["phase"]] = row["ops_per_s"]
-    entry = {"label": label, "mode": "cached", "ops_per_s": rates}
-    doc["entries"] = [e for e in doc["entries"] if e.get("label") != label] + [entry]
-    os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
-    with open(path, "w") as handle:
-        json.dump(doc, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-    return doc

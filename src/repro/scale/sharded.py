@@ -197,8 +197,7 @@ class ShardedLSM:
             raise ValueError("key_domain must be in [1, max_key + 1]")
         self.key_domain = int(key_domain)
         #: Width of the *initial* fixed partition (the last shard may cover
-        #: a shorter tail of the domain).  Routing goes through the
-        #: boundary array once any boundary has moved.
+        #: a shorter tail of the domain).
         self.shard_width = -(-self.key_domain // num_shards)
         #: Sorted shard boundaries: shard ``s`` owns keys in
         #: ``[bounds[s], bounds[s+1])``; ``bounds[0] == 0`` and
@@ -207,11 +206,6 @@ class ShardedLSM:
             np.arange(num_shards + 1, dtype=np.int64) * self.shard_width,
             self.key_domain,
         )
-        # While the boundaries still match the fixed-width layout, routing
-        # uses the legacy division arithmetic — bit-exact with the
-        # pre-rebalancing front-end, including its clamping of
-        # out-of-domain query keys.
-        self._uniform_bounds = True
         self._boundary_version = 0
         self._epoch_base = 0
         self.shards: List[GPULSM] = [
@@ -350,12 +344,9 @@ class ShardedLSM:
         """Shard id per original key (out-of-domain keys clamp to a shard
         where they are correctly never found)."""
         keys = np.asarray(keys).astype(np.int64)
-        if self._uniform_bounds:
-            # Fixed-width layout: the legacy arithmetic, bit-exact with
-            # the pre-rebalancing front-end.
-            return np.minimum(keys // self.shard_width, self.num_shards - 1)
-        ids = np.searchsorted(self._bounds, keys, side="right") - 1
-        return np.clip(ids, 0, self.num_shards - 1)
+        # The number of interior boundaries at or below the key: already
+        # in [0, num_shards - 1], whatever the key.
+        return np.searchsorted(self._bounds[1:-1], keys, side="right")
 
     # ------------------------------------------------------------------ #
     # Traffic accounting (host-side only — no simulated cost)
@@ -794,7 +785,6 @@ class ShardedLSM:
 
     def _after_boundary_change(self, epoch_before: int) -> None:
         self._boundary_version += 1
-        self._uniform_bounds = False
         # The top-level epoch must advance strictly: freshly built shards
         # restart their counters near zero, so the raw per-shard sum could
         # alias an earlier state.

@@ -1,52 +1,50 @@
 """The serving engine: multi-client admission over the mixed-op planner.
 
-:class:`Engine` is the execution surface the ROADMAP's serving story
-needs: many concurrent clients :meth:`~Engine.submit` single operations
-(or :meth:`~Engine.submit_batch` columnar batches) and get future-style
+Many concurrent clients :meth:`~Engine.submit` single operations (or
+:meth:`~Engine.submit_batch` columnar batches) and get future-style
 tickets back, while the engine turns the combined stream into the few
-large bulk-synchronous ticks the paper's structures want.  Three pieces:
+large bulk-synchronous ticks the paper's structures want.  In front of
+the tick path: **admission** (a FIFO queue with a backpressure bound,
+``max_queue_depth`` of :class:`TickConfig`), the **adaptive tick
+scheduler** of :mod:`repro.serve.scheduler` (cut a tick when the queue
+reaches the target size *or* its oldest operation has lingered past the
+deadline) and **pipelining** (the scheduler thread plans tick *N+1* on
+the engine's own planning device while the executor thread commits *N*).
 
-* **Admission** — a thread-safe FIFO queue of submissions with a
-  backpressure bound (``max_queue_depth`` of :class:`TickConfig`);
-  ``submit`` blocks — or raises :class:`EngineSaturatedError` with
-  ``timeout=0`` — once the bound is hit.
-* **Adaptive tick scheduler** — the dual-trigger policy of
-  :mod:`repro.serve.scheduler`: a tick is cut when the queue reaches the
-  target tick size *or* when the oldest queued operation has lingered past
-  the deadline, so throughput is batch-optimal under load and latency is
-  bounded when traffic is light.
-* **Pipelined executor** — tick *N+1* is planned (one stable multisplit by
-  opcode, :func:`repro.api.planner.plan_batch`, on the engine's own
-  planning device) while tick *N* executes on the backend
-  (:func:`repro.api.planner.execute_plan`), the plan/execute split this PR
-  introduces.  Execution preserves the SNAPSHOT/STRICT consistency
-  contract and the epoch-pinning guarantee of the planner unchanged; a
-  sharded backend fans each tick across its shards through the existing
-  one-multisplit route.
+The tick path itself — the paper's unit of work, one batch applied as a
+whole, plus the guards around it — exists once, as three steps:
 
-The engine also serves as the substrate of the single-client facade:
-:meth:`KVStore.apply <repro.api.kvstore.KVStore.apply>` delegates to
-:meth:`Engine.apply`, which runs one caller-formed tick inline (no queue,
-no threads) through the same plan/execute path and the same telemetry.
+* **commit** (:meth:`Engine._commit_locked`, under the executor lock):
+  capture the backend when ticks are transactional →
+  :func:`~repro.api.planner.execute_plan` → the post-execute fault point
+  → the WAL append (the acknowledgement) → on failure, roll back.
+* **complete** (:meth:`Engine._complete_tick`): resolve the tick's
+  tickets from its result — or its error — and record the tick, which
+  moves the :meth:`~Engine.flush` watermark.
+* **fail** (:meth:`Engine._fail_tick`): a completion with no result
+  that always moves the watermark; every recovery path (a crashed
+  completion, a crashed loop, fail-stop) ends in it.
 
-The engine is also the **maintenance scheduler**: after every executed
-tick (threaded or inline) the executor polls
-``backend.run_due_maintenance()`` under the executor lock — on the
-threaded path the lock is re-acquired once the tick's tickets have
-resolved, so waiting clients never pay for a rebuild (an inline tick from
-another thread may execute in between; the poll then simply sees the
-newer state).  Policy-driven cleanup / incremental compaction
-(:mod:`repro.core.maintenance`) thus runs *between* ticks — it bumps the
-structural epoch exactly like a cascade and can never interleave with a
-tick's pinned reads, preserving the SNAPSHOT contract.  Trigger counts,
-reclaimed elements and maintenance time surface in :meth:`Engine.stats`.
+Three callers share them.  :meth:`Engine.apply` — the inline path
+:class:`~repro.api.kvstore.KVStore` delegates to — plans, commits and
+completes one caller-formed tick under the lock and re-raises a failure.
+:meth:`Engine._execute_tick` — the executor thread — commits under the
+lock and completes outside it, inside a guard that turns a completion
+crash into a failed tick instead of a dead thread.  The **quarantine
+retry** is that same executor running :meth:`Engine._isolate` on a
+rolled-back tick (probe each submission alone, fail the poison ones
+typed) and then the commit step again for the innocents, without fault
+injection.  After a committed tick each caller runs the one post-commit
+poll (:meth:`Engine._poll_locked`: ``backend.run_due_maintenance()``,
+then the snapshot policy) under the executor lock, so policy-driven
+cleanup, compaction and rebalancing run *between* ticks and never
+interleave with a tick's pinned reads; the executor polls only after
+the tickets resolved, and guards the poll.
 
-Telemetry (:meth:`Engine.stats`) follows the conventions of
-:mod:`repro.gpu.profiler`: simulated seconds from the device counters,
-``rate_m_per_s`` via the cost model, wall-clock ops/s alongside (the two
-time axes never mix), and latency percentiles through the bounded
-:class:`repro.gpu.profiler.LatencyHistogram` — so a long-running engine's
-``stats()`` never rescans a growing sample list.
+Telemetry (:meth:`Engine.stats`) follows :mod:`repro.gpu.profiler`:
+simulated seconds from the device counters, wall-clock ops/s alongside
+(the two time axes never mix), latency percentiles through the bounded
+:class:`repro.gpu.profiler.LatencyHistogram`.
 """
 
 from __future__ import annotations
@@ -55,7 +53,7 @@ import collections
 import queue as queue_module
 import threading
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Deque, Dict, List, Optional, Tuple
 
 import numpy as np
@@ -88,8 +86,6 @@ from repro.serve.resilience import (
     HealthMonitor,
     HealthState,
     ResilienceConfig,
-    capture_backend_state,
-    rollback_backend_state,
     supports_rollback,
 )
 from repro.serve.scheduler import TickConfig, TickTrigger
@@ -146,15 +142,11 @@ class _Ticket:
         self._event.set()
 
     def _fail(self, error: BaseException) -> None:
-        self._error = error
-        self._event.set()
-
-    def _fail_if_pending(self, error: BaseException) -> None:
-        """Fail the ticket unless it already resolved — the recovery
-        paths' idempotent variant (a crashed stage may have resolved some
-        of a tick's tickets before dying)."""
+        """Fail the ticket unless it already resolved (a crashed stage
+        may have resolved some of a tick's tickets before dying)."""
         if not self._event.is_set():
-            self._fail(error)
+            self._error = error
+            self._event.set()
 
     def _get(self, timeout: Optional[float]):
         if not self._event.wait(timeout):
@@ -209,14 +201,21 @@ class _Entry:
 
 @dataclass
 class _FormedTick:
-    """One cut tick on its way through the plan → execute pipeline."""
+    """One tick on its way through the plan → commit → complete pipeline."""
 
-    batch: OpBatch
-    entries: List[_Entry]
-    offsets: List[int]  # row offset of each entry inside ``batch``
+    size: int
     trigger: TickTrigger
     t_formed: float
-    last_seq: int
+    entries: List[_Entry] = field(default_factory=list)
+    offsets: List[int] = field(default_factory=list)  # entry row offsets
+    #: Sequence watermark the tick's final record exposes to :meth:`flush`,
+    #: along with the in-flight slot it hands back; ``None`` for an inline
+    #: tick, which never went through admission (and has no entries).
+    last_seq: Optional[int] = None
+    #: The entries' rows, concatenated when the tick is planned — so a
+    #: failure there is a planning failure of a tick the supervisor's reap
+    #: can already see.
+    batch: Optional[OpBatch] = None
 
 
 def _pow2_bucket(size: int) -> int:
@@ -271,12 +270,9 @@ class EngineStats:
     read_cache: Optional[Dict[str, int]] = None
     #: Durability counters (``DurabilityManager.stats``: wal_appends,
     #: wal_fsyncs, wal_bytes, snapshot_runs, recovery_replayed_ticks,
-    #: ...), or ``None`` when the engine runs without durability — the
-    #: default, keeping the stats schema bit-identical for existing
-    #: consumers.
+    #: ...), or ``None`` when the engine runs without durability.
     durability: Optional[Dict[str, int]] = None
-    #: Resilience counters (PR 9); all zero / ``"ok"`` when the
-    #: resilience knobs are off, keeping the schema additive.
+    #: Resilience counters, all zero / ``"ok"`` with the knobs off.
     #: Operations shed with ``DeadlineExceededError`` at tick-cut time.
     deadline_shed_ops: int = 0
     #: Operations refused by the load-shedding policy at admission.
@@ -339,8 +335,6 @@ class EngineStats:
         ]
 
 
-
-
 class Engine:
     """Multi-client serving engine over one dictionary backend.
 
@@ -378,24 +372,22 @@ class Engine:
         crash-safe: prior state in the configured directory is recovered
         at construction (snapshot + WAL replay into the backend, which
         must then be empty), every committed tick's update rows are
-        appended to the WAL before its results are returned, and
-        checkpoints run between ticks per the config's snapshot policy.
-        ``None`` (the default) runs without durability — every answer,
-        stats schema and benchmark number is bit-identical to before the
-        subsystem existed.  Durability attaches to the **raw** backend,
+        appended to the WAL before its results are returned (the commit
+        step), and checkpoints run between ticks per the config's
+        snapshot policy (the post-commit poll).  ``None`` (the default)
+        runs without durability.  It attaches to the **raw** backend,
         beneath any read cache, so recovery and snapshots see the real
         structure.
     resilience:
         A :class:`~repro.serve.resilience.ResilienceConfig` bundling the
-        fault-isolation knobs: transactional ticks (roll the backend back
-        on tick failure), poison-op quarantine (isolate the offending
-        submission, retry the innocent ones with bit-identical answers),
-        supervised thread restarts with the :meth:`health` state machine,
-        deadline-aware shedding, and the engine-side fault-injection
-        points.  ``None`` (the default) — and a default-constructed
-        config — leave every answer and stat bit-identical to an engine
-        without the subsystem.  Like durability, rollback operates on the
-        **raw** backend beneath any read cache.
+        fault-isolation knobs: transactional ticks (the commit step rolls
+        the backend back on failure), poison-op quarantine (isolate the
+        offending submission, retry the innocent ones with bit-identical
+        answers), supervised thread restarts with the :meth:`health`
+        state machine, deadline-aware shedding, and the engine-side
+        fault-injection points.  ``None`` (the default) equals a
+        default-constructed config: every knob off.  Like durability,
+        rollback operates on the **raw** backend beneath any read cache.
 
     Usage::
 
@@ -433,9 +425,9 @@ class Engine:
             # both must see the real structure, not a read-through proxy.
             manager.attach(backend)
             self._durability = manager
-        #: The unwrapped backend — what transactional ticks capture and
-        #: roll back (a rollback through the cache proxy would work, but
-        #: the contract is with the real structure, like durability's).
+        #: The unwrapped backend — what the commit step captures and
+        #: rolls back (the contract is with the real structure, like
+        #: durability's, not the cache proxy).
         self._raw_backend = backend
         self._read_cache: Optional[ReadCachedBackend] = None
         if cache_capacity:
@@ -462,7 +454,7 @@ class Engine:
         #: The tick currently owned by each loop, reaped by the watchdog
         #: if the loop crashes so its tickets never dangle.
         self._pending_cut: Optional[_FormedTick] = None
-        self._inflight_item: Optional[Tuple[_FormedTick, Plan]] = None
+        self._executing: Optional[_FormedTick] = None
 
         self._cond = threading.Condition()
         self._queue: Deque[_Entry] = collections.deque()
@@ -764,108 +756,200 @@ class Engine:
                 self._cond.wait(remaining)
 
     # ------------------------------------------------------------------ #
-    # Inline single-client path (the KVStore substrate)
+    # The tick path: one commit step, one completion step, one failure step
     # ------------------------------------------------------------------ #
+    def _commit_locked(
+        self, batch: OpBatch, plan: Plan, retry: bool = False
+    ) -> Tuple[Optional[ResultBatch], Optional[BaseException], Optional[dict]]:
+        """The one commit step (holding the executor lock): capture the
+        raw backend when ticks are transactional → execute the plan → the
+        post-execute fault point → the WAL append → on failure roll back.
+
+        Returns ``(result, error, token)``.  The WAL record is the
+        acknowledgement: a tick whose append did not return is not
+        committed and its results are never handed out.  ``token`` is the
+        pre-tick capture a failed tick was rolled back to — the backend is
+        then bit-identical to its pre-tick state and never ahead of the
+        log — or ``None`` when nothing was captured; a rollback that
+        itself fails turns ``error`` into :class:`EngineInternalError`.
+
+        ``retry`` marks the quarantine's second attempt at the same tick:
+        no fault injection (the injector's hit counts belong to first
+        attempts) and its rollback is not counted again.
+        """
+        inject = self._fault_injector is not None and not retry
+        token = (
+            self._raw_backend.snapshot_state()
+            if self.resilience.transactional_ticks
+            else None
+        )
+        try:
+            result = execute_plan(
+                batch,
+                plan,
+                self.backend,
+                fault_check=self._check_fault if inject else None,
+            )
+            if inject:
+                self._check_fault("engine.post_execute_pre_wal")
+            if self._durability is not None:
+                self._durability.log_tick(batch, plan.consistency)
+            return result, None, None
+        except Exception as exc:
+            if token is None:
+                return None, exc, None
+            try:
+                self._raw_backend.rollback_to(token)
+            except Exception as rb_exc:
+                return None, EngineInternalError(
+                    "tick rollback failed; backend state is undefined",
+                    cause=rb_exc,
+                ), None
+            if not retry:
+                with self._cond:
+                    self._rolled_back_ticks += 1
+            return None, exc, token
+
+    def _complete_tick(
+        self,
+        tick: _FormedTick,
+        result: Optional[ResultBatch],
+        error: Optional[BaseException],
+        sim_seconds: float = 0.0,
+        plan_seconds: float = 0.0,
+    ) -> None:
+        """The one completion step: resolve the tick's tickets from its
+        ``result`` — or fail the still-pending ones with ``error`` — and
+        record the tick, which advances the sequence watermark and hands
+        back the in-flight slot.
+
+        A tick's rows are contiguous per entry, so resolution is one
+        slice (or typed row view) and one weighted latency sample per
+        *submission*, not per op.  An inline tick has no entries; its one
+        sample is the whole batch.
+        """
+        t_done = time.monotonic()
+        for entry, offset in zip(tick.entries, tick.offsets):
+            if error is not None:
+                entry.ticket._fail(error)
+            elif isinstance(entry.ticket, BatchTicket):
+                entry.ticket._resolve(
+                    slice_result_batch(result, offset, offset + entry.size)
+                )
+            else:
+                entry.ticket._resolve(result.result(offset))
+        latency = t_done - tick.t_formed
+        self._record_tick(
+            size=tick.size,
+            trigger=tick.trigger,
+            op_latencies=[
+                (t_done - entry.t_submit, entry.size) for entry in tick.entries
+            ]
+            or [(latency, tick.size)],
+            tick_latency=latency,
+            sim_seconds=sim_seconds,
+            plan_seconds=plan_seconds,
+            t_done=t_done,
+            failed=error is not None,
+            last_seq=tick.last_seq,
+        )
+
+    def _fail_tick(self, tick: _FormedTick, error: BaseException) -> None:
+        """The one failure step: a completion with no result — tickets a
+        crashed stage already resolved keep their answers — that moves the
+        watermark even when the telemetry itself is what broke, so
+        :meth:`flush` never wedges."""
+        try:
+            self._complete_tick(tick, None, error)
+        except Exception:  # pragma: no cover - last-ditch watermark bump
+            with self._cond:
+                self._completed_seq = max(self._completed_seq, tick.last_seq)
+                self._inflight_ticks = max(0, self._inflight_ticks - 1)
+                self._cond.notify_all()
+
+    def _poll_locked(self) -> None:
+        """The one post-commit poll (holding the executor lock):
+        maintenance first, so a checkpoint captures the state a
+        just-triggered cleanup/compaction produced, not the one it is
+        about to replace."""
+        self._run_due_maintenance_locked()
+        if self._durability is not None:
+            self._durability.maybe_snapshot()
+
     def apply(
         self, batch: OpBatch, consistency: Optional[Consistency] = None
     ) -> ResultBatch:
         """Run one caller-formed tick inline, bypassing admission.
 
-        This is the single-client view :class:`~repro.api.kvstore.KVStore`
-        is rebased on: no queue, no threads, but the same plan → execute
-        path and the same telemetry as scheduler-formed ticks.  Safe to
-        call while the engine is running threaded (it serialises with the
-        executor on the backend).
+        The single-client view :class:`~repro.api.kvstore.KVStore` is
+        built on: no queue, no threads, but the same commit and completion
+        steps and telemetry as scheduler-formed ticks.  Safe to call while
+        the engine runs threaded (it serialises with the executor).
 
-        With ``transactional_ticks`` on, a failed inline tick rolls the
-        backend back to its pre-tick state before the failure propagates,
-        so backend and WAL stay in step.  Quarantine does not apply here
-        — the caller formed the batch, so there are no co-batched victims
-        to protect; the whole batch is the fault domain.
+        A failure — in planning or in the commit step — is recorded as a
+        failed tick and then propagates; with ``transactional_ticks`` the
+        backend is back at its pre-tick state by then.  Quarantine does
+        not apply: the caller formed the batch, so the whole batch is the
+        fault domain.
         """
         mode = self.consistency if consistency is None else Consistency(consistency)
         # Inline ticks always plan on the backend's own device: the
         # scheduler thread owns the dedicated planning device, and the
         # backend devices are quiescent while we hold the executor lock.
         plan_device = _backend_device(self.backend)
-        t0 = time.monotonic()
-        failed = False
+        tick = _FormedTick(
+            batch.size, TickTrigger.DIRECT, time.monotonic(), batch=batch
+        )
+        result = None
+        plan_delta = sim_delta = 0.0
         with self._exec_lock:
-            self._check_fault("engine.pre_plan")
-            plan_before = plan_device.simulated_seconds
-            plan = plan_batch(batch, consistency=mode, device=plan_device)
-            plan_delta = plan_device.simulated_seconds - plan_before
-            sim_before = simulated_seconds(self.backend)
-            token = (
-                capture_backend_state(self._raw_backend)
-                if self.resilience.transactional_ticks
-                else None
-            )
             try:
-                result = execute_plan(
-                    batch,
-                    plan,
-                    self.backend,
-                    fault_check=(
-                        self._check_fault
-                        if self._fault_injector is not None
-                        else None
-                    ),
-                )
-                self._check_fault("engine.post_execute_pre_wal")
-                if self._durability is not None:
-                    # The write-ahead record is the acknowledgement: a
-                    # tick whose append did not return is not committed
-                    # and its results are never handed to the caller.
-                    self._durability.log_tick(batch, mode)
-            except Exception:
-                failed = True
-                if token is not None:
-                    rollback_backend_state(self._raw_backend, token)
-                    with self._cond:
-                        self._rolled_back_ticks += 1
-                raise
-            finally:
+                self._check_fault("engine.pre_plan")
+                plan_before = plan_device.simulated_seconds
+                plan = plan_batch(batch, consistency=mode, device=plan_device)
+                plan_delta = plan_device.simulated_seconds - plan_before
+            except Exception as exc:
+                error = exc
+            else:
+                sim_before = simulated_seconds(self.backend)
+                result, error, _ = self._commit_locked(batch, plan)
                 sim_delta = simulated_seconds(self.backend) - sim_before
-                t1 = time.monotonic()
-                self._record_tick(
-                    size=batch.size,
-                    trigger=TickTrigger.DIRECT,
-                    op_latencies=[(t1 - t0, batch.size)],
-                    tick_latency=t1 - t0,
-                    sim_seconds=sim_delta + plan_delta,
-                    plan_seconds=plan_delta,
-                    t_done=t1,
-                    failed=failed,
-                )
-            if not failed:
-                self._run_due_maintenance_locked()
-                self._maybe_snapshot_locked()
+            self._complete_tick(
+                tick, result, error, sim_delta + plan_delta, plan_delta
+            )
+            if error is not None:
+                raise error
+            self._poll_locked()
         return result
 
     # ------------------------------------------------------------------ #
     # Scheduler / executor threads
     # ------------------------------------------------------------------ #
-    def _cut_tick_locked(
-        self, trigger: TickTrigger
-    ) -> Tuple[List[_Entry], List[_Entry]]:
+    def _cut_tick_locked(self) -> List[_Entry]:
         """Pop whole entries until the tick reaches the target size.
 
-        Entries whose ``deadline=`` expired while queued are diverted to
-        the shed list instead of the tick — resolved with
-        :class:`DeadlineExceededError`, never executed.  Shedding happens
-        only here, at the queue front during a cut, so the FIFO sequence
-        accounting :meth:`flush` relies on stays monotone.
+        Entries whose ``deadline=`` expired while queued are shed instead
+        — failed with :class:`DeadlineExceededError`, never executed,
+        their seqs queued for :meth:`flush`.  Shedding happens only here,
+        at the queue front during a cut, so the FIFO sequence accounting
+        :meth:`flush` relies on stays monotone.
         """
         entries: List[_Entry] = []
-        shed: List[_Entry] = []
         total = 0
         now = time.monotonic()
         while self._queue and total < self.config.target_tick_size:
             entry = self._queue.popleft()
             if entry.t_deadline is not None and now >= entry.t_deadline:
-                shed.append(entry)
                 self._queued_ops -= entry.size
+                self._deadline_shed_ops += entry.size
+                self._pending_shed_seq = max(self._pending_shed_seq, entry.seq)
+                entry.ticket._fail(
+                    DeadlineExceededError(
+                        f"deadline expired {now - entry.t_deadline:.4f}s ago "
+                        f"while the submission waited in the admission queue; "
+                        f"it was shed, not executed"
+                    )
+                )
                 continue
             entries.append(entry)
             total += entry.size
@@ -873,23 +957,18 @@ class Engine:
         if self._queued_ops < self.config.max_queue_depth:
             self._saturated_since = None
         self._cond.notify_all()  # backpressured submitters may proceed
-        return entries, shed
+        return entries
 
-    def _resolve_shed_locked(self, shed: List[_Entry]) -> None:
-        """Fail shed entries' tickets (holding ``_cond``; cheap — a fail
-        just sets an event)."""
-        if not shed:
-            return
-        now = time.monotonic()
-        self._deadline_shed_ops += sum(e.size for e in shed)
-        for entry in shed:
-            entry.ticket._fail(
-                DeadlineExceededError(
-                    f"deadline expired {now - entry.t_deadline:.4f}s ago "
-                    f"while the submission waited in the admission queue; "
-                    f"it was shed, not executed"
-                )
+    def _expose_shed_seq_locked(self) -> None:
+        """Shed seqs must reach :meth:`flush` so it completes, but may
+        not overtake a tick still in flight: expose them only once
+        nothing older is planning or executing."""
+        if self._inflight_ticks == 0 and self._pending_shed_seq:
+            self._completed_seq = max(
+                self._completed_seq, self._pending_shed_seq
             )
+            self._pending_shed_seq = 0
+            self._cond.notify_all()
 
     def _scheduler_loop(self) -> None:
         while True:
@@ -905,31 +984,17 @@ class Engine:
                             age = time.monotonic() - self._queue[0].t_submit
                             trigger = self.config.trigger(self._queued_ops, age)
                         if trigger is not None:
-                            entries, shed = self._cut_tick_locked(trigger)
-                            self._resolve_shed_locked(shed)
-                            if shed:
-                                # Account shed seqs so flush() completes
-                                # — but never let them overtake a tick
-                                # still in flight (or about to be).
-                                top = max(e.seq for e in shed)
-                                if self._inflight_ticks == 0 and not entries:
-                                    self._completed_seq = max(
-                                        self._completed_seq, top
-                                    )
-                                    self._cond.notify_all()
-                                else:
-                                    self._pending_shed_seq = max(
-                                        self._pending_shed_seq, top
-                                    )
+                            entries = self._cut_tick_locked()
                             if not entries:
+                                self._expose_shed_seq_locked()
                                 continue
-                            # Track the cut entries for the supervisor's
-                            # reap *before* forming the tick: a crash in
-                            # formation must not strand their tickets.
+                            # The supervisor's reap holds the tick before
+                            # anything that can fail touches it, so a
+                            # crash never strands its tickets.
                             self._inflight_ticks += 1
-                            self._pending_cut = entries
-                            tick = self._form_tick(entries, trigger)
-                            self._pending_cut = tick
+                            tick = self._pending_cut = self._form_tick(
+                                entries, trigger
+                            )
                             break
                         self._cond.wait(self.config.time_until_deadline(age))
                         continue
@@ -949,408 +1014,176 @@ class Engine:
             if not self._put_exec(outcome):
                 return  # fail-stopped while the hand-off queue was full
 
-    def _plan_tick(
-        self, tick: _FormedTick
-    ) -> Optional[Tuple[_FormedTick, Plan]]:
-        """The pipeline's first stage: plan the tick outside the lock,
-        overlapping the executor thread's work on the previous tick.
-
-        A planning failure — a poison submission the planner rejects, an
-        injected ``engine.pre_plan`` crash — must not kill this thread
-        (the pre-PR 9 bug): the tick is resolved here (quarantined, or
-        failed wholesale) and ``None`` is returned so the scheduler moves
-        on to the next tick.
-        """
-        plan_device = self._plan_device
-        try:
-            self._check_fault("engine.pre_plan")
-            plan_before = plan_device.simulated_seconds
-            plan = plan_batch(
-                tick.batch, consistency=self.consistency, device=plan_device
-            )
-        except Exception as exc:
-            return self._handle_plan_failure(tick, exc)
-        with self._cond:
-            self._plan_seconds_total += (
-                plan_device.simulated_seconds - plan_before
-            )
-        return tick, plan
-
-    def _handle_plan_failure(
-        self, tick: _FormedTick, exc: BaseException
-    ) -> Optional[Tuple[_FormedTick, Plan]]:
-        """Resolve a tick whose *planning* failed (the backend untouched).
-
-        Without quarantine every entry fails with the original error —
-        already an improvement over the pre-PR 9 engine, which let the
-        exception kill the scheduler thread and wedge all submitters.
-        With quarantine each entry is re-planned alone to find the poison
-        submissions; the innocent remainder is re-formed into a retry
-        tick, whose ``(tick, plan)`` is returned to continue down the
-        normal pipeline (its answers are bit-identical to a fault-free
-        run — planning has no backend side effects).
-        """
-        if not self.resilience.quarantine:
-            self._fail_tick(tick, exc)
-            return None
-        device = self._plan_device
-        poisons: List[Tuple[_Entry, BaseException]] = []
-        innocents: List[_Entry] = []
-        for entry in tick.entries:
-            try:
-                plan_batch(
-                    entry.batch, consistency=self.consistency, device=device
-                )
-                innocents.append(entry)
-            except Exception as probe_exc:
-                poisons.append((entry, probe_exc))
-        for entry, cause in poisons:
-            entry.ticket._fail(PoisonOperationError(cause, entry.batch))
-        if poisons:
-            with self._cond:
-                self._quarantined_ticks += 1
-                self._poisoned_entries += len(poisons)
-        else:
-            # Every entry plans fine alone: the failure was transient
-            # (an injected crash); retry the whole tick.
-            innocents = list(tick.entries)
-        if not innocents:
-            self._fail_tick(tick, exc, fail_tickets=False)
-            return None
-        retry = self._form_tick(innocents, tick.trigger)
-        retry.last_seq = tick.last_seq
-        try:
-            plan = plan_batch(
-                retry.batch, consistency=self.consistency, device=device
-            )
-        except Exception as retry_exc:
-            self._fail_tick(retry, retry_exc)
-            return None
-        return retry, plan
-
-    def _fail_tick(
-        self, tick: _FormedTick, exc: BaseException, fail_tickets: bool = True
-    ) -> None:
-        """Resolve every ticket of a tick with ``exc`` (unless already
-        resolved) and record the failed tick, advancing the sequence
-        watermark so :meth:`flush` completes."""
-        t_done = time.monotonic()
-        if fail_tickets:
-            for entry in tick.entries:
-                entry.ticket._fail_if_pending(exc)
-        self._record_tick(
-            size=tick.batch.size,
-            trigger=tick.trigger,
-            op_latencies=[
-                (t_done - entry.t_submit, entry.size) for entry in tick.entries
-            ],
-            tick_latency=t_done - tick.t_formed,
-            sim_seconds=0.0,
-            plan_seconds=0.0,
-            t_done=t_done,
-            failed=True,
-            last_seq=tick.last_seq,
-            inflight_done=True,
-        )
-
     @staticmethod
-    def _form_tick(entries: List[_Entry], trigger: TickTrigger) -> _FormedTick:
+    def _form_tick(
+        entries: List[_Entry],
+        trigger: TickTrigger,
+        parent: Optional[_FormedTick] = None,
+    ) -> _FormedTick:
+        """Bookkeeping only — the rows are concatenated by :meth:`_plan`.
+        A retry tick inherits its ``parent``'s cut time, sequence
+        watermark and in-flight slot."""
         offsets: List[int] = []
         total = 0
         for entry in entries:
             offsets.append(total)
             total += entry.size
         return _FormedTick(
-            batch=OpBatch.concat([e.batch for e in entries]),
-            entries=entries,
-            offsets=offsets,
-            trigger=trigger,
-            t_formed=time.monotonic(),
-            last_seq=max(e.seq for e in entries),
+            total,
+            trigger,
+            parent.t_formed if parent else time.monotonic(),
+            entries,
+            offsets,
+            parent.last_seq if parent else max(e.seq for e in entries),
         )
+
+    def _plan(self, tick: _FormedTick, device: Device) -> Plan:
+        """Concatenate a scheduler-formed tick's rows (once) and plan it."""
+        if tick.batch is None:
+            tick.batch = OpBatch.concat([e.batch for e in tick.entries])
+        return plan_batch(tick.batch, consistency=self.consistency, device=device)
+
+    def _plan_tick(
+        self, tick: _FormedTick
+    ) -> Optional[Tuple[_FormedTick, Plan]]:
+        """The pipeline's first stage: plan the tick outside the lock,
+        overlapping the executor thread's work on the previous tick.
+
+        A planning failure (a poison submission, an injected crash) must
+        not kill this thread.  The backend is untouched, so the tick is
+        failed wholesale with the planner's error — or, with quarantine
+        on, isolated with plan-only probes and the innocents' retry tick
+        continues down the pipeline.  ``None`` means fully resolved.
+        """
+        device = self._plan_device
+        try:
+            self._check_fault("engine.pre_plan")
+            plan_before = device.simulated_seconds
+            plan = self._plan(tick, device)
+        except Exception as exc:
+            retry = (
+                self._isolate(tick, device) if self.resilience.quarantine else None
+            )
+            if retry is None:
+                self._complete_tick(tick, None, exc)
+            return retry
+        with self._cond:
+            self._plan_seconds_total += device.simulated_seconds - plan_before
+        return tick, plan
 
     def _executor_loop(self) -> None:
         while True:
             item = self._exec_queue.get()
             if item is None:
                 return
-            with self._cond:
-                failed = self._failed_error is not None
-            if failed:
-                tick, _ = item
-                wrapped = EngineInternalError(
-                    "the engine fail-stopped before this tick executed",
-                    cause=self._failed_error,
-                )
-                for entry in tick.entries:
-                    entry.ticket._fail_if_pending(wrapped)
-                return
-            self._inflight_item = item
             tick, plan = item
+            with self._cond:
+                failed = self._failed_error
+            if failed is not None:
+                self._fail_tick(tick, failed)
+                return
+            self._executing = tick
             self._execute_tick(tick, plan)
-            self._inflight_item = None
+            self._executing = None
 
     def _execute_tick(self, tick: _FormedTick, plan: Plan) -> None:
-        error: Optional[BaseException] = None
-        result: Optional[ResultBatch] = None
-        quarantine = None
-        rolled_back = False
+        """The executor's per-tick entry: commit under the executor lock
+        (a rolled-back tick, with quarantine on, is isolated and its
+        innocents committed again), then complete and poll outside it."""
         with self._exec_lock:
             sim_before = simulated_seconds(self.backend)
-            token = (
-                capture_backend_state(self._raw_backend)
-                if self.resilience.transactional_ticks
-                else None
-            )
-            try:
-                result = execute_plan(
-                    tick.batch,
-                    plan,
-                    self.backend,
-                    fault_check=(
-                        self._check_fault
-                        if self._fault_injector is not None
-                        else None
-                    ),
-                )
-                self._check_fault("engine.post_execute_pre_wal")
-                if self._durability is not None:
-                    # Log before any ticket resolves: the append is the
-                    # acknowledgement, so a tick that fails to reach the
-                    # WAL fails its clients instead of acking silently.
-                    self._durability.log_tick(tick.batch, plan.consistency)
-            except Exception as exc:  # resolve tickets with the failure
-                error = exc
-                if token is not None:
-                    # Transactional tick: undo whatever the failed tick
-                    # mutated (a STRICT tick may have landed earlier
-                    # collapse runs; a WAL failure left the backend ahead
-                    # of the log).  After this the backend is bit-identical
-                    # to its pre-tick state.
-                    try:
-                        rollback_backend_state(self._raw_backend, token)
-                        rolled_back = True
-                    except Exception as rb_exc:  # pragma: no cover - defensive
+            result, error, token = self._commit_locked(tick.batch, plan)
+            if token is not None and self.resilience.quarantine:
+                retry = self._isolate(tick, _backend_device(self.backend), token)
+                if retry is not None:
+                    # Same pre-tick state, same relative order, same
+                    # canonical fold: the innocents' answers are
+                    # bit-identical to a fault-free run, and only this
+                    # retry reaches the WAL.
+                    tick, plan = retry
+                    result, error, _ = self._commit_locked(
+                        tick.batch, plan, retry=True
+                    )
+                    if error is not None and not isinstance(error, EngineError):
+                        # Innocent submissions always fail typed: the
+                        # retry's failure is the engine's problem.
                         error = EngineInternalError(
-                            "tick rollback failed; backend state is "
-                            "undefined",
-                            cause=rb_exc,
+                            "the quarantine retry of the innocent "
+                            "submissions failed; the backend was rolled "
+                            "back to the pre-tick state",
+                            cause=error,
                         )
-            if error is not None and rolled_back and self.resilience.quarantine:
-                quarantine = self._quarantine_locked(tick, plan, token)
             sim_delta = simulated_seconds(self.backend) - sim_before
-        if rolled_back:
-            with self._cond:
-                self._rolled_back_ticks += 1
-        if quarantine is not None:
-            self._resolve_quarantined(tick, quarantine, sim_delta)
-            return
-
-        t_done = time.monotonic()
-        # One slice (or typed row view) per *submission*, not per op: a
-        # tick's rows are contiguous per entry, so resolution is a sliced
-        # scatter of the tick's result and the latency telemetry is one
-        # weighted histogram update per entry.  The whole completion stage
-        # is guarded: an exception past this point used to kill the
-        # executor thread with some tickets resolved and some dangling —
-        # now the dangling ones fail typed and the loop keeps serving.
+        # Guarded: a crash here must not kill the executor thread with
+        # tickets dangling — they fail typed and the loop keeps serving.
         try:
             if error is None:
                 self._check_fault("engine.pre_resolve")
-            for entry, offset in zip(tick.entries, tick.offsets):
-                if error is not None:
-                    entry.ticket._fail(error)
-                elif isinstance(entry.ticket, BatchTicket):
-                    entry.ticket._resolve(
-                        slice_result_batch(result, offset, offset + entry.size)
-                    )
-                else:
-                    entry.ticket._resolve(result.result(offset))
-
-            self._record_tick(
-                size=tick.batch.size,
-                trigger=tick.trigger,
-                op_latencies=[
-                    (t_done - entry.t_submit, entry.size)
-                    for entry in tick.entries
-                ],
-                tick_latency=t_done - tick.t_formed,
-                sim_seconds=sim_delta,
-                plan_seconds=0.0,  # planned on the dedicated device, overlapped
-                t_done=t_done,
-                failed=error is not None,
-                last_seq=tick.last_seq,
-                inflight_done=True,
-            )
+            self._complete_tick(tick, result, error, sim_delta)
         except Exception as exc:
-            self._recover_completion_fault(tick, exc)
+            self._fail_tick(
+                tick,
+                EngineInternalError(
+                    "internal failure while completing a tick; "
+                    "already-resolved co-batched tickets keep their answers",
+                    cause=exc,
+                ),
+            )
+            self._note_internal_fault(exc)
             return
-
         if error is None:
-            # Engine-scheduled maintenance: evaluate the backend's
-            # policies between ticks, on this executor thread and under
-            # the executor lock — a maintenance pass bumps the structural
-            # epoch exactly like a cascade and can never interleave with
-            # a tick's pinned reads.  It runs *after* the tick's tickets
-            # resolved and its latency was stamped, so waiting clients
-            # never pay for a rebuild and maintenance time stays out of
-            # the per-op latency percentiles.  Guarded: a maintenance or
-            # snapshot failure degrades health but never kills the loop —
-            # the tick's clients already have their answers.
+            # After the tickets resolved, so clients never wait for a
+            # rebuild (an inline tick may slip in before the lock is
+            # re-acquired; the poll then simply sees newer state).  A
+            # maintenance or snapshot failure degrades health, no more.
             try:
                 with self._exec_lock:
-                    self._run_due_maintenance_locked()
-                    self._maybe_snapshot_locked()
+                    self._poll_locked()
             except Exception as exc:
                 self._note_internal_fault(exc)
 
-    # ------------------------------------------------------------------ #
-    # Quarantine (the poison-op isolation protocol)
-    # ------------------------------------------------------------------ #
-    def _quarantine_locked(self, tick: _FormedTick, plan: Plan, token: dict):
-        """Find the poison entries of a rolled-back tick and retry the
-        innocent ones (holding the executor lock; the backend is at the
-        pre-tick state).
+    def _isolate(
+        self, tick: _FormedTick, device: Device, token: Optional[dict] = None
+    ) -> Optional[Tuple[_FormedTick, Plan]]:
+        """The one isolation routine (poison-op quarantine) for a tick
+        that failed with the backend at its pre-tick state.
 
-        Protocol, in three moves:
+        1. **Probe** — each entry is planned alone.  Given ``token`` (the
+           capture a failed tick was rolled back to; executor lock held)
+           it is also executed alone — no WAL, answers discarded — and
+           whatever it mutated is rolled back.  Without one the tick
+           failed in planning and the backend was never touched.
+        2. **Classify** — entries that fail alone are poison and fail with
+           :class:`PoisonOperationError`.  If none does, the failure was
+           transient (an injected crash, a WAL hiccup): all are innocent.
+        3. **Re-form** — the innocents, in their original order, become
+           one planned retry tick inheriting the watermark and slot.
 
-        1. **Probe** — each entry re-executes alone from the pre-tick
-           state; any mutation is rolled back after the probe.  Entries
-           that fail alone are the poison; their probe answers are
-           discarded either way.
-        2. **Classify** — if no entry fails alone, the original failure
-           was transient (an injected crash, a WAL hiccup) and *everyone*
-           is innocent.
-        3. **Retry** — the innocent entries re-execute together as one
-           tick from the pre-tick state, in their original relative
-           order: same canonical fold, same arrival order, same snapshot
-           — so innocent answers are bit-identical to a fault-free run.
-           Only this retry tick reaches the WAL.
-
-        Returns a dict consumed by :meth:`_resolve_quarantined`.
+        Returns the retry ``(tick, plan)``, or ``None`` when every entry
+        was poison — the caller completes the original tick as failed.
         """
-        device = _backend_device(self.backend)
-        poisons: List[Tuple[_Entry, BaseException]] = []
+        raw = self._raw_backend
         innocents: List[_Entry] = []
         for entry in tick.entries:
-            epoch_before = _read_epoch(self._raw_backend)
+            epoch_before = None if token is None else _read_epoch(raw)
             try:
-                sub_plan = plan_batch(
-                    entry.batch, consistency=plan.consistency, device=device
+                alone = plan_batch(
+                    entry.batch, consistency=self.consistency, device=device
                 )
-                execute_plan(entry.batch, sub_plan, self.backend)
+                if token is not None:
+                    execute_plan(entry.batch, alone, self.backend)
                 innocents.append(entry)
-            except Exception as probe_exc:
-                poisons.append((entry, probe_exc))
-            if _read_epoch(self._raw_backend) != epoch_before:
-                # The probe mutated (or partially mutated) the backend;
-                # the next probe must start from the pre-tick state again.
-                rollback_backend_state(self._raw_backend, token)
-        if not poisons:
-            innocents = list(tick.entries)
-        retry_tick: Optional[_FormedTick] = None
-        retry_result: Optional[ResultBatch] = None
-        retry_error: Optional[BaseException] = None
-        if innocents:
-            retry_tick = self._form_tick(innocents, tick.trigger)
-            retry_tick.last_seq = tick.last_seq
-            try:
-                retry_plan = plan_batch(
-                    retry_tick.batch, consistency=plan.consistency, device=device
-                )
-                retry_result = execute_plan(
-                    retry_tick.batch, retry_plan, self.backend
-                )
-                if self._durability is not None:
-                    self._durability.log_tick(
-                        retry_tick.batch, plan.consistency
-                    )
-            except Exception as retry_exc:
-                retry_error = retry_exc
-                rollback_backend_state(self._raw_backend, token)
-        return {
-            "poisons": poisons,
-            "retry_tick": retry_tick,
-            "result": retry_result,
-            "error": retry_error,
-        }
-
-    def _resolve_quarantined(
-        self, tick: _FormedTick, quarantine: dict, sim_delta: float
-    ) -> None:
-        """Resolve a quarantined tick's tickets and record its telemetry:
-        one failed tick (the original) plus, when innocents retried, one
-        tick for the retry's outcome."""
-        retry_tick: Optional[_FormedTick] = quarantine["retry_tick"]
-        retry_error = quarantine["error"]
-        result = quarantine["result"]
-        if retry_error is not None and not isinstance(retry_error, EngineError):
-            # Innocent submissions always fail typed: the retry's failure
-            # is the engine's problem, not theirs.
-            retry_error = EngineInternalError(
-                "the quarantine retry of the innocent submissions failed; "
-                "the backend was rolled back to the pre-tick state",
-                cause=retry_error,
-            )
-        t_done = time.monotonic()
-        try:
-            for entry, cause in quarantine["poisons"]:
+            except Exception as cause:
                 entry.ticket._fail(PoisonOperationError(cause, entry.batch))
-            if retry_tick is not None:
-                for entry, offset in zip(retry_tick.entries, retry_tick.offsets):
-                    if retry_error is not None:
-                        entry.ticket._fail(retry_error)
-                    elif isinstance(entry.ticket, BatchTicket):
-                        entry.ticket._resolve(
-                            slice_result_batch(
-                                result, offset, offset + entry.size
-                            )
-                        )
-                    else:
-                        entry.ticket._resolve(result.result(offset))
-            with self._cond:
-                self._quarantined_ticks += 1
-                self._poisoned_entries += len(quarantine["poisons"])
-            # The original combined tick failed; the retry (if any)
-            # carries the sequence watermark and the in-flight hand-back.
-            self._record_tick(
-                size=tick.batch.size,
-                trigger=tick.trigger,
-                op_latencies=[],
-                tick_latency=t_done - tick.t_formed,
-                sim_seconds=sim_delta,
-                plan_seconds=0.0,
-                t_done=t_done,
-                failed=True,
-                last_seq=None if retry_tick is not None else tick.last_seq,
-                inflight_done=retry_tick is None,
-            )
-            if retry_tick is not None:
-                self._record_tick(
-                    size=retry_tick.batch.size,
-                    trigger=tick.trigger,
-                    op_latencies=[
-                        (t_done - entry.t_submit, entry.size)
-                        for entry in retry_tick.entries
-                    ],
-                    tick_latency=t_done - tick.t_formed,
-                    sim_seconds=0.0,  # counted in the original's sim_delta
-                    plan_seconds=0.0,
-                    t_done=t_done,
-                    failed=retry_error is not None,
-                    last_seq=tick.last_seq,
-                    inflight_done=True,
-                )
-        except Exception as exc:
-            self._recover_completion_fault(tick, exc)
-            return
-        if retry_tick is not None and retry_error is None:
-            try:
-                with self._exec_lock:
-                    self._run_due_maintenance_locked()
-                    self._maybe_snapshot_locked()
-            except Exception as exc:
-                self._note_internal_fault(exc)
+            if token is not None and _read_epoch(raw) != epoch_before:
+                raw.rollback_to(token)
+        with self._cond:
+            self._quarantined_ticks += 1
+            self._poisoned_entries += len(tick.entries) - len(innocents)
+        if not innocents:
+            return None
+        retry = self._form_tick(innocents, tick.trigger, parent=tick)
+        return retry, self._plan(retry, device)
 
     # ------------------------------------------------------------------ #
     # Supervision, fail-stop, fault injection
@@ -1363,7 +1196,7 @@ class Engine:
     def _put_exec(self, item) -> bool:
         """Hand an item to the executor, backing off if the depth-1
         pipeline queue is full.  Returns False — after failing the item's
-        tickets — when the engine fail-stopped while we waited (a wedged
+        tick — when the engine fail-stopped while we waited (a wedged
         executor would otherwise block the scheduler forever)."""
         while True:
             try:
@@ -1374,95 +1207,39 @@ class Engine:
                     failed = self._failed_error
                 if failed is not None:
                     if item is not None:
-                        tick, _ = item
-                        wrapped = EngineInternalError(
-                            "the engine fail-stopped before this tick "
-                            "executed",
-                            cause=failed,
-                        )
-                        for entry in tick.entries:
-                            entry.ticket._fail_if_pending(wrapped)
-                        self._record_tick(
-                            size=tick.batch.size,
-                            trigger=tick.trigger,
-                            op_latencies=[],
-                            tick_latency=0.0,
-                            sim_seconds=0.0,
-                            plan_seconds=0.0,
-                            t_done=time.monotonic(),
-                            failed=True,
-                            last_seq=tick.last_seq,
-                            inflight_done=True,
-                        )
+                        self._fail_tick(item[0], failed)
                     return False
 
-    def _recover_completion_fault(
-        self, tick: _FormedTick, exc: BaseException
-    ) -> None:
-        """Contain a failure in the guarded completion stage (ticket
-        resolution, telemetry): fail the tick's dangling tickets with a
-        typed error, keep the sequence watermark moving so flush() never
-        wedges, and degrade health — the loop itself keeps serving."""
-        wrapped = EngineInternalError(
-            "internal failure while completing a tick; already-resolved "
-            "co-batched tickets keep their answers",
-            cause=exc,
+    def _note_fault_locked(self) -> bool:
+        """Count one internal (non-client-attributable) fault, degrading
+        health (holding ``_cond``); True once the fault budget is spent."""
+        self._health.note_internal_fault()
+        return (
+            self.resilience.max_internal_faults is not None
+            and self._health.internal_faults
+            >= self.resilience.max_internal_faults
         )
-        for entry in tick.entries:
-            entry.ticket._fail_if_pending(wrapped)
-        try:
-            self._record_tick(
-                size=tick.batch.size,
-                trigger=tick.trigger,
-                op_latencies=[],
-                tick_latency=0.0,
-                sim_seconds=0.0,
-                plan_seconds=0.0,
-                t_done=time.monotonic(),
-                failed=True,
-                last_seq=tick.last_seq,
-                inflight_done=True,
-            )
-        except Exception:  # pragma: no cover - last-ditch watermark bump
-            with self._cond:
-                self._completed_seq = max(self._completed_seq, tick.last_seq)
-                self._inflight_ticks = max(0, self._inflight_ticks - 1)
-                self._cond.notify_all()
-        self._note_internal_fault(exc)
 
     def _note_internal_fault(self, exc: BaseException) -> None:
-        """Record an internal (non-client-attributable) fault: degrade
-        health and, past ``max_internal_faults``, fail-stop."""
+        """Record an internal fault of a guarded stage and, past
+        ``max_internal_faults``, fail-stop."""
         with self._cond:
-            self._health.note_internal_fault()
-            over_limit = (
-                self.resilience.max_internal_faults is not None
-                and self._health.internal_faults
-                >= self.resilience.max_internal_faults
-            )
+            over_limit = self._note_fault_locked()
         if over_limit:
             self._fail_engine(exc)
 
     def _run_supervised(self, body, name: str) -> None:
-        """Thread wrapper: supervise a scheduler/executor loop.
-
-        An unexpected crash never wedges the engine.  Supervised, the
-        loop restarts in place (same thread — no thread leak) after its
-        in-flight work is reaped with typed failures; unsupervised, or
-        past the fault budget, the engine fail-stops.
-        """
+        """Thread wrapper: a loop crash never wedges the engine.
+        Supervised, the loop restarts in place (same thread — no leak)
+        after its in-flight tick is reaped; unsupervised, or past the
+        fault budget, the engine fail-stops."""
         while True:
             try:
                 body()
                 return
             except Exception as exc:
                 with self._cond:
-                    self._health.note_internal_fault()
-                    over_limit = (
-                        self.resilience.max_internal_faults is not None
-                        and self._health.internal_faults
-                        >= self.resilience.max_internal_faults
-                    )
+                    over_limit = self._note_fault_locked()
                     restart = (
                         self.resilience.supervised
                         and not over_limit
@@ -1476,56 +1253,25 @@ class Engine:
                     return
 
     def _reap_inflight(self, cause: BaseException) -> None:
-        """Fail the tickets of whatever tick the crashed loop held."""
+        """Fail whatever tick a crashed loop held (one it had already
+        completed is left alone)."""
         wrapped = EngineInternalError(
             "engine thread crashed while this tick was in flight",
             cause=cause,
         )
-        for held in (self._pending_cut, self._inflight_item):
-            if held is None:
-                continue
-            if isinstance(held, tuple):
-                held = held[0]
-            if isinstance(held, _FormedTick):
-                entries = held.entries
-                size = held.batch.size
-                trigger = held.trigger
-                last_seq = held.last_seq
-            else:  # a cut-but-not-yet-formed entry list
-                entries = held
-                size = sum(e.size for e in entries)
-                trigger = TickTrigger.FLUSH
-                last_seq = max(e.seq for e in entries)
-            any_pending = any(
-                not e.ticket._event.is_set() for e in entries
-            )
-            for entry in entries:
-                entry.ticket._fail_if_pending(wrapped)
-            if any_pending:
-                self._record_tick(
-                    size=size,
-                    trigger=trigger,
-                    op_latencies=[],
-                    tick_latency=0.0,
-                    sim_seconds=0.0,
-                    plan_seconds=0.0,
-                    t_done=time.monotonic(),
-                    failed=True,
-                    last_seq=last_seq,
-                    inflight_done=True,
-                )
+        for tick in (self._pending_cut, self._executing):
+            if tick is not None and not all(e.ticket.done for e in tick.entries):
+                self._fail_tick(tick, wrapped)
         self._pending_cut = None
-        self._inflight_item = None
+        self._executing = None
 
     def _fail_engine(self, cause: BaseException) -> None:
         """Fail-stop: refuse new work, unwedge everyone waiting.
 
-        Every queued and in-flight ticket fails with a typed
-        :class:`EngineInternalError`; blocked submitters and flushers are
-        woken; the sequence watermark jumps to the high mark so
-        :meth:`flush` returns (with the failure surfaced on tickets, not
-        by hanging).  Terminal: :meth:`health` reports FAILED and
-        subsequent submissions are refused.
+        Every queued and in-flight tick goes through the failure step
+        with a typed :class:`EngineInternalError`; blocked submitters and
+        flushers are woken and the watermark jumps to the high mark, so
+        the failure surfaces on tickets, not as a hang.  Terminal.
         """
         wrapped = (
             cause
@@ -1543,21 +1289,12 @@ class Engine:
             self._inflight_ticks = 0
             self._pending_shed_seq = 0
             self._cond.notify_all()
-        for entry in drained:
-            entry.ticket._fail_if_pending(wrapped)
+        if drained:
+            self._fail_tick(self._form_tick(drained, TickTrigger.FLUSH), wrapped)
         self._reap_inflight(cause)
-        # Unwedge the other loop: drain the hand-off queue and plant the
-        # shutdown sentinel (bounded retries — the peer loop may be
-        # putting concurrently, but it checks _failed_error on Full too).
-        for _ in range(100):
-            try:
-                item = self._exec_queue.get_nowait()
-            except queue_module.Empty:
-                break
-            if item is not None:
-                tick, _ = item
-                for entry in tick.entries:
-                    entry.ticket._fail_if_pending(wrapped)
+        # Unwedge the other loop: plant the shutdown sentinel, failing
+        # whatever tick occupies the depth-1 hand-off queue (bounded: the
+        # peer may be putting, but it checks _failed_error on Full too).
         for _ in range(100):
             try:
                 self._exec_queue.put_nowait(None)
@@ -1568,38 +1305,27 @@ class Engine:
                 except queue_module.Empty:
                     continue
                 if item is not None:
-                    tick, _ = item
-                    for entry in tick.entries:
-                        entry.ticket._fail_if_pending(wrapped)
+                    self._fail_tick(item[0], wrapped)
 
     # ------------------------------------------------------------------ #
     # Engine-scheduled maintenance
     # ------------------------------------------------------------------ #
     def run_due_maintenance(self) -> Optional[Dict[str, object]]:
-        """Evaluate the backend's maintenance policy now, under the
-        executor lock.
-
-        This is the engine's own between-tick poll made available to
-        callers (the :class:`~repro.api.kvstore.KVStore` facade forwards
-        to it): taking the executor lock means the run can never
-        interleave with a tick the executor thread is executing, and the
-        run lands in the engine's maintenance telemetry.  Returns the
-        maintenance statistics dict, or ``None`` when the backend has no
-        maintenance subsystem or nothing was due.
+        """Evaluate the backend's maintenance policy now — the engine's
+        own between-tick poll made available to callers (``KVStore``
+        forwards to it).  Taking the executor lock means the run can never
+        interleave with an executing tick, and it lands in the engine's
+        maintenance telemetry.  Returns the maintenance statistics dict,
+        or ``None`` when nothing was due (or there is no such subsystem).
         """
         with self._exec_lock:
             return self._run_due_maintenance_locked()
 
     def _run_due_maintenance_locked(self) -> Optional[Dict[str, object]]:
         """Poll the backend's maintenance policies (holding the executor
-        lock, right after a tick executed).
-
-        Backends without a maintenance subsystem (the baselines) are a
-        no-op.  The reclaimed-element and simulated-time telemetry lands
-        in :meth:`stats`; the time is kept out of the per-tick
-        ``simulated_seconds`` so tick throughput and maintenance cost stay
-        separately attributable.
-        """
+        lock); a no-op for backends without the subsystem.  The time is
+        kept out of the per-tick ``simulated_seconds`` so tick throughput
+        and maintenance cost stay separately attributable."""
         run_due = getattr(self.backend, "run_due_maintenance", None)
         if not callable(run_due):
             return None
@@ -1608,23 +1334,14 @@ class Engine:
         if stats is None:
             return None
         sim_delta = simulated_seconds(self.backend) - sim_before
-        # Stale elements dropped — monotone; fold padding can make the
-        # *net* resident-size delta smaller or negative, which would read
-        # nonsensically as a "reclaimed" figure.
+        # Stale elements dropped, not the net resident-size delta: fold
+        # padding can make that negative.
         reclaimed = int(stats.get("removed", 0))
         with self._cond:
             self._maintenance_runs += 1
             self._maintenance_seconds += sim_delta
             self._maintenance_reclaimed += reclaimed
         return stats
-
-    def _maybe_snapshot_locked(self) -> None:
-        """Poll the durability snapshot policy (holding the executor lock,
-        after the maintenance poll — so a checkpoint captures the state a
-        just-triggered cleanup/compaction produced, not the state it is
-        about to replace)."""
-        if self._durability is not None:
-            self._durability.maybe_snapshot()
 
     @property
     def durability(self) -> Optional[DurabilityManager]:
@@ -1633,24 +1350,16 @@ class Engine:
         return self._durability
 
     def backend_maintenance_stats(self) -> Optional[Dict[str, object]]:
-        """The backend's lifetime maintenance counters (``None`` when the
-        backend has no maintenance subsystem) — the same dict
-        :meth:`stats` snapshots as ``backend_maintenance``; the
-        :class:`~repro.api.kvstore.KVStore` facade forwards to this."""
-        stats_fn = getattr(self.backend, "maintenance_stats", None)
-        if not callable(stats_fn):
-            return None
-        return stats_fn()
+        """The backend's lifetime maintenance counters — what
+        :meth:`stats` snapshots as ``backend_maintenance`` (``KVStore``
+        forwards to this)."""
+        return self._backend_stats("maintenance_stats")
 
     def backend_rebalance_stats(self) -> Optional[Dict[str, object]]:
-        """The backend's shard-rebalance counters (``None`` when the
-        backend has no rebalancing surface) — the same dict :meth:`stats`
-        snapshots as ``backend_rebalance``; the
-        :class:`~repro.api.kvstore.KVStore` facade forwards to this."""
-        stats_fn = getattr(self.backend, "rebalance_stats", None)
-        if not callable(stats_fn):
-            return None
-        return stats_fn()
+        """The backend's shard-rebalance counters — what :meth:`stats`
+        snapshots as ``backend_rebalance`` (``KVStore`` forwards to
+        this)."""
+        return self._backend_stats("rebalance_stats")
 
     # ------------------------------------------------------------------ #
     # Telemetry
@@ -1666,11 +1375,15 @@ class Engine:
         t_done: float,
         failed: bool = False,
         last_seq: Optional[int] = None,
-        inflight_done: bool = False,
     ) -> None:
+        """Fold one finished tick into the telemetry.  ``last_seq`` is
+        given by a tick that went through admission: its final record
+        exposes that sequence watermark to :meth:`flush` and hands back
+        the tick's in-flight slot."""
         with self._cond:
-            if inflight_done:
+            if last_seq is not None:
                 self._inflight_ticks = max(0, self._inflight_ticks - 1)
+                self._completed_seq = max(self._completed_seq, last_seq)
             if failed:
                 self._failed_ticks += 1
             else:
@@ -1690,16 +1403,7 @@ class Engine:
             if self._t_first is None:
                 self._t_first = t_done - tick_latency
             self._t_last_done = t_done
-            if last_seq is not None:
-                self._completed_seq = max(self._completed_seq, last_seq)
-            if self._inflight_ticks == 0 and self._pending_shed_seq:
-                # Shed-only cuts that happened while this tick was in
-                # flight: their seqs are safe to expose to flush() now
-                # that nothing older is still executing.
-                self._completed_seq = max(
-                    self._completed_seq, self._pending_shed_seq
-                )
-                self._pending_shed_seq = 0
+            self._expose_shed_seq_locked()
             self._cond.notify_all()
 
     def stats(self) -> EngineStats:
@@ -1729,7 +1433,7 @@ class Engine:
                 simulated_seconds=self._sim_seconds_total,
                 plan_seconds=self._plan_seconds_total,
                 wall_seconds=wall,
-                backend_filters=self._backend_filter_stats(),
+                backend_filters=self._backend_stats("filter_stats"),
                 maintenance_runs=self._maintenance_runs,
                 maintenance_seconds=self._maintenance_seconds,
                 maintenance_reclaimed=self._maintenance_reclaimed,
@@ -1755,12 +1459,12 @@ class Engine:
                 backend_rebalance=self.backend_rebalance_stats(),
             )
 
-    def _backend_filter_stats(self) -> Optional[Dict[str, float]]:
-        """The backend's query-filter pruning statistics, when it has any."""
-        stats_fn = getattr(self.backend, "filter_stats", None)
-        if not callable(stats_fn):
-            return None
-        return stats_fn()
+    def _backend_stats(self, method: str) -> Optional[dict]:
+        """An optional stats surface of the backend (``filter_stats``,
+        ``maintenance_stats``, ``rebalance_stats``), or ``None`` when the
+        backend does not have it."""
+        stats_fn = getattr(self.backend, method, None)
+        return stats_fn() if callable(stats_fn) else None
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         state = "running" if self.running else ("closed" if self._closed else "idle")

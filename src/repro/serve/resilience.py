@@ -11,19 +11,21 @@ its own fault domain:
 * :class:`ResilienceConfig` — the engine knob bundle.  Everything is
   **off by default**; a default-constructed config leaves the engine
   bit-identical to one built without it.
-* **Transactional ticks** (``transactional_ticks=True``) — the engine
-  captures the raw backend's :meth:`~repro.core.lsm.GPULSM.snapshot_state`
-  before executing a tick and rolls back to it on failure
+* **Transactional ticks** (``transactional_ticks=True``) — the engine's
+  commit step captures the raw backend's
+  :meth:`~repro.core.lsm.GPULSM.snapshot_state` before executing a tick
+  and rolls back to it on failure
   (:meth:`~repro.core.lsm.GPULSM.rollback_to`), so the backend can never
   run ahead of the WAL.  The capture is cheap: level runs are immutable,
   so the state dict holds references, not copies.
 * **Poison-op quarantine** (``quarantine=True``, requires transactional
-  ticks) — after a rolled-back tick, each submission is re-executed as an
-  isolated sub-tick from the pre-tick state to find the poison entries;
-  the innocent entries then re-execute together as one retry tick, whose
-  answers are bit-identical to a fault-free run (same canonical fold,
-  same arrival order among innocents, same pre-tick snapshot).  Poison
-  tickets fail with :class:`~repro.serve.errors.PoisonOperationError`.
+  ticks) — after a rolled-back tick, the engine's isolation routine
+  re-executes each submission alone from the pre-tick state to find the
+  poison entries; the innocent entries then go through the commit step
+  together as one retry tick, whose answers are bit-identical to a
+  fault-free run (same canonical fold, same arrival order among
+  innocents, same pre-tick snapshot).  Poison tickets fail with
+  :class:`~repro.serve.errors.PoisonOperationError`.
 * **Supervised threads** (``supervised=True``) — the scheduler/executor
   loops restart after an unexpected crash instead of wedging, up to
   ``max_internal_faults`` total internal faults, after which the engine
@@ -152,37 +154,9 @@ class ResilienceConfig:
         if self.recovery_ticks < 1:
             raise ValueError("recovery_ticks must be >= 1")
 
-    @property
-    def any_enabled(self) -> bool:
-        """True when any knob departs from the off-by-default engine."""
-        return bool(
-            self.transactional_ticks
-            or self.quarantine
-            or self.supervised
-            or self.shedding is not None
-            or self.fault_injector is not None
-        )
-
 
 def supports_rollback(backend) -> bool:
     """Whether a backend can serve as a transactional-tick substrate."""
     return callable(getattr(backend, "snapshot_state", None)) and callable(
         getattr(backend, "rollback_to", None)
     )
-
-
-def capture_backend_state(backend) -> dict:
-    """Capture the pre-tick state transactional ticks roll back to.
-
-    Cheap by construction: level runs are immutable, so the returned dict
-    references them instead of copying (see
-    :meth:`repro.core.lsm.GPULSM.snapshot_state`).
-    """
-    return backend.snapshot_state()
-
-
-def rollback_backend_state(backend, state: dict) -> None:
-    """Restore a :func:`capture_backend_state` capture after a failed
-    tick.  The structural epoch moves forward, so pinned readers and
-    epoch-keyed caches notice; answers match the capture point."""
-    backend.rollback_to(state)

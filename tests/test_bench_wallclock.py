@@ -1,17 +1,13 @@
 """Unit tests for the wall-clock replay benchmark harness
 (:mod:`repro.bench.wallclock`)."""
 
-import json
-
 import numpy as np
 import pytest
 
 from repro.bench.wallclock import (
-    PRE_PR_BASELINE_OPS_PER_S,
     assert_results_bit_identical,
     make_prefill,
     make_replay_phases,
-    update_trajectory,
     wallclock_replay,
 )
 from repro.bench.workloads import MixedOpConfig, hot_key_set
@@ -124,38 +120,3 @@ class TestLookupResultHelper:
     def test_lookup_result_shape(self):
         r = LookupResult(found=np.array([True]), values=None)
         assert r.values is None
-
-
-class TestTrajectory:
-    def test_creates_file_with_baseline_first(self, tmp_path):
-        path = str(tmp_path / "BENCH_wallclock.json")
-        rows = [
-            {
-                "backend": "gpulsm",
-                "mode": "cached",
-                "phase": "hot",
-                "ops_per_s": 123.0,
-            }
-        ]
-        doc = update_trajectory(path, rows, label="run A")
-        assert doc["entries"][0]["label"] == "pre-PR baseline"
-        assert doc["entries"][0]["ops_per_s"] == PRE_PR_BASELINE_OPS_PER_S
-        assert doc["entries"][-1]["ops_per_s"]["gpulsm"]["hot"] == 123.0
-        with open(path) as handle:
-            assert json.load(handle) == doc
-
-    def test_rerun_replaces_same_label(self, tmp_path):
-        path = str(tmp_path / "BENCH_wallclock.json")
-        row = {
-            "backend": "gpulsm",
-            "mode": "cached",
-            "phase": "hot",
-            "ops_per_s": 1.0,
-        }
-        update_trajectory(path, [row], label="run A")
-        update_trajectory(path, [dict(row, ops_per_s=2.0)], label="run A")
-        doc = update_trajectory(path, [dict(row, ops_per_s=3.0)], label="run B")
-        labels = [e["label"] for e in doc["entries"]]
-        assert labels == ["pre-PR baseline", "run A", "run B"]
-        run_a = [e for e in doc["entries"] if e["label"] == "run A"][0]
-        assert run_a["ops_per_s"]["gpulsm"]["hot"] == 2.0

@@ -20,6 +20,9 @@ from repro.api.kvstore import KVStore
 from repro.api.ops import Op, OpBatch
 from repro.core.lsm import GPULSM
 from repro.durability.faults import FaultInjector, InjectedCrash
+from repro.durability.manager import DurabilityConfig, DurabilityManager
+from repro.durability.recovery import WAL_FILENAME, recover
+from repro.durability.wal import read_records
 from repro.scale import ShardedLSM
 from repro.serve import engine as engine_mod
 from repro.serve.engine import Engine
@@ -86,8 +89,6 @@ def test_resilience_config_validation():
         ResilienceConfig(recovery_ticks=0)
     with pytest.raises(ValueError):
         LoadSheddingPolicy(grace_s=-1.0)
-    assert not ResilienceConfig().any_enabled
-    assert ResilienceConfig(transactional_ticks=True).any_enabled
 
 
 def test_transactional_requires_rollback_capable_backend():
@@ -142,8 +143,16 @@ def test_fault_injector_recurring_mode():
 # --------------------------------------------------------------------- #
 # Transactional ticks
 # --------------------------------------------------------------------- #
-@pytest.mark.parametrize("kind", ["gpulsm", "sharded"])
-def test_transactional_rollback_restores_backend(kind):
+@pytest.mark.parametrize("kind", [
+    "gpulsm",
+    "sharded",
+    # The rollback itself fails: the commit step types that the same way
+    # for the inline caller as for the executor thread.
+    "gpulsm/rollback-fails",
+    "sharded/rollback-fails",
+])
+def test_transactional_rollback_restores_backend(kind, monkeypatch):
+    kind, _, rollback_fails = kind.partition("/")
     if kind == "gpulsm":
         backend = GPULSM(batch_size=BATCH)
     else:
@@ -160,6 +169,18 @@ def test_transactional_rollback_restores_backend(kind):
         OpBatch.inserts(np.arange(8, 12, dtype=np.uint64)),
         OpBatch.inserts(np.array([POISON_KEY], dtype=np.uint64)),
     ])
+    if rollback_fails:
+        def broken_rollback(state):
+            raise RuntimeError("injected rollback bug")
+
+        monkeypatch.setattr(backend, "rollback_to", broken_rollback)
+        with pytest.raises(EngineInternalError, match="rollback failed") as exc_info:
+            store.apply(poisoned)
+        assert isinstance(exc_info.value.cause, RuntimeError)
+        stats = store.stats()
+        assert stats.failed_ticks == 1 and stats.rolled_back_ticks == 0
+        store.close()
+        return
     with pytest.raises(Exception):
         store.apply(poisoned)
 
@@ -282,10 +303,41 @@ def test_all_poison_tick_fails_everyone_typed():
     "engine.pre_plan",
     "engine.mid_execute",
     "engine.post_execute_pre_wal",
+    # Inline there is no quarantine and the caller is the retry: a tick
+    # whose *planning* fails is recorded as a failed tick — exactly like
+    # the threaded path without quarantine — and propagates.
+    "inline/engine.pre_plan",
+    "inline/planner-rejects",
 ])
-def test_transient_injected_fault_retries_all(point):
+def test_transient_injected_fault_retries_all(point, monkeypatch):
     """A transient fault (nobody is poison) retries the whole tick: every
     ticket still resolves with a result."""
+    inline, _, point = point.rpartition("/")
+    if inline:
+        inj = FaultInjector({"engine.pre_plan": 1})
+        if point == "planner-rejects":
+            real, calls = engine_mod.plan_batch, []
+
+            def flaky(*args, **kwargs):
+                calls.append(1)
+                if len(calls) == 1:
+                    raise RuntimeError("injected planner bug")
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(engine_mod, "plan_batch", flaky)
+            inj = None
+        engine = _engine(resilience=_protected(fault_injector=inj))
+        batch = OpBatch.inserts(np.arange(12, dtype=np.uint64))
+        with pytest.raises(RuntimeError, match="injected"):
+            engine.apply(batch)
+        stats = engine.stats()
+        assert stats.failed_ticks == 1 and stats.ticks == 0
+        assert stats.rolled_back_ticks == 0  # the backend was never touched
+        engine.apply(batch)  # the caller's retry commits
+        assert engine.apply(
+            OpBatch.lookups(np.arange(12, dtype=np.uint64))).found.all()
+        assert engine.stats().ticks == 2
+        return
     inj = FaultInjector({point: 1})
     engine = _engine(resilience=_protected(fault_injector=inj))
     with engine:
@@ -301,6 +353,118 @@ def test_transient_injected_fault_retries_all(point):
         engine.flush(timeout=10)
         assert np.asarray(lk.result(timeout=5).found).all()
         assert inj.crashed == point
+
+
+class _FailingWAL(DurabilityManager):
+    """A durability manager whose WAL append fails while ``armed``."""
+
+    armed = False
+
+    def log_tick(self, batch, consistency):
+        if self.armed:
+            raise OSError("injected WAL append failure")
+        super().log_tick(batch, consistency)
+
+
+@pytest.mark.parametrize("kind", ["gpulsm", "sharded4"])
+@pytest.mark.parametrize("entry", ["inline", "threaded", "quarantine"])
+@pytest.mark.parametrize("fault", [
+    "engine.mid_execute",
+    "engine.post_execute_pre_wal",
+    "wal-append",
+])
+def test_failed_commit_is_the_same_from_every_entry_point(
+    tmp_path, kind, entry, fault
+):
+    """The one commit step behind its three callers — inline ``apply``, the
+    executor thread, and the quarantine retry — leaves the same state when
+    a tick fails between execute and acknowledgement: the failed attempt
+    is rolled back without a trace and counted once, the WAL holds exactly
+    the acknowledged ticks with continuous ids, a reopened store recovers
+    the live state, and no thread outlives the engine (the autouse
+    fixture).  "Without a trace" is the backend bit-equal to its pre-tick
+    state — except where quarantine turns an injected (hence transient)
+    fault into a retry that commits: then it is bit-equal to a fault-free
+    run of the same ticks."""
+    def build():
+        if kind == "gpulsm":
+            return GPULSM(batch_size=BATCH)
+        return ShardedLSM(num_shards=4, batch_size=BATCH, key_domain=64)
+
+    def snapshot_of(backend):
+        result = backend.lookup(np.arange(64, dtype=np.uint64))
+        return np.asarray(result.found).tolist(), np.asarray(result.values).tolist()
+
+    # Tick 0 commits one update segment (one hit of each fault point), so
+    # hit 2 is the first one of tick 1.  The retry of a quarantined tick
+    # runs without fault injection, so only a WAL that keeps failing can
+    # fail it too.
+    injector = None if fault == "wal-append" else FaultInjector({fault: 2})
+    durability = _FailingWAL(
+        DurabilityConfig(directory=str(tmp_path), fsync_every_n_ticks=1)
+    )
+    backend = build()
+    engine = Engine(
+        backend,
+        config=TickConfig(target_tick_size=1 << 20, linger=100.0),
+        durability=durability,
+        resilience=ResilienceConfig(
+            transactional_ticks=True,
+            quarantine=entry == "quarantine",
+            fault_injector=injector,
+        ),
+    )
+    if entry != "inline":
+        engine.start()
+
+    def run_tick(*batches):
+        if entry == "inline":
+            return engine.apply(OpBatch.concat(batches))
+        tickets = [engine.submit_batch(batch) for batch in batches]
+        engine.flush(timeout=10)
+        return [ticket.result(timeout=5) for ticket in tickets]
+
+    def inserts(lo, hi, value):
+        keys = np.arange(lo, hi, dtype=np.uint64)
+        return OpBatch.inserts(keys, np.full(keys.size, value, dtype=np.uint64))
+
+    try:
+        run_tick(inserts(0, 8, 1), inserts(8, 12, 1))
+        before = snapshot_of(backend)
+
+        durability.armed = fault == "wal-append"
+        retry_commits = entry == "quarantine" and fault != "wal-append"
+        if retry_commits:
+            run_tick(inserts(4, 10, 2), inserts(20, 24, 2))
+            reference = build()
+            for lo, hi, value in ((0, 8, 1), (8, 12, 1), (4, 10, 2), (20, 24, 2)):
+                reference.insert(
+                    np.arange(lo, hi, dtype=np.uint64),
+                    np.full(hi - lo, value, dtype=np.uint64),
+                )
+            assert snapshot_of(backend) == snapshot_of(reference)
+        else:
+            typed = EngineInternalError if entry == "quarantine" else Exception
+            with pytest.raises(typed):
+                run_tick(inserts(4, 10, 2), inserts(20, 24, 2))
+            assert snapshot_of(backend) == before
+        durability.armed = False
+        stats = engine.stats()
+        assert stats.rolled_back_ticks == 1
+        assert stats.failed_ticks == (0 if retry_commits else 1)
+        assert stats.health == "ok"
+
+        run_tick(inserts(30, 34, 3))  # the engine keeps serving
+        live = snapshot_of(backend)
+    finally:
+        engine.close()
+
+    committed = 3 if retry_commits else 2
+    records = read_records(str(tmp_path / WAL_FILENAME)).records
+    assert [tick_id for tick_id, _, _ in records] == list(range(committed))
+    recovered = build()
+    assert recover(str(tmp_path), recovered).ticks == committed
+    assert snapshot_of(recovered) == live
 
 
 def test_pre_resolve_fault_fails_tick_typed_but_commits():

@@ -180,3 +180,66 @@ class TestShardedMechanics:
         assert list(res.found) == [True, False, True]
         with pytest.raises(ValueError, match="no values"):
             sharded.insert(np.array([1], dtype=np.uint32), np.array([1], dtype=np.uint32))
+
+
+class TestRoutingArithmetic:
+    """Routing is one ``searchsorted`` on the boundary array.  On the
+    initial fixed-width bounds it must agree with the closed-form division
+    it replaced — ``min(key // shard_width, num_shards - 1)`` — for every
+    in-domain key.  Out-of-domain *query* keys may land on another shard
+    under the two arithmetics, so for them the property is on answers:
+    never found, and counted by no range."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        num_shards=st.integers(min_value=1, max_value=32),
+        key_domain=st.integers(min_value=1, max_value=1 << 31),
+        fractions=st.lists(
+            st.floats(min_value=0.0, max_value=1.0), min_size=1, max_size=32
+        ),
+    )
+    def test_searchsorted_matches_fixed_width_division(
+        self, num_shards, key_domain, fractions
+    ):
+        sharded = ShardedLSM(
+            num_shards=num_shards, batch_size=64, key_domain=key_domain
+        )
+        width = -(-key_domain // num_shards)
+        # Drawn keys plus every shard boundary and its two neighbours.
+        edges = np.arange(num_shards + 1, dtype=np.int64) * width
+        keys = np.concatenate([
+            (np.asarray(fractions) * (key_domain - 1)).astype(np.int64),
+            edges - 1, edges, edges + 1,
+        ])
+        keys = np.unique(keys[(keys >= 0) & (keys < key_domain)])
+        division = np.minimum(keys // width, num_shards - 1)
+        assert np.array_equal(sharded._shard_ids(keys), division)
+        for s in np.unique(division):
+            lo, hi = sharded.shard_range(int(s))
+            mine = keys[division == s]
+            assert lo <= mine.min() and mine.max() <= hi
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        num_shards=st.integers(min_value=1, max_value=8),
+        key_domain=st.integers(min_value=1, max_value=200),
+        stored=st.lists(st.integers(0, 199), max_size=24),
+        beyond=st.lists(st.integers(0, 400), min_size=1, max_size=8),
+    )
+    def test_out_of_domain_queries_answer_the_same_on_any_shard(
+        self, num_shards, key_domain, stored, beyond
+    ):
+        sharded = ShardedLSM(
+            num_shards=num_shards, batch_size=64, key_domain=key_domain
+        )
+        stored = np.unique([k for k in stored if k < key_domain]).astype(np.uint32)
+        if stored.size:
+            sharded.insert(stored, stored)
+        outside = np.asarray(beyond, dtype=np.uint32) + key_domain
+        assert not sharded.lookup(outside).found.any()
+        # A range reaching past the domain counts exactly the stored keys
+        # at or above its lower end, wherever its upper end routes.
+        k1 = np.minimum(np.asarray(beyond, dtype=np.uint32), key_domain - 1)
+        expected = [(stored >= lo).sum() for lo in k1]
+        assert sharded.count(k1, outside).tolist() == expected
+        assert np.diff(sharded.range_query(k1, outside).offsets).tolist() == expected
