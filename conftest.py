@@ -10,6 +10,13 @@ and in-tree sources are identical.
 import os
 import sys
 
+from hypothesis import settings
+
 _SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), "src")
 if _SRC not in sys.path:
     sys.path.insert(0, _SRC)
+
+# ``--hypothesis-profile=ci``: every run explores the same examples and a
+# failure prints a blob that reproduces it anywhere — nothing depends on
+# the example database a developer's earlier runs left in ``.hypothesis/``.
+settings.register_profile("ci", derandomize=True, database=None, print_blob=True)

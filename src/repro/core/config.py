@@ -64,9 +64,10 @@ class LSMConfig:
         searches" on miss-heavy workloads.  0 disables.  Answers are never
         affected — filters are status-blind and conservative.
     sort_queries:
-        Query-acceleration knob: radix-sort each LOOKUP batch once so
-        per-level probes arrive in key order.  Neighbouring sorted queries
-        walk nearly identical binary-search paths, so far more probes hit
+        Query-acceleration knob: the modelled device radix-sorts each
+        LOOKUP batch once so per-level probes arrive in key order.
+        Neighbouring sorted queries walk nearly identical binary-search
+        paths, so far more probes hit
         cache — the paper's own "sort the queries" locality observation —
         modelled as the larger ``sorted_probe_cached_probes`` discount.
         Results are scattered back to request order; answers are

@@ -36,7 +36,7 @@ from repro.core.maintenance import MaintenanceStatsCounter
 from repro.core.level import Level
 from repro.core.run import SortedRun
 from repro.gpu.device import Device, get_default_device
-from repro.primitives.radix_sort import radix_sort_pairs
+from repro.primitives.radix_sort import record_radix_sort
 from repro.primitives.scan import exclusive_scan
 from repro.primitives.search import DEFAULT_CACHED_PROBES, lower_bound, upper_bound
 
@@ -171,13 +171,6 @@ class GPULSM:
         #: rebuild-on-trip policies quench until the structure changes
         #: (every mutation bumps :attr:`epoch`, expiring the mark).
         self._futile_rebuild_epoch: Optional[int] = None
-        #: Epoch-keyed flat concatenation of the occupied levels'
-        #: key/value buffers (see :meth:`_flat_levels`): host-side stand-in
-        #: for the device's per-level base pointers, letting COUNT/RANGE
-        #: candidate collection run as one cross-level ragged gather.
-        self._flat_levels_cache: Optional[
-            Tuple[int, np.ndarray, Optional[np.ndarray], np.ndarray]
-        ] = None
 
     # ------------------------------------------------------------------ #
     # Introspection
@@ -692,21 +685,6 @@ class GPULSM:
             q = q[maybe]
         return pending, q
 
-    def _sorted_query_order(
-        self, query_keys: np.ndarray
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Radix-sort one LOOKUP batch; original positions ride along.
-
-        Returns ``(sorted_keys, original_positions)``.  Costed as the real
-        kernel would be: one key/position radix sort of the query batch
-        (recorded by the sort primitive itself).
-        """
-        positions = np.arange(query_keys.size, dtype=np.uint32)
-        sorted_keys, order = radix_sort_pairs(
-            query_keys.astype(self.config.key_dtype), positions, device=self.device
-        )
-        return sorted_keys, order.astype(np.int64)
-
     # ------------------------------------------------------------------ #
     # Lookup
     # ------------------------------------------------------------------ #
@@ -722,9 +700,12 @@ class GPULSM:
         With query filters configured (see the ``enable_fences`` /
         ``bloom_bits_per_key`` knobs of :class:`LSMConfig`), every
         (query, level) pair is screened first and only the surviving pairs
-        are binary-searched; with ``sort_queries`` the batch is
-        radix-sorted once so per-level probes arrive in key order and earn
-        the larger cached-probe discount.  Neither changes any answer.
+        are binary-searched; with ``sort_queries`` the modelled device
+        radix-sorts the batch once so per-level probes arrive in key order
+        and earn the larger cached-probe discount.  Neither changes any
+        answer.  (The *host* always probes in key order — that is an
+        execution detail no counter sees; ``sort_queries`` decides what
+        the device is charged for.)
         """
         query_keys = np.asarray(query_keys)
         if query_keys.ndim != 1:
@@ -743,15 +724,25 @@ class GPULSM:
 
         levels = self.occupied_levels()
         with self.device.timed_region("lsm.lookup", items=nq):
-            order = None
-            qk = query_keys
-            if self.config.sort_queries and nq > 1 and levels:
-                qk, order = self._sorted_query_order(query_keys)
-            cached_probes = (
-                self.config.sorted_probe_cached_probes
-                if order is not None
-                else DEFAULT_CACHED_PROBES
-            )
+            # Host execution order: every level is probed in ascending key
+            # order, which is what makes the searches cache-friendly on the
+            # host.  The order is uncharged and leaks into no counter — a
+            # subset of a sorted batch stays sorted, so the shrinking
+            # unresolved set keeps it for free.
+            order = np.argsort(query_keys)
+            qk = query_keys[order]
+            sort_queries = self.config.sort_queries and nq > 1 and bool(levels)
+            cached_probes = DEFAULT_CACHED_PROBES
+            if sort_queries:
+                # The modelled device sorts too: charge its key/position
+                # radix sort, and its probes earn the larger discount.
+                record_radix_sort(
+                    self.device, nq, self.config.key_dtype, np.uint32
+                )
+                cached_probes = self.config.sorted_probe_cached_probes
+                # Its sort emits key-width words, and that buffer is what
+                # the per-level kernels then read and are charged for.
+                qk = qk.astype(self.config.key_dtype)
             # The probe word of a query is loop-invariant: encode the whole
             # batch once and slice per level instead of re-encoding every
             # level's pending subset.
@@ -804,16 +795,14 @@ class GPULSM:
                     resolved[matched] = True
                     unresolved = unresolved[~resolved[unresolved]]
 
-            if order is None:
-                found, values = out_found, out_values
-            else:
-                # Scatter the answers back to request order.
-                found = np.zeros(nq, dtype=bool)
-                found[order] = out_found
-                values = None
-                if out_values is not None:
-                    values = np.zeros(nq, dtype=out_values.dtype)
-                    values[order] = out_values
+            # Scatter the answers back to request order.
+            found = np.empty(nq, dtype=bool)
+            found[order] = out_found
+            values = None
+            if out_values is not None:
+                values = np.empty(nq, dtype=out_values.dtype)
+                values[order] = out_values
+            if sort_queries:
                 self.device.record_kernel(
                     "lsm.lookup.scatter_results",
                     coalesced_read_bytes=out_found.nbytes
@@ -929,6 +918,13 @@ class GPULSM:
         # ``[k1, k2]`` cannot contribute candidates, so the binary searches
         # run only for the overlapping (query, level) pairs; the pruned
         # pairs keep ``lows == ups == 0`` (an empty candidate chunk).
+        #
+        # Host execution order: as in :meth:`lookup`, every level is probed
+        # in ascending ``k1`` order (uncharged, visible in no counter), so
+        # the rows of ``lows`` / ``ups`` are in probe order until they are
+        # scattered back to request order below.
+        order = np.argsort(k1)
+        k1, k2 = k1[order], k2[order]
         lows = np.zeros((nq, num_levels), dtype=np.int64)
         ups = np.zeros((nq, num_levels), dtype=np.int64)
         lower_probes = self.encoder.lower_probe(k1)
@@ -970,43 +966,50 @@ class GPULSM:
                 device=self.device,
                 kernel_name="lsm.query.upper_bound",
             )
-        counts = ups - lows  # candidates per (query, level)
+        flat_lows = np.empty_like(lows)
+        flat_lows[order] = lows
+        flat_lows = flat_lows.reshape(-1)
+        # Candidates per (query, level), query-major in request order.
+        flat_counts = np.empty_like(ups)
+        flat_counts[order] = ups - lows
+        flat_counts = flat_counts.reshape(-1)
 
         # Stage 2: device-wide exclusive scan gives each (query, level)
         # chunk its output offset; query-major order keeps each query's
         # candidates contiguous.
-        flat_counts = counts.reshape(-1)
         flat_offsets, total = exclusive_scan(
             flat_counts, device=self.device, kernel_name="lsm.query.scan"
         )
-        offsets_2d = flat_offsets.reshape(nq, num_levels)
 
         # Per-query segment offsets (+ total sentinel).
         query_offsets = np.empty(nq + 1, dtype=np.int64)
-        query_offsets[:-1] = offsets_2d[:, 0]
+        query_offsets[:-1] = flat_offsets[::num_levels]
         query_offsets[-1] = total
 
-        # Stage 3: one ragged gather across every (query, level) chunk at
-        # once.  The flat chunk order is query-major — exactly the order
-        # the exclusive scan assigned output offsets in — so the
-        # destination of the combined gather is ``arange(total)`` and only
-        # the *source* indices need computing: per chunk, the level's base
-        # offset in the flat level concatenation plus the chunk's
-        # lower-bound position, plus a within-chunk ramp.
-        flat_keys, flat_values, bases = self._flat_levels(levels, with_values)
-        src_start = np.tile(bases, nq) + lows.reshape(-1)
-        within = np.arange(total) - np.repeat(
-            np.cumsum(flat_counts) - flat_counts, flat_counts
+        # Stage 3: the ragged gather.  The chunks are laid out in exactly
+        # the order the exclusive scan assigned output offsets in, so
+        # candidate ``i`` lands at output position ``i`` and only its
+        # *source* needs computing: its chunk's lower-bound position plus
+        # its rank within the chunk, read straight from the resident
+        # buffer of the level the chunk belongs to — one small gather per
+        # contributing level, as the device kernel indexes through its
+        # array of per-level base pointers.
+        src = np.arange(total) + np.repeat(flat_lows - flat_offsets, flat_counts)
+        level_of = np.repeat(
+            np.tile(np.arange(num_levels, dtype=np.int8), nq), flat_counts
         )
-        src = np.repeat(src_start, flat_counts) + within
-        cand_keys = flat_keys[src]
-        cand_values = None
-        if with_values:
-            cand_values = (
-                flat_values[src]
-                if flat_values is not None
-                else np.zeros(total, dtype=self.config.value_dtype)
-            )
+        cand_keys = np.empty(total, dtype=self.config.key_dtype)
+        cand_values = (
+            np.zeros(total, dtype=self.config.value_dtype) if with_values else None
+        )
+        for j, level in enumerate(levels):
+            dst = np.flatnonzero(level_of == j)
+            if dst.size == 0:
+                continue
+            from_level = src[dst]
+            cand_keys[dst] = level.keys[from_level]
+            if cand_values is not None and level.values is not None:
+                cand_values[dst] = level.values[from_level]
         per_item = self.config.key_dtype.itemsize + (
             self.config.value_dtype.itemsize if cand_values is not None else 0
         )
@@ -1020,48 +1023,6 @@ class GPULSM:
             launches=1,
         )
         return SortedRun(cand_keys, cand_values), query_offsets
-
-    def _flat_levels(
-        self, levels: List[Level], with_values: bool
-    ) -> Tuple[np.ndarray, Optional[np.ndarray], np.ndarray]:
-        """The occupied levels' buffers as one concatenation, plus each
-        level's base offset inside it (most recent level first, matching
-        ``occupied_levels()`` order).
-
-        This is a host-side stand-in for the device's array of per-level
-        base pointers: the real gather kernel indexes straight into the
-        resident level buffers, so building (and caching) the
-        concatenation records no simulated traffic — the same convention
-        as ``_distinct_regular_keys``'s free sort epilogue.  The cache is
-        keyed on the structural :attr:`epoch` (every mutation bumps it),
-        and values are concatenated lazily the first time a caller asks
-        for them at the current epoch.
-        """
-        cache = self._flat_levels_cache
-        need_values = with_values and not self.key_only
-        if cache is not None and cache[0] == self.epoch:
-            _, flat_keys, flat_values, bases = cache
-            if not need_values or flat_values is not None:
-                return flat_keys, flat_values, bases
-        flat_keys = np.concatenate([level.keys for level in levels])
-        flat_values = None
-        if need_values:
-            flat_values = np.concatenate(
-                [
-                    (
-                        level.values
-                        if level.values is not None
-                        else np.zeros(level.size, dtype=self.config.value_dtype)
-                    )
-                    for level in levels
-                ]
-            )
-        sizes = np.fromiter(
-            (level.size for level in levels), dtype=np.int64, count=len(levels)
-        )
-        bases = np.concatenate([np.zeros(1, dtype=np.int64), np.cumsum(sizes)[:-1]])
-        self._flat_levels_cache = (self.epoch, flat_keys, flat_values, bases)
-        return flat_keys, flat_values, bases
 
     def _validate_candidates(
         self, sorted_words: np.ndarray, query_offsets: np.ndarray

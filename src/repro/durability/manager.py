@@ -3,7 +3,7 @@
 :class:`DurabilityConfig` is the single knob
 :class:`~repro.serve.engine.Engine` / :class:`~repro.api.kvstore.KVStore`
 take (``durability=DurabilityConfig(directory=...)``); the engine builds a
-:class:`DurabilityManager` from it and calls exactly four methods:
+:class:`DurabilityManager` from it and calls exactly five methods:
 
 ``attach(backend)``
     Once at construction, against the **raw** backend (before any read
@@ -17,6 +17,11 @@ take (``durability=DurabilityConfig(directory=...)``); the engine builds a
     (queries change no state; a pure-query tick appends an empty record
     so tick ids stay aligned).  When ``log_tick`` returns, the tick is
     acknowledged durable to the group-commit level configured.
+``abort_tick()``
+    Under the executor lock, after a tick whose ``log_tick`` (or anything
+    before it) failed was rolled back: drop what a failed append left
+    past the last acknowledged record, so a tick every client saw fail
+    cannot be replayed by a later recovery.
 ``maybe_snapshot()``
     Between ticks (after the maintenance poll): evaluate the snapshot
     policy and checkpoint when due, forcing a WAL sync first so a
@@ -208,6 +213,20 @@ class DurabilityManager:
         )
         self._ticks += 1
         self._ticks_since_snapshot += 1
+
+    def abort_tick(self) -> None:
+        """Drop whatever a failed :meth:`log_tick` left past the last
+        acknowledged record, now.
+
+        The engine calls this once it has rolled the tick back: every
+        client saw the tick fail, so a complete-but-unacknowledged record
+        (the append's fsync raised) must not wait for the next append to
+        heal it — if none follows, a clean :meth:`close` would keep it
+        and recovery would resurrect the tick.  A no-op when the last
+        append succeeded.
+        """
+        if self._wal is not None:
+            self._wal.heal_tail()
 
     def maybe_snapshot(self) -> Optional[dict]:
         """Checkpoint if the policy says so; returns the manifest if run."""

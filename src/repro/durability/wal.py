@@ -250,10 +250,10 @@ class WriteAheadLog:
         self._closed = False
         #: A failed append left unacknowledged bytes past ``end_offset``
         #: (a torn half-record, or a complete record whose fsync raised).
-        #: Healed lazily at the *next* append, so between the failure and
-        #: any retry the on-disk state is exactly what a process death at
-        #: that instant would leave — the kill-and-restart oracle depends
-        #: on seeing that torn tail.
+        #: Healed by :meth:`heal_tail`, never by the failing append, so
+        #: between the failure and any retry the on-disk state is exactly
+        #: what a process death at that instant would leave — the
+        #: kill-and-restart oracle depends on seeing that torn tail.
         self._tail_dirty = False
         # Lifetime counters surfaced in Engine.stats().
         self.appends = 0
@@ -278,8 +278,7 @@ class WriteAheadLog:
         """
         if self._closed:
             raise WALError("the write-ahead log is closed")
-        if self._tail_dirty:
-            self._heal_tail()
+        self.heal_tail()
         record = encode_record(tick_id, batch, strict=strict)
         try:
             faults_mod.check(self._faults, "wal.mid_append")
@@ -306,10 +305,17 @@ class WriteAheadLog:
         self.end_offset += len(record)
         return self.end_offset
 
-    def _heal_tail(self) -> None:
+    def heal_tail(self) -> None:
         """Cut unacknowledged bytes a failed append left past
-        ``end_offset`` (deferred to here so the interim on-disk state
-        matches a process death at the failure point)."""
+        ``end_offset``; a no-op after a successful append.
+
+        Not done by the failing append itself, so that until someone
+        decides the process lives on — the next :meth:`append`, or the
+        engine once it has rolled the failed tick back — the on-disk
+        state is what a process death at the failure point would leave.
+        """
+        if not self._tail_dirty:
+            return
         self._file.flush()
         self._file.truncate(self.end_offset)
         self._tail_dirty = False

@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Tuple
 
 from repro.gpu.counters import CounterSnapshot, KernelStats
 from repro.gpu.spec import GPUSpec, K40C_SPEC
@@ -101,6 +101,12 @@ class CostModel:
 
     def __init__(self, spec: GPUSpec = K40C_SPEC) -> None:
         self.spec = spec
+        # The spec is frozen; its four model rates are derived properties,
+        # read once here instead of once per recorded kernel.
+        self._launch_overhead_s = spec.kernel_launch_overhead_s
+        self._coalesced_bytes_per_s = spec.effective_bandwidth_bytes_per_s
+        self._random_bytes_per_s = spec.random_bandwidth_bytes_per_s
+        self._filter_bytes_per_s = spec.filter_bandwidth_bytes_per_s
 
     # ------------------------------------------------------------------ #
     # Core conversion
@@ -113,6 +119,18 @@ class CostModel:
             random_bytes=stats.random_bytes,
             filter_bytes=stats.filter_bytes,
         )
+
+    def seconds_of(self, stats: KernelStats) -> float:
+        """``cost_of(stats).seconds`` — the same four terms added in the
+        same order — without building the breakdown.  This is what
+        advances a device's clock on every recorded kernel."""
+        launch_s, coalesced_s, random_s, filter_s = self._terms(
+            stats.launches,
+            stats.coalesced_bytes,
+            stats.random_bytes,
+            stats.filter_bytes,
+        )
+        return launch_s + coalesced_s + random_s + filter_s
 
     def cost_of_snapshot(self, snap: CounterSnapshot) -> KernelCost:
         """Simulated cost of everything captured in a counter snapshot
@@ -131,6 +149,17 @@ class CostModel:
             total = total + self.cost_of(rec)
         return total
 
+    def _terms(
+        self, launches: int, coalesced_bytes: int, random_bytes: int, filter_bytes: int
+    ) -> Tuple[float, float, float, float]:
+        """The model's four terms, in the order they are summed."""
+        return (
+            launches * self._launch_overhead_s,
+            coalesced_bytes / self._coalesced_bytes_per_s,
+            random_bytes / self._random_bytes_per_s,
+            filter_bytes / self._filter_bytes_per_s,
+        )
+
     def _cost(
         self,
         *,
@@ -139,10 +168,9 @@ class CostModel:
         random_bytes: int,
         filter_bytes: int = 0,
     ) -> KernelCost:
-        launch_s = launches * self.spec.kernel_launch_overhead_s
-        coalesced_s = coalesced_bytes / self.spec.effective_bandwidth_bytes_per_s
-        random_s = random_bytes / self.spec.random_bandwidth_bytes_per_s
-        filter_s = filter_bytes / self.spec.filter_bandwidth_bytes_per_s
+        launch_s, coalesced_s, random_s, filter_s = self._terms(
+            launches, coalesced_bytes, random_bytes, filter_bytes
+        )
         return KernelCost(
             seconds=launch_s + coalesced_s + random_s + filter_s,
             launch_seconds=launch_s,

@@ -6,14 +6,17 @@ of "work items" (threads that did useful work).  The :class:`TrafficCounter`
 aggregates these per kernel and per logical operation; the cost model then
 converts a :class:`KernelStats` record into simulated time.
 
-The counters are deliberately cheap — plain Python ints updated once per
-kernel launch, not per element — so they add no measurable overhead to the
-NumPy work that computes the functional result.
+The counters are plain Python ints updated once per kernel launch, not per
+element — cheap, but measurable: one ``Device.record_kernel`` (the record for
+the log, the in-place per-kernel aggregate, the clock) costs about 3 µs of
+host time, so a mixed tick's ~60 launches spend ~0.2 ms recording.  That is
+why a primitive records one kernel per modelled launch from sizes, and never
+per element or per Python-level step.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, Iterator, List
 
 
@@ -132,11 +135,19 @@ class TrafficCounter:
     def record(self, stats: KernelStats) -> None:
         """Add one kernel launch record to the aggregate."""
         self.log.append(stats)
-        existing = self.per_kernel.get(stats.name)
-        if existing is None:
-            self.per_kernel[stats.name] = stats
+        total = self.per_kernel.get(stats.name)
+        if total is None:
+            # A copy: the aggregate is updated in place, a log entry never.
+            self.per_kernel[stats.name] = replace(stats)
         else:
-            self.per_kernel[stats.name] = existing.merge(stats)
+            total.coalesced_read_bytes += stats.coalesced_read_bytes
+            total.coalesced_write_bytes += stats.coalesced_write_bytes
+            total.random_read_bytes += stats.random_read_bytes
+            total.random_write_bytes += stats.random_write_bytes
+            total.filter_read_bytes += stats.filter_read_bytes
+            total.filter_write_bytes += stats.filter_write_bytes
+            total.work_items += stats.work_items
+            total.launches += stats.launches
         self.total_coalesced_bytes += stats.coalesced_bytes
         self.total_random_bytes += stats.random_bytes
         self.total_filter_bytes += stats.filter_bytes

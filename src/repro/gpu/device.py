@@ -117,7 +117,7 @@ class Device:
             launches=int(launches),
         )
         self.counter.record(stats)
-        self.simulated_seconds += self.cost_model.cost_of(stats).seconds
+        self.simulated_seconds += self.cost_model.seconds_of(stats)
         return stats
 
     def grid_for(

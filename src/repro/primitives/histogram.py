@@ -2,11 +2,14 @@
 
 CUB's radix sort computes, per thread block, a histogram of the current
 digit, scans the histograms to obtain global scatter offsets, and then
-scatters.  The simulated sort in :mod:`repro.primitives.radix_sort` uses the
-same three stages; this module implements the histogram stage both
-device-wide (:func:`digit_histogram`) and per-block
-(:func:`block_histograms`), the latter being what the scatter offsets are
-actually derived from.
+scatters.  This module implements the histogram stage both device-wide
+(:func:`digit_histogram`) and per-block (:func:`block_histograms`), the
+latter being what the scatter offsets are derived from.  The sort in
+:mod:`repro.primitives.radix_sort` *records* the per-block histogram of
+every pass from its size (it does not need the counts to produce the
+sorted result); the literal pass-by-pass sort built on
+:func:`block_histograms` is the reference of
+``tests/test_accounting_golden.py``.
 """
 
 from __future__ import annotations
@@ -17,6 +20,11 @@ import numpy as np
 
 from repro.gpu.device import Device, get_default_device
 from repro.gpu.launch import LaunchConfig
+
+
+#: Launch geometry of the radix sort's per-block digit histogram; the
+#: sort's closed-form accounting derives the block count from its tile.
+BLOCK_HISTOGRAM_LAUNCH = LaunchConfig(block_size=256, items_per_thread=16)
 
 
 def digit_histogram(
@@ -76,7 +84,7 @@ def block_histograms(
     digit_bits: int,
     shift: int,
     device: Optional[Device] = None,
-    config: LaunchConfig = LaunchConfig(block_size=256, items_per_thread=16),
+    config: LaunchConfig = BLOCK_HISTOGRAM_LAUNCH,
 ) -> np.ndarray:
     """Per-block digit histograms, shaped ``[num_blocks, 2**digit_bits]``.
 

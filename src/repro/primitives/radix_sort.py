@@ -5,13 +5,14 @@ status bit* (Fig. 3 line 9), which is what places tombstones ahead of regular
 elements with the same key inside a batch.  The GPU SA baseline and the
 cleanup fallback path also rely on it.
 
-The implementation is a faithful LSD radix sort: the key is processed in
+The modelled algorithm is an LSD radix sort: the key is processed in
 ``digit_bits``-wide digits from least to most significant, and each pass
-performs (1) a per-block digit histogram, (2) an exclusive scan of the
+launches (1) a per-block digit histogram, (2) an exclusive scan of the
 histograms, and (3) a stable scatter — the same three kernels CUB launches.
-The scatter within a pass is realised with a vectorised stable counting sort
-(``numpy`` ``argsort(kind="stable")`` over the digit), which is
-element-for-element what the rank-then-scatter kernels produce.
+Those kernels are *recorded*, pass by pass, from the sizes alone
+(:func:`record_radix_sort`); the result itself is computed once, by a single
+stable ``numpy`` ``argsort`` over the selected bit range, which orders the
+input element for element as the stable digit passes would.
 
 Traffic model per pass: read keys (+ values), write keys (+ values), plus the
 histogram/scan traffic — giving the familiar ``passes × 2 × payload`` DRAM
@@ -28,8 +29,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from repro.gpu.device import Device, get_default_device
-from repro.primitives.histogram import block_histograms
-from repro.primitives.scan import exclusive_scan
+from repro.primitives.histogram import BLOCK_HISTOGRAM_LAUNCH
 
 
 @dataclass(frozen=True)
@@ -56,8 +56,8 @@ class RadixSortConfig:
             raise ValueError("end_bit must exceed begin_bit")
 
 
-def _resolve_bits(keys: np.ndarray, config: RadixSortConfig) -> Tuple[int, int]:
-    key_bits = keys.dtype.itemsize * 8
+def _resolve_bits(key_dtype: np.dtype, config: RadixSortConfig) -> Tuple[int, int]:
+    key_bits = key_dtype.itemsize * 8
     end_bit = key_bits if config.end_bit is None else min(config.end_bit, key_bits)
     begin_bit = min(config.begin_bit, end_bit)
     return begin_bit, end_bit
@@ -72,43 +72,48 @@ def _check_keys(keys: np.ndarray) -> np.ndarray:
     return keys
 
 
-def _sort_passes(
-    keys: np.ndarray,
-    values: Optional[np.ndarray],
-    config: RadixSortConfig,
+def record_radix_sort(
     device: Device,
-) -> Tuple[np.ndarray, Optional[np.ndarray], int]:
-    """Run the LSD digit passes and return sorted key/value copies."""
-    begin_bit, end_bit = _resolve_bits(keys, config)
-    num_passes = max(0, -(-(end_bit - begin_bit) // config.digit_bits))
+    num_items: int,
+    key_dtype: np.dtype,
+    value_dtype: Optional[np.dtype] = None,
+    config: RadixSortConfig = RadixSortConfig(),
+) -> None:
+    """Record the kernels an LSD radix sort of ``num_items`` elements
+    launches — per digit pass a per-block histogram, a scan of the
+    histograms and a scatter — from the sizes alone.
 
-    out_keys = keys.copy()
-    out_values = values.copy() if values is not None else None
-    payload_bytes = keys.nbytes + (values.nbytes if values is not None else 0)
-
-    if keys.size == 0 or num_passes == 0:
-        # Zero-length (or zero-bit-range) sorts still launch nothing on the
-        # real device worth modelling; return copies for API uniformity.
-        return out_keys, out_values, 0
-
-    for p in range(num_passes):
-        shift = begin_bit + p * config.digit_bits
+    The traffic of a pass does not depend on the data, so nothing is
+    executed here; a caller that obtains the sorted order some other way
+    (the sort below, the LSM's sorted-probe lookups) charges exactly what
+    the device would have run.
+    """
+    if num_items == 0:
+        return
+    key_dtype = np.dtype(key_dtype)
+    begin_bit, end_bit = _resolve_bits(key_dtype, config)
+    key_bytes = num_items * key_dtype.itemsize
+    payload_bytes = key_bytes + (
+        num_items * np.dtype(value_dtype).itemsize if value_dtype is not None else 0
+    )
+    num_blocks = -(-num_items // BLOCK_HISTOGRAM_LAUNCH.tile_size)
+    for shift in range(begin_bit, end_bit, config.digit_bits):
         width = min(config.digit_bits, end_bit - shift)
-        mask = out_keys.dtype.type((1 << width) - 1)
-        digits = (out_keys >> out_keys.dtype.type(shift)) & mask
-
-        # Stage 1 + 2: per-block histogram and scan of histograms.  These
-        # record their own (small) traffic; the functional rank computation
-        # below is the vectorised equivalent of the scatter-offset logic.
-        hist = block_histograms(digits.astype(out_keys.dtype), width, 0, device=device)
-        exclusive_scan(hist.reshape(-1), device=device, kernel_name="radix_sort.scan")
-
-        # Stage 3: stable scatter by the digit.
-        order = np.argsort(digits, kind="stable")
-        out_keys = out_keys[order]
-        if out_values is not None:
-            out_values = out_values[order]
-
+        # One int64 counter per (block, digit value).
+        hist_items = num_blocks << width
+        hist_bytes = hist_items * 8
+        device.record_kernel(
+            "histogram.block_digit",
+            coalesced_read_bytes=key_bytes,
+            coalesced_write_bytes=hist_bytes,
+            work_items=num_items,
+        )
+        device.record_kernel(
+            "radix_sort.scan",
+            coalesced_read_bytes=hist_bytes,
+            coalesced_write_bytes=hist_bytes,
+            work_items=hist_items,
+        )
         # The scatter writes of a radix pass land in 2**digit_bits distinct
         # output partitions, so they are only partially coalesced; charging
         # them as random traffic is what calibrates the simulated sort to
@@ -117,10 +122,37 @@ def _sort_passes(
             "radix_sort.scatter",
             coalesced_read_bytes=payload_bytes,
             random_write_bytes=payload_bytes,
-            work_items=keys.size,
+            work_items=num_items,
         )
 
-    return out_keys, out_values, num_passes
+
+def _sort_passes(
+    keys: np.ndarray,
+    values: Optional[np.ndarray],
+    config: RadixSortConfig,
+    device: Device,
+) -> Tuple[np.ndarray, Optional[np.ndarray]]:
+    """Sorted key/value copies, with every digit pass accounted for.
+
+    Stable LSD passes over the bits ``[begin_bit, end_bit)`` order the
+    input exactly as one stable sort by that bit field does, so the host
+    does the one sort and :func:`record_radix_sort` records the passes.
+    """
+    begin_bit, end_bit = _resolve_bits(keys.dtype, config)
+    field = keys
+    if end_bit < keys.dtype.itemsize * 8:
+        field = field & keys.dtype.type((1 << end_bit) - 1)
+    if begin_bit:
+        field = field >> keys.dtype.type(begin_bit)
+    order = np.argsort(field, kind="stable")
+    record_radix_sort(
+        device,
+        keys.size,
+        keys.dtype,
+        None if values is None else values.dtype,
+        config,
+    )
+    return keys[order], None if values is None else values[order]
 
 
 def radix_sort_keys(
@@ -135,7 +167,7 @@ def radix_sort_keys(
     """
     device = device or get_default_device()
     keys = _check_keys(keys)
-    sorted_keys, _, _ = _sort_passes(keys, None, config, device)
+    sorted_keys, _ = _sort_passes(keys, None, config, device)
     return sorted_keys
 
 
@@ -155,6 +187,6 @@ def radix_sort_pairs(
     values = np.asarray(values)
     if values.ndim != 1 or values.size != keys.size:
         raise ValueError("values must be one-dimensional and match keys in length")
-    sorted_keys, sorted_values, _ = _sort_passes(keys, values, config, device)
+    sorted_keys, sorted_values = _sort_passes(keys, values, config, device)
     assert sorted_values is not None
     return sorted_keys, sorted_values

@@ -17,7 +17,8 @@ whole, plus the guards around it — exists once, as three steps:
 * **commit** (:meth:`Engine._commit_locked`, under the executor lock):
   capture the backend when ticks are transactional →
   :func:`~repro.api.planner.execute_plan` → the post-execute fault point
-  → the WAL append (the acknowledgement) → on failure, roll back.
+  → the WAL append (the acknowledgement) → on failure, roll back the
+  backend and drop what the failed append left in the log.
 * **complete** (:meth:`Engine._complete_tick`): resolve the tick's
   tickets from its result — or its error — and record the tick, which
   moves the :meth:`~Engine.flush` watermark.
@@ -770,7 +771,8 @@ class Engine:
         committed and its results are never handed out.  ``token`` is the
         pre-tick capture a failed tick was rolled back to — the backend is
         then bit-identical to its pre-tick state and never ahead of the
-        log — or ``None`` when nothing was captured; a rollback that
+        log, and the log holds no unacknowledged record of the tick — or
+        ``None`` when nothing was captured; a rollback that
         itself fails turns ``error`` into :class:`EngineInternalError`.
 
         ``retry`` marks the quarantine's second attempt at the same tick:
@@ -800,6 +802,12 @@ class Engine:
                 return None, exc, None
             try:
                 self._raw_backend.rollback_to(token)
+                if self._durability is not None:
+                    # Every client will see this tick fail: a record whose
+                    # append wrote it but did not acknowledge it must not
+                    # outlive the rollback (a clean close would keep it
+                    # and recovery would replay a tick nobody committed).
+                    self._durability.abort_tick()
             except Exception as rb_exc:
                 return None, EngineInternalError(
                     "tick rollback failed; backend state is undefined",

@@ -40,7 +40,7 @@ import time
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from repro.api.ops import OpBatch, OpCode
 from repro.core.lsm import GPULSM
@@ -176,6 +176,17 @@ def _assert_backend_matches(backend, oracle, context):
     hit=st.integers(min_value=1, max_value=4),
     strict=st.booleans(),
     snapshot_every=st.sampled_from([0, 2]),
+)
+# An innocent insert beside a poisoned submission: the quarantine retry's
+# WAL append is the first fsync, it crashes after the record was written,
+# and nothing is appended afterwards.  The unacknowledged record used to
+# survive the clean close and recovery resurrected the failed tick.
+@example(
+    trace=[[([("insert", 0, 0)], False), ([("delete", 0, 0)], True)]],
+    point="wal.pre_fsync",
+    hit=1,
+    strict=False,
+    snapshot_every=0,
 )
 def test_chaos_trace_isolates_faults(
     tmp_path_factory, kind, trace, point, hit, strict, snapshot_every

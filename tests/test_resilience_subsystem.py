@@ -467,6 +467,59 @@ def test_failed_commit_is_the_same_from_every_entry_point(
     assert snapshot_of(recovered) == live
 
 
+@pytest.mark.parametrize("entry", ["inline", "quarantine"])
+def test_unacknowledged_wal_record_does_not_survive_a_clean_close(tmp_path, entry):
+    """A tick whose WAL append wrote its record but failed before the
+    acknowledgement (``wal.pre_fsync``) is rolled back and fails typed; if
+    no later append follows, a clean close must not leave that record for
+    recovery to replay — every client saw the tick fail."""
+    injector = FaultInjector({"wal.pre_fsync": 2})  # tick 0 syncs, tick 1 crashes
+    backend = GPULSM(batch_size=BATCH)
+    engine = Engine(
+        backend,
+        config=TickConfig(target_tick_size=1 << 20, linger=100.0),
+        durability=DurabilityConfig(
+            directory=str(tmp_path), fsync_every_n_ticks=1, fault_injector=injector
+        ),
+        resilience=ResilienceConfig(
+            transactional_ticks=True, quarantine=entry == "quarantine"
+        ),
+    )
+    committed = OpBatch.inserts(np.arange(4, dtype=np.uint64))
+    failed = OpBatch.inserts(np.arange(8, 12, dtype=np.uint64))
+    try:
+        if entry == "inline":
+            engine.apply(committed)
+            with pytest.raises(InjectedCrash):
+                engine.apply(failed)
+        else:
+            engine.start()
+            engine.submit_batch(committed)
+            engine.flush(timeout=10)
+            # The poisoned neighbour sends the tick through quarantine, whose
+            # retry of the innocent submission is the append that crashes.
+            innocent = engine.submit_batch(failed)
+            poison = engine.submit_batch(
+                OpBatch.inserts(np.array([POISON_KEY], dtype=np.uint64))
+            )
+            engine.flush(timeout=10)
+            with pytest.raises(EngineInternalError):
+                innocent.result(timeout=5)
+            with pytest.raises(PoisonOperationError):
+                poison.result(timeout=5)
+        assert injector.crashed == "wal.pre_fsync"
+    finally:
+        engine.close()
+
+    log = read_records(str(tmp_path / WAL_FILENAME))
+    assert [tick_id for tick_id, _, _ in log.records] == [0] and not log.torn
+    recovered = GPULSM(batch_size=BATCH)
+    assert recover(str(tmp_path), recovered).ticks == 1
+    found = recovered.lookup(np.arange(12, dtype=np.uint64)).found
+    assert found[:4].all() and not found[4:].any()
+    assert not backend.lookup(np.arange(8, 12, dtype=np.uint64)).found.any()
+
+
 def test_pre_resolve_fault_fails_tick_typed_but_commits():
     """A crash after commit but before resolution: tickets fail typed,
     the state is committed, the loop keeps serving, health degrades."""
