@@ -44,9 +44,6 @@ SCALES = {
         "mixed": dict(num_ops=1 << 14, tick_size=1 << 10),
         "serve": dict(num_ops=1 << 12, target_tick_size=1 << 8,
                       utilisations=(0.5, 0.9, 2.0)),
-        # NOTE: the "small" wallclock sizes must match the workload the
-        # recorded pre-PR baseline in repro.bench.wallclock was measured
-        # on — changing them invalidates the trajectory's speedup floor.
         "wallclock": dict(num_ops=1 << 16, tick_size=1 << 12),
         "query_accel": dict(total_elements=1 << 14, queries_per_cell=1 << 11),
         "maintenance": dict(batch_size=1 << 9, num_steps=40,

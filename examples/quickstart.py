@@ -129,7 +129,8 @@ def main() -> None:
     # ------------------------------------------------------------------ #
     print()
     print(format_table(device.profiler.summary_rows(),
-                       columns=["region", "items", "simulated_ms", "rate_m_per_s"],
+                       columns=["region", "calls", "items", "simulated_ms",
+                                "rate_m_per_s"],
                        title="Simulated K40c profile (per operation)"))
 
 

@@ -156,13 +156,7 @@ def main() -> None:
 
     profile = [r for r in device.profiler.summary_rows()
                if r["region"].startswith("lsm.")]
-    by_region = {}
-    for r in profile:
-        agg = by_region.setdefault(r["region"], {"region": r["region"],
-                                                 "calls": 0, "simulated_ms": 0.0})
-        agg["calls"] += 1
-        agg["simulated_ms"] += r["simulated_ms"]
-    print(format_table(list(by_region.values()),
+    print(format_table(profile, columns=["region", "calls", "simulated_ms"],
                        title="Aggregate simulated time by operation"))
 
     maint = lsm.maintenance_stats()

@@ -5,12 +5,12 @@ IPDPS 2018) on a simulated GPU substrate.
 Package layout
 --------------
 ``repro.gpu``
-    The simulated GPU: device spec (K40c-calibrated), memory manager,
-    launch geometry, warp primitives, analytic cost model and profiler.
+    The simulated GPU: device spec (K40c-calibrated), analytic cost
+    model, traffic counters and profiler.
 ``repro.primitives``
     The CUB / moderngpu primitive equivalents the data structures are
-    built from: radix sort, merge path, scan, reduce, searches, segmented
-    sort, compaction, multisplit, histograms.
+    built from: radix sort, merge path, scan, searches, segmented sort,
+    compaction, multisplit, histograms.
 ``repro.core``
     The GPU LSM itself (:class:`repro.core.lsm.GPULSM`) plus its key
     encoding, batch construction, invariants and a sequential reference

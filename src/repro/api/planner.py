@@ -52,7 +52,7 @@ from repro.api.ops import (
     ResultStatus,
 )
 from repro.gpu.device import Device, get_default_device
-from repro.primitives.multisplit import _record_multisplit_traffic, multisplit_keys
+from repro.primitives.multisplit import multisplit_keys, record_multisplit
 from repro.primitives.scan import exclusive_scan
 from repro.scale.protocol import (
     UnsupportedOperationError,
@@ -222,7 +222,7 @@ def plan_batch(
         np.diff(bounds), device=device, kernel_name="api.plan.multisplit.scan"
     )
     if num_queries:
-        _record_multisplit_traffic(
+        record_multisplit(
             device,
             num_queries * positions.dtype.itemsize,
             num_queries,

@@ -29,8 +29,8 @@ import numpy as np
 from repro.core.encoding import KeyEncoder
 from repro.core.lsm import LookupResult, RangeResult
 from repro.gpu.device import Device, get_default_device
-from repro.primitives.merge import merge_pairs, merge_keys
-from repro.primitives.radix_sort import radix_sort_keys, radix_sort_pairs
+from repro.primitives.merge import merge
+from repro.primitives.radix_sort import radix_sort, radix_sort_keys
 from repro.primitives.scan import exclusive_scan
 from repro.primitives.search import lower_bound, upper_bound
 
@@ -104,26 +104,30 @@ class GPUSortedArray:
             raise ValueError("keys must be one-dimensional")
         return self.encoder.check_query_keys(keys, "keys")
 
+    def _check_values(
+        self, keys: np.ndarray, values: Optional[np.ndarray]
+    ) -> Optional[np.ndarray]:
+        """The value column an update carries: ``None`` on a key-only array
+        (whatever was passed), else ``values`` aligned with ``keys``."""
+        if self.key_only:
+            return None
+        if values is None:
+            raise ValueError("values are required unless key_only=True")
+        values = np.asarray(values, dtype=self.value_dtype)
+        if values.shape != keys.shape:
+            raise ValueError("values must match keys in shape")
+        return values
+
     def bulk_build(self, keys: np.ndarray, values: Optional[np.ndarray] = None) -> None:
         """Build from scratch by sorting the input (Section V-B bulk build)."""
         keys = self._check_keys(keys)
         if self.num_elements:
             raise RuntimeError("bulk_build requires an empty sorted array")
-        if self.key_only:
-            sorted_keys = radix_sort_keys(
-                keys.astype(self.key_dtype), device=self.device
-            )
-            self.keys, self.values = self._dedup(sorted_keys, None)
-        else:
-            if values is None:
-                raise ValueError("values are required unless key_only=True")
-            values = np.asarray(values, dtype=self.value_dtype)
-            if values.shape != keys.shape:
-                raise ValueError("values must match keys in shape")
-            sorted_keys, sorted_values = radix_sort_pairs(
-                keys.astype(self.key_dtype), values, device=self.device
-            )
-            self.keys, self.values = self._dedup(sorted_keys, sorted_values)
+        sorted_keys, sorted_values = radix_sort(
+            keys.astype(self.key_dtype), self._check_values(keys, values),
+            device=self.device,
+        )
+        self.keys, self.values = self._dedup(sorted_keys, sorted_values)
         self.epoch += 1
 
     def _dedup(
@@ -156,20 +160,10 @@ class GPUSortedArray:
         if keys.size == 0:
             raise ValueError("insert requires a non-empty batch")
         with self.device.timed_region("sorted_array.insert", items=keys.size):
-            if self.key_only:
-                batch_keys = radix_sort_keys(
-                    keys.astype(self.key_dtype), device=self.device
-                )
-                batch_values = None
-            else:
-                if values is None:
-                    raise ValueError("values are required unless key_only=True")
-                values = np.asarray(values, dtype=self.value_dtype)
-                if values.shape != keys.shape:
-                    raise ValueError("values must match keys in shape")
-                batch_keys, batch_values = radix_sort_pairs(
-                    keys.astype(self.key_dtype), values, device=self.device
-                )
+            batch_keys, batch_values = radix_sort(
+                keys.astype(self.key_dtype), self._check_values(keys, values),
+                device=self.device,
+            )
             # Deduplicate the incoming batch (first occurrence wins, matching
             # the LSM's tie-break) before merging it into the array.
             batch_keys, batch_values = self._dedup(batch_keys, batch_values)
@@ -177,26 +171,17 @@ class GPUSortedArray:
             if self.num_elements == 0:
                 self.keys, self.values = batch_keys, batch_values
             else:
-                if self.key_only:
-                    merged = merge_keys(
-                        batch_keys,
-                        self.keys,
-                        device=self.device,
-                        kernel_name="sorted_array.merge",
-                    )
-                    self.keys, self.values = self._dedup(merged, None)
-                else:
-                    merged_k, merged_v = merge_pairs(
-                        batch_keys,
-                        batch_values,
-                        self.keys,
-                        self.values,
-                        device=self.device,
-                        kernel_name="sorted_array.merge",
-                    )
-                    # The batch was the A side, so for duplicate keys the new
-                    # value precedes — dedup keeps the new one (replacement).
-                    self.keys, self.values = self._dedup(merged_k, merged_v)
+                merged_keys, merged_values = merge(
+                    batch_keys,
+                    batch_values,
+                    self.keys,
+                    self.values,
+                    device=self.device,
+                    kernel_name="sorted_array.merge",
+                )
+                # The batch was the A side, so for duplicate keys the new
+                # value precedes — dedup keeps the new one (replacement).
+                self.keys, self.values = self._dedup(merged_keys, merged_values)
             self.epoch += 1
 
     def delete(self, keys: np.ndarray) -> None:

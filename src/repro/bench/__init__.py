@@ -31,8 +31,8 @@ All experiments accept explicit scale parameters and default to sizes that
 run in seconds on a single CPU core; the relationships the paper reports
 (who wins, by what factor, how rates move with batch size and range width)
 are functions of the ``n/b`` ratio and of per-element traffic, so they are
-preserved at reduced scale.  ``EXPERIMENTS.md`` records a paper-vs-measured
-comparison for every table and figure.
+preserved at reduced scale.  ``benchmarks/results/`` records the measured
+rows of every table and figure.
 """
 
 from repro.bench.workloads import WorkloadConfig, make_workload

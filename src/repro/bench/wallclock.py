@@ -54,19 +54,6 @@ REPLAY_SEED = 7
 #: bit-identity assertion.)
 HOT_MIX = {OpCode.LOOKUP: 1.0}
 
-#: Pre-PR wall-clock baseline on this exact replay (num_ops=2^16,
-#: tick_size=2^12, 127 prefill batches, seed=7, scaled smoke spec),
-#: measured by replaying the identical serialized tick stream on the
-#: commit preceding the hot-path PR — the uncached, pre-vectorization
-#: engine (best of 3 runs).  The fixed reference of the
-#: ``speedup_vs_baseline`` column; re-measure only if the replay workload
-#: definition changes.
-PRE_PR_BASELINE_OPS_PER_S: Dict[str, Dict[str, float]] = {
-    "gpulsm": {"mixed": 203_444.0, "hot": 1_329_307.0, "overall": 352_857.0},
-    "sharded4": {"mixed": 185_258.0, "hot": 1_435_789.0, "overall": 328_172.0},
-}
-
-
 #: Batches of prefill inserted before the timed phases.  127 = 0b1111111
 #: batches leaves every one of the bottom seven levels populated — the
 #: deep multi-level shape a long-lived store settles into, where an
@@ -217,7 +204,6 @@ def wallclock_replay(
     seed: int = REPLAY_SEED,
     spec: Optional[GPUSpec] = None,
     cache_capacity: int = DEFAULT_CACHE_CAPACITY,
-    baseline: Optional[Dict[str, Dict[str, float]]] = None,
     prefill_batches: int = DEFAULT_PREFILL_BATCHES,
     repeats: int = 3,
 ) -> List[dict]:
@@ -229,14 +215,11 @@ def wallclock_replay(
     recorded.  Rates are best-of-``repeats`` (minimum wall time per
     phase) — the replay is deterministic, so repeats only shed scheduler
     noise.  Returns one row per (backend, mode, phase) with ``phase`` ∈
-    {mixed, hot, overall}, and on cached rows the cache counters, the
-    speedup over the uncached sibling run, and — when a baseline is
-    provided — the speedup over the recorded pre-PR numbers.
+    {mixed, hot, overall}, and on cached rows the cache counters and the
+    speedup over the uncached sibling run.
     """
     if spec is None:
         spec = scaled_spec(num_ops, PAPER_INSERTION_ELEMENTS)
-    if baseline is None:
-        baseline = PRE_PR_BASELINE_OPS_PER_S
     phases = make_replay_phases(
         num_ops, tick_size, seed=seed, prefill_batches=prefill_batches
     )
@@ -268,7 +251,6 @@ def wallclock_replay(
             for phase in ("mixed", "hot", "overall"):
                 ops = phase_ops[phase]
                 rate = ops / wall[phase]
-                base_rate = baseline.get(kind, {}).get(phase, float("nan"))
                 row = {
                     "backend": kind,
                     "mode": mode,
@@ -281,8 +263,6 @@ def wallclock_replay(
                     ),
                     "wall_seconds": wall[phase],
                     "ops_per_s": rate,
-                    "baseline_ops_per_s": base_rate,
-                    "speedup_vs_baseline": rate / base_rate,
                     "cache_capacity": cache_capacity if mode == "cached" else 0,
                 }
                 if mode == "cached":

@@ -173,6 +173,23 @@ class KeyEncoder:
             )
         return keys
 
+    def check_range_args(
+        self, k1: np.ndarray, k2: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Validate the bounds of a batch of COUNT / RANGE queries: aligned
+        one-dimensional arrays of in-domain keys with ``k1 <= k2``
+        throughout.  Returns them as arrays."""
+        k1 = np.asarray(k1)
+        k2 = np.asarray(k2)
+        if k1.ndim != 1 or k2.shape != k1.shape:
+            raise ValueError("k1 and k2 must be one-dimensional and equally long")
+        if k1.size:
+            self.check_query_keys(k1, "range bounds")
+            self.check_query_keys(k2, "range bounds")
+            if np.any(k2 < k1):
+                raise ValueError("every range must satisfy k1 <= k2")
+        return k1, k2
+
 
 def check_non_negative(keys: np.ndarray, what: str = "keys") -> np.ndarray:
     """Reject negative key arrays before any cast to an unsigned dtype.

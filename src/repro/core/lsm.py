@@ -17,7 +17,7 @@ on — so the key-only and key-value configurations share a single data path;
 whether a value column exists is a property of the runs, not a branch in the
 algorithms.  Each operation is wrapped in a profiler region so the benchmark
 harness can convert the recorded memory traffic into the simulated
-throughput numbers reported in EXPERIMENTS.md.
+throughput numbers recorded under ``benchmarks/results/``.
 """
 
 from __future__ import annotations
@@ -819,7 +819,7 @@ class GPULSM:
     # ------------------------------------------------------------------ #
     def count(self, k1: np.ndarray, k2: np.ndarray) -> np.ndarray:
         """Batch COUNT: number of live keys in ``[k1, k2]`` per query."""
-        k1, k2 = self._check_range_args(k1, k2)
+        k1, k2 = self.encoder.check_range_args(k1, k2)
         nq = k1.size
         if nq == 0:
             return np.zeros(0, dtype=np.int64)
@@ -844,7 +844,7 @@ class GPULSM:
         into one buffer of keys (and values) sorted by key within each
         query.
         """
-        k1, k2 = self._check_range_args(k1, k2)
+        k1, k2 = self.encoder.check_range_args(k1, k2)
         nq = k1.size
         if nq == 0:
             empty_vals = None if self.key_only else np.zeros(0, self.config.value_dtype)
@@ -876,20 +876,6 @@ class GPULSM:
             keys=self.encoder.decode_key(out_run.keys).astype(np.uint64),
             values=out_run.values,
         )
-
-    def _check_range_args(
-        self, k1: np.ndarray, k2: np.ndarray
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        k1 = np.asarray(k1)
-        k2 = np.asarray(k2)
-        if k1.ndim != 1 or k2.shape != k1.shape:
-            raise ValueError("k1 and k2 must be one-dimensional and equally long")
-        if k1.size:
-            self.encoder.check_query_keys(k1, "range bounds")
-            self.encoder.check_query_keys(k2, "range bounds")
-            if np.any(k2 < k1):
-                raise ValueError("every range must satisfy k1 <= k2")
-        return k1, k2
 
     def _gather_candidates(
         self, k1: np.ndarray, k2: np.ndarray, with_values: bool

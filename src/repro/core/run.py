@@ -4,10 +4,10 @@ The paper phrases every GPU LSM operation — the insertion cascade, bulk
 build, cleanup, and the count/range post-processing — as bulk primitives
 over *sorted runs*: contiguous arrays of encoded key words with an optional
 aligned value column (Sections III–V).  :class:`SortedRun` is that concept
-as a first-class object.  Each method dispatches to the corresponding
-primitive exactly once via :mod:`repro.primitives.columns`, so the
-data-structure layer never has to spell out an operation twice for the
-key-only and key-value configurations.
+as a first-class object.  Each method calls the corresponding primitive of
+:mod:`repro.primitives` — every one written once over keys plus an optional
+value column — so the data-structure layer never has to spell out an
+operation twice for the key-only and key-value configurations.
 
 A run is immutable: every operation returns a new :class:`SortedRun` (the
 real CUDA implementation ping-pongs between double buffers for the same
@@ -24,15 +24,11 @@ from typing import Callable, Optional, Tuple
 import numpy as np
 
 from repro.gpu.device import Device, get_default_device
-from repro.primitives.columns import (
-    merge_columns,
-    multisplit_columns,
-    segmented_compact_columns,
-    segmented_sort_columns,
-    sort_columns,
-)
-from repro.primitives.merge import KeyFunc
-from repro.primitives.radix_sort import RadixSortConfig
+from repro.primitives.compact import segmented_compact
+from repro.primitives.merge import KeyFunc, merge
+from repro.primitives.multisplit import multisplit
+from repro.primitives.radix_sort import RadixSortConfig, radix_sort
+from repro.primitives.segmented_sort import segmented_sort
 
 
 @dataclass(frozen=True)
@@ -117,7 +113,7 @@ class SortedRun:
         return first
 
     # ------------------------------------------------------------------ #
-    # Bulk operations (one primitive dispatch each)
+    # Bulk operations (one primitive call each)
     # ------------------------------------------------------------------ #
     def sort(
         self,
@@ -126,7 +122,7 @@ class SortedRun:
     ) -> "SortedRun":
         """Radix sort the run over the full encoded word (status bit
         included) — Fig. 3 line 9."""
-        keys, values = sort_columns(
+        keys, values = radix_sort(
             self.keys, self.values, config=config, device=device
         )
         return self._like(keys, values)
@@ -140,9 +136,11 @@ class SortedRun:
     ) -> "SortedRun":
         """Stable merge with ``other``; among equal keys this run's (newer)
         elements come first — the cascade ordering of Fig. 3 line 14."""
-        keys, values = merge_columns(
-            (self.keys, self.values),
-            (other.keys, other.values),
+        keys, values = merge(
+            self.keys,
+            self.values,
+            other.keys,
+            other.values,
             key=key,
             device=device,
             kernel_name=kernel_name,
@@ -158,7 +156,7 @@ class SortedRun:
     ) -> Tuple["SortedRun", np.ndarray]:
         """Stable bucket partition; returns the reordered run plus the
         ``num_buckets + 1`` bucket offsets."""
-        keys, values, offsets = multisplit_columns(
+        keys, values, offsets = multisplit(
             self.keys,
             self.values,
             bucket_of,
@@ -176,7 +174,7 @@ class SortedRun:
         kernel_name: str = "run.segmented_sort",
     ) -> "SortedRun":
         """Sort each segment independently and stably (count/range stage 4)."""
-        keys, values = segmented_sort_columns(
+        keys, values = segmented_sort(
             self.keys,
             self.values,
             segment_offsets,
@@ -195,7 +193,7 @@ class SortedRun:
     ) -> Tuple["SortedRun", np.ndarray]:
         """Keep the masked elements, tracking per-segment offsets (range
         queries' final compaction)."""
-        keys, values, new_offsets = segmented_compact_columns(
+        keys, values, new_offsets = segmented_compact(
             self.keys,
             self.values,
             mask,

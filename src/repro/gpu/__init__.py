@@ -6,34 +6,27 @@ GPU with a *simulated device*:
 
 * :mod:`repro.gpu.spec` — the hardware description (:class:`GPUSpec`), shipped
   with a K40c-calibrated default.
-* :mod:`repro.gpu.memory` — :class:`DeviceArray` and :class:`DoubleBuffer`, a
-  global-memory allocator with allocation and traffic accounting.
-* :mod:`repro.gpu.device` — :class:`Device`, which owns memory, the simulated
-  clock and the per-kernel statistics.
-* :mod:`repro.gpu.launch` — grid/block/warp geometry helpers.
-* :mod:`repro.gpu.warp` — warp-wide voting/shuffle primitives used by the
-  count/range validation kernels.
+* :mod:`repro.gpu.device` — :class:`Device`: the simulated clock, the traffic
+  counters and the profiler.
+* :mod:`repro.gpu.counters` — :class:`TrafficCounter`, the per-kernel-name and
+  total traffic sums every recorded kernel updates in place.
 * :mod:`repro.gpu.cost_model` — converts the memory traffic a kernel reports
   into simulated execution time, so that throughput numbers have the same
   *shape* as the paper's measurements even though the functional work is done
   by vectorised NumPy on a CPU.
-
-The split mirrors the way the original code splits responsibilities between
-the CUDA runtime (device/memory/launch) and the application kernels.
+* :mod:`repro.gpu.profiler` — per-region-name sums of traffic, simulated and
+  wall-clock time, plus the bounded latency histogram the engine reports with.
+* :mod:`repro.gpu.launch` — :class:`LaunchConfig`, the block shape a kernel's
+  per-block accounting derives from.
 """
 
 from repro.gpu.spec import GPUSpec, K40C_SPEC
 from repro.gpu.device import Device, get_default_device, set_default_device
-from repro.gpu.memory import DeviceArray, DoubleBuffer, MemoryPool
-from repro.gpu.launch import LaunchConfig, GridGeometry
+from repro.gpu.launch import LaunchConfig
 from repro.gpu.cost_model import CostModel, KernelCost, AccessPattern
 from repro.gpu.counters import TrafficCounter, KernelStats
 from repro.gpu.profiler import Profiler, ProfileRecord
-from repro.gpu.errors import (
-    GPUSimulationError,
-    DeviceMemoryError,
-    LaunchConfigurationError,
-)
+from repro.gpu.errors import GPUSimulationError, LaunchConfigurationError
 
 __all__ = [
     "GPUSpec",
@@ -41,11 +34,7 @@ __all__ = [
     "Device",
     "get_default_device",
     "set_default_device",
-    "DeviceArray",
-    "DoubleBuffer",
-    "MemoryPool",
     "LaunchConfig",
-    "GridGeometry",
     "CostModel",
     "KernelCost",
     "AccessPattern",
@@ -54,6 +43,5 @@ __all__ = [
     "Profiler",
     "ProfileRecord",
     "GPUSimulationError",
-    "DeviceMemoryError",
     "LaunchConfigurationError",
 ]

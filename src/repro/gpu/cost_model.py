@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Iterable, Tuple
+from typing import Tuple
 
 from repro.gpu.counters import CounterSnapshot, KernelStats
 from repro.gpu.spec import GPUSpec, K40C_SPEC
@@ -82,15 +82,6 @@ class KernelCost:
     random_seconds: float
     filter_seconds: float = 0.0
 
-    def __add__(self, other: "KernelCost") -> "KernelCost":
-        return KernelCost(
-            seconds=self.seconds + other.seconds,
-            launch_seconds=self.launch_seconds + other.launch_seconds,
-            coalesced_seconds=self.coalesced_seconds + other.coalesced_seconds,
-            random_seconds=self.random_seconds + other.random_seconds,
-            filter_seconds=self.filter_seconds + other.filter_seconds,
-        )
-
     @staticmethod
     def zero() -> "KernelCost":
         return KernelCost(0.0, 0.0, 0.0, 0.0, 0.0)
@@ -120,15 +111,15 @@ class CostModel:
             filter_bytes=stats.filter_bytes,
         )
 
-    def seconds_of(self, stats: KernelStats) -> float:
-        """``cost_of(stats).seconds`` — the same four terms added in the
-        same order — without building the breakdown.  This is what
-        advances a device's clock on every recorded kernel."""
+    def seconds(
+        self, launches: int, coalesced_bytes: int, random_bytes: int, filter_bytes: int
+    ) -> float:
+        """The ``seconds`` of :meth:`cost_of` for that traffic — the same
+        four terms added in the same order — without building the
+        breakdown.  This is what advances a device's clock on every
+        recorded kernel."""
         launch_s, coalesced_s, random_s, filter_s = self._terms(
-            stats.launches,
-            stats.coalesced_bytes,
-            stats.random_bytes,
-            stats.filter_bytes,
+            launches, coalesced_bytes, random_bytes, filter_bytes
         )
         return launch_s + coalesced_s + random_s + filter_s
 
@@ -141,13 +132,6 @@ class CostModel:
             random_bytes=snap.random_bytes,
             filter_bytes=snap.filter_bytes,
         )
-
-    def cost_of_many(self, records: Iterable[KernelStats]) -> KernelCost:
-        """Sum of the costs of an iterable of kernel records."""
-        total = KernelCost.zero()
-        for rec in records:
-            total = total + self.cost_of(rec)
-        return total
 
     def _terms(
         self, launches: int, coalesced_bytes: int, random_bytes: int, filter_bytes: int
@@ -180,7 +164,7 @@ class CostModel:
         )
 
     # ------------------------------------------------------------------ #
-    # Convenience rate helpers (used heavily by the benchmark harness)
+    # Convenience rate helper (used heavily by the benchmark harness)
     # ------------------------------------------------------------------ #
     @staticmethod
     def rate_m_per_s(items: int, seconds: float) -> float:
@@ -189,15 +173,3 @@ class CostModel:
         if seconds <= 0.0:
             return float("inf")
         return items / seconds / 1e6
-
-    def streaming_time(self, nbytes: int, launches: int = 1) -> float:
-        """Shortcut: simulated seconds to stream ``nbytes`` coalesced."""
-        return self._cost(
-            launches=launches, coalesced_bytes=nbytes, random_bytes=0
-        ).seconds
-
-    def random_time(self, nbytes: int, launches: int = 1) -> float:
-        """Shortcut: simulated seconds to move ``nbytes`` with random access."""
-        return self._cost(
-            launches=launches, coalesced_bytes=0, random_bytes=nbytes
-        ).seconds

@@ -1,19 +1,19 @@
 """The simulated GPU device.
 
-A :class:`Device` bundles together everything a CUDA context would provide
-to the original implementation: global memory allocation, kernel launch
-accounting, and timing.  All primitives in :mod:`repro.primitives` take a
-device argument (or use the process-wide default) and report their kernel
-traffic through :meth:`Device.record_kernel`, which is how simulated time is
-accumulated.
-
-Typical usage::
-
-    from repro.gpu import Device, K40C_SPEC
+A :class:`Device` is a clock plus bounded aggregates: the simulated seconds
+every recorded kernel advances, the per-kernel-name and total traffic sums
+of its :class:`~repro.gpu.counters.TrafficCounter`, the per-region sums of
+its :class:`~repro.gpu.profiler.Profiler`, and a seeded RNG.  All
+primitives in :mod:`repro.primitives` take a device argument (or use the
+process-wide default) and report their kernel traffic through
+:meth:`Device.record_kernel`, which is how simulated time is accumulated.
+Nothing a device holds grows with the number of launches, so it can sit
+under a serving engine indefinitely.  Typical usage::
 
     dev = Device(K40C_SPEC)
-    keys = dev.from_host(np.random.randint(0, 2**31, 1 << 20, dtype=np.uint32))
-    ...
+    before = dev.snapshot()
+    radix_sort_keys(keys, device=dev)
+    print(dev.elapsed_since(before), dev.counter.per_kernel)
 
 A process-wide default device is kept for convenience (mirroring CUDA's
 implicit current device); libraries that care about isolation — the test
@@ -22,27 +22,21 @@ suite and the benchmark harness — construct their own devices explicitly.
 
 from __future__ import annotations
 
-import contextlib
-from typing import Iterator, Optional, Tuple, Union
+from typing import ContextManager, Optional
 
 import numpy as np
 
 from repro.gpu.cost_model import CostModel
-from repro.gpu.counters import CounterSnapshot, KernelStats, TrafficCounter
-from repro.gpu.launch import GridGeometry, LaunchConfig, make_grid
-from repro.gpu.memory import DeviceArray, DoubleBuffer, MemoryPool
+from repro.gpu.counters import CounterSnapshot, TrafficCounter
 from repro.gpu.profiler import Profiler
 from repro.gpu.spec import GPUSpec, K40C_SPEC
 
-DTypeLike = Union[np.dtype, type, str]
-
 
 class Device:
-    """A simulated GPU: memory pool + counters + cost model + profiler."""
+    """A simulated GPU: clock + counters + cost model + profiler."""
 
     def __init__(self, spec: GPUSpec = K40C_SPEC, *, seed: Optional[int] = None) -> None:
         self.spec = spec
-        self.pool = MemoryPool(spec.dram_bytes)
         self.counter = TrafficCounter()
         self.cost_model = CostModel(spec)
         self.profiler = Profiler(self.counter, self.cost_model)
@@ -51,42 +45,6 @@ class Device:
         #: RNG used by primitives that need randomness (e.g. cuckoo rehash);
         #: seeding it makes every simulation reproducible.
         self.rng = np.random.default_rng(seed)
-
-    # ------------------------------------------------------------------ #
-    # Memory management
-    # ------------------------------------------------------------------ #
-    def alloc(
-        self, shape: Union[int, Tuple[int, ...]], dtype: DTypeLike = np.uint32,
-        label: str = "",
-    ) -> DeviceArray:
-        """Allocate an uninitialised device array (``cudaMalloc``)."""
-        data = np.empty(shape, dtype=dtype)
-        record = self.pool.allocate(data.nbytes, label=label)
-        return DeviceArray(self, data, record, label=label)
-
-    def zeros(
-        self, shape: Union[int, Tuple[int, ...]], dtype: DTypeLike = np.uint32,
-        label: str = "",
-    ) -> DeviceArray:
-        """Allocate a zero-initialised device array (``cudaMalloc`` + memset)."""
-        array = self.alloc(shape, dtype=dtype, label=label)
-        array.data[...] = 0
-        return array
-
-    def from_host(self, host: np.ndarray, label: str = "") -> DeviceArray:
-        """Copy a host array to the device (``cudaMemcpyHostToDevice``)."""
-        host = np.asarray(host)
-        array = self.alloc(host.shape, dtype=host.dtype, label=label)
-        array.data[...] = host
-        return array
-
-    def double_buffer(
-        self, size: int, dtype: DTypeLike = np.uint32, label: str = ""
-    ) -> DoubleBuffer:
-        """Allocate a ping-pong buffer pair of ``size`` elements each."""
-        current = self.alloc(size, dtype=dtype, label=f"{label}.ping")
-        alternate = self.alloc(size, dtype=dtype, label=f"{label}.pong")
-        return DoubleBuffer(current, alternate)
 
     # ------------------------------------------------------------------ #
     # Kernel accounting
@@ -103,37 +61,40 @@ class Device:
         filter_write_bytes: int = 0,
         work_items: int = 0,
         launches: int = 1,
-    ) -> KernelStats:
+    ) -> None:
         """Record the traffic of one simulated kernel and advance the clock."""
-        stats = KernelStats(
-            name=name,
-            coalesced_read_bytes=int(coalesced_read_bytes),
-            coalesced_write_bytes=int(coalesced_write_bytes),
-            random_read_bytes=int(random_read_bytes),
-            random_write_bytes=int(random_write_bytes),
-            filter_read_bytes=int(filter_read_bytes),
-            filter_write_bytes=int(filter_write_bytes),
-            work_items=int(work_items),
-            launches=int(launches),
+        coalesced_read_bytes = int(coalesced_read_bytes)
+        coalesced_write_bytes = int(coalesced_write_bytes)
+        random_read_bytes = int(random_read_bytes)
+        random_write_bytes = int(random_write_bytes)
+        filter_read_bytes = int(filter_read_bytes)
+        filter_write_bytes = int(filter_write_bytes)
+        work_items = int(work_items)
+        launches = int(launches)
+        self.counter.record(
+            name,
+            coalesced_read_bytes,
+            coalesced_write_bytes,
+            random_read_bytes,
+            random_write_bytes,
+            filter_read_bytes,
+            filter_write_bytes,
+            work_items,
+            launches,
         )
-        self.counter.record(stats)
-        self.simulated_seconds += self.cost_model.seconds_of(stats)
-        return stats
-
-    def grid_for(
-        self, num_items: int, config: LaunchConfig = LaunchConfig()
-    ) -> GridGeometry:
-        """Resolve launch geometry for ``num_items`` on this device."""
-        return make_grid(num_items, config=config, spec=self.spec)
+        self.simulated_seconds += self.cost_model.seconds(
+            launches,
+            coalesced_read_bytes + coalesced_write_bytes,
+            random_read_bytes + random_write_bytes,
+            filter_read_bytes + filter_write_bytes,
+        )
 
     # ------------------------------------------------------------------ #
     # Timing helpers
     # ------------------------------------------------------------------ #
-    @contextlib.contextmanager
-    def timed_region(self, name: str, items: int = 0) -> Iterator[None]:
+    def timed_region(self, name: str, items: int = 0) -> ContextManager[None]:
         """Profile a logical operation; see :class:`~repro.gpu.profiler.Profiler`."""
-        with self.profiler.region(name, items=items):
-            yield
+        return self.profiler.region(name, items=items)
 
     def elapsed_since(self, snapshot: CounterSnapshot) -> float:
         """Simulated seconds attributable to work done since ``snapshot``."""
@@ -146,19 +107,15 @@ class Device:
     # ------------------------------------------------------------------ #
     # Introspection
     # ------------------------------------------------------------------ #
-    def memory_info(self) -> dict:
-        """Allocator statistics (used, peak, free)."""
-        return self.pool.describe()
-
     def reset_counters(self) -> None:
-        """Clear counters, the profiler and the simulated clock (memory is kept)."""
+        """Clear counters, the profiler and the simulated clock."""
         self.counter.reset()
         self.profiler.clear()
         self.simulated_seconds = 0.0
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (
-            f"Device({self.spec.name!r}, used={self.pool.used_bytes} B, "
+            f"Device({self.spec.name!r}, "
             f"simulated={self.simulated_seconds * 1e3:.3f} ms)"
         )
 

@@ -13,28 +13,6 @@ class GPUSimulationError(RuntimeError):
     """Base class for every error raised by the simulated GPU substrate."""
 
 
-class DeviceMemoryError(GPUSimulationError):
-    """Raised when a device allocation exceeds the simulated DRAM capacity.
-
-    The K40c has 12 GB of device DRAM; the paper's largest experiment
-    (n = 2^27 32-bit key/value pairs plus double buffers) fits comfortably,
-    but the allocator still enforces the limit so that out-of-memory
-    behaviour can be exercised in tests.
-    """
-
-
 class LaunchConfigurationError(GPUSimulationError):
-    """Raised for invalid kernel launch geometry (zero-sized blocks, block
-    sizes exceeding the hardware limit, etc.)."""
-
-
-class DeviceMismatchError(GPUSimulationError):
-    """Raised when an operation mixes :class:`~repro.gpu.memory.DeviceArray`
-    instances that live on different :class:`~repro.gpu.device.Device`
-    objects, which would correspond to an illegal cross-device access in
-    CUDA without peer access enabled."""
-
-
-class BufferStateError(GPUSimulationError):
-    """Raised when a :class:`~repro.gpu.memory.DoubleBuffer` is used after
-    being released, or when its ping/pong halves are confused."""
+    """Raised for invalid kernel launch configuration (non-positive block
+    size or items per thread)."""

@@ -1,25 +1,18 @@
-"""Kernel launch geometry for the simulated GPU.
+"""Kernel launch configuration for the simulated GPU.
 
 The GPU LSM's kernels follow the standard CUDA pattern: a 1-D grid of blocks
-of threads, each thread handling one element or one query, with the warp as
-the unit of cooperation (Section IV-C: "we assign each query to a thread but
-force the threads in a warp to collaborate").  The simulated primitives are
-vectorised over whole arrays, so the geometry computed here is used for two
-purposes only:
-
-1. launch-overhead and occupancy accounting in the cost model, and
-2. structuring warp-cooperative logic (e.g. the validation stage of count
-   and range queries groups queries into warps of 32, exactly as the real
-   kernels do).
+of threads, each thread handling a few elements.  The simulated primitives
+are vectorised over whole arrays, so the only thing the launch shape decides
+here is accounting: how many blocks — and so how many per-block partial
+results — a kernel over ``n`` elements produces (the radix sort's per-block
+digit histograms, :data:`repro.primitives.histogram.BLOCK_HISTOGRAM_LAUNCH`).
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from repro.gpu.errors import LaunchConfigurationError
-from repro.gpu.spec import GPUSpec, K40C_SPEC
 
 
 @dataclass(frozen=True)
@@ -43,67 +36,3 @@ class LaunchConfig:
     def tile_size(self) -> int:
         """Elements processed by one block (a.k.a. the CTA tile)."""
         return self.block_size * self.items_per_thread
-
-
-@dataclass(frozen=True)
-class GridGeometry:
-    """Resolved launch geometry for a specific problem size."""
-
-    num_items: int
-    block_size: int
-    items_per_thread: int
-    num_blocks: int
-    num_warps: int
-    num_threads: int
-
-    @property
-    def tile_size(self) -> int:
-        return self.block_size * self.items_per_thread
-
-    @property
-    def is_saturating(self) -> bool:
-        """True when the launch has enough threads to fill the device.
-
-        Launches far below this point are dominated by launch latency, which
-        is why tiny batch sizes in Table II achieve a small fraction of peak
-        insertion rate.
-        """
-        return self.num_threads >= K40C_SPEC.max_resident_threads
-
-
-def make_grid(
-    num_items: int,
-    config: LaunchConfig = LaunchConfig(),
-    spec: GPUSpec = K40C_SPEC,
-) -> GridGeometry:
-    """Compute the grid geometry for ``num_items`` work items.
-
-    A zero-item launch is legal (the kernel simply does nothing); CUDA
-    forbids zero-block grids, so we still emit one block, matching how the
-    original code guards small levels.
-    """
-    if num_items < 0:
-        raise LaunchConfigurationError("num_items must be non-negative")
-    if config.block_size > spec.max_threads_per_block:
-        raise LaunchConfigurationError(
-            f"block_size {config.block_size} exceeds device limit "
-            f"{spec.max_threads_per_block}"
-        )
-    num_blocks = max(1, math.ceil(num_items / config.tile_size))
-    num_threads = num_blocks * config.block_size
-    num_warps = num_threads // spec.warp_size
-    return GridGeometry(
-        num_items=num_items,
-        block_size=config.block_size,
-        items_per_thread=config.items_per_thread,
-        num_blocks=num_blocks,
-        num_warps=max(1, num_warps),
-        num_threads=num_threads,
-    )
-
-
-def warps_for(num_items: int, spec: GPUSpec = K40C_SPEC) -> int:
-    """Number of warps needed when one thread handles one item."""
-    if num_items < 0:
-        raise LaunchConfigurationError("num_items must be non-negative")
-    return max(1, math.ceil(num_items / spec.warp_size))

@@ -1,10 +1,10 @@
 """Operation-level profiler for the simulated GPU.
 
-The benchmark harness brackets logical operations (one batch insertion, one
+The data structures bracket logical operations (one batch insertion, one
 set of lookups, one cleanup, …) with :meth:`Profiler.region`; the profiler
-records the kernel launches and traffic attributed to the region and the
-simulated time the cost model assigns to them.  This mirrors how the paper's
-measurements bracket operations with CUDA events.
+sums, per region name, the kernel launches and traffic attributed to the
+region and reports the simulated time the cost model assigns to them.  This
+mirrors how the paper's measurements bracket operations with CUDA events.
 """
 
 from __future__ import annotations
@@ -12,12 +12,12 @@ from __future__ import annotations
 import contextlib
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Sequence
 
 import numpy as np
 
-from repro.gpu.cost_model import CostModel, KernelCost
+from repro.gpu.cost_model import CostModel
 from repro.gpu.counters import TrafficCounter
 
 
@@ -40,33 +40,50 @@ def percentile_summary(
 
 @dataclass
 class ProfileRecord:
-    """One profiled region: name, traffic, and simulated cost breakdown.
+    """One profiled region name: its calls, items, traffic and time, summed.
+
+    :meth:`Profiler.by_name` holds one per region name, accumulated over
+    every call; :attr:`Profiler.last` is the most recent call on its own
+    (``calls == 1``).
 
     ``wall_seconds`` is the *host* wall-clock (``time.perf_counter``) the
     region took to simulate — a completely separate axis from the
-    simulated ``seconds`` the cost model assigns.  Simulated time answers
-    "how fast would the paper's GPU run this"; wall time answers "how fast
-    does this reproduction actually run", the metric the wall-clock
-    benchmark trajectory tracks.
+    simulated ``seconds`` the cost model assigns to the summed traffic.
+    Simulated time answers "how fast would the paper's GPU run this"; wall
+    time answers "how fast does this reproduction actually run".
     """
 
     name: str
-    items: int
-    coalesced_bytes: int
-    random_bytes: int
-    launches: int
-    cost: KernelCost
+    cost_model: CostModel = field(repr=False, compare=False)
+    calls: int = 0
+    items: int = 0
+    coalesced_bytes: int = 0
+    random_bytes: int = 0
     filter_bytes: int = 0
+    launches: int = 0
     wall_seconds: float = 0.0
+
+    def add(self, other: "ProfileRecord") -> None:
+        """Accumulate ``other`` (same region name) into this record."""
+        self.calls += other.calls
+        self.items += other.items
+        self.coalesced_bytes += other.coalesced_bytes
+        self.random_bytes += other.random_bytes
+        self.filter_bytes += other.filter_bytes
+        self.launches += other.launches
+        self.wall_seconds += other.wall_seconds
 
     @property
     def seconds(self) -> float:
-        return self.cost.seconds
+        """Simulated seconds of the summed traffic."""
+        return self.cost_model.seconds(
+            self.launches, self.coalesced_bytes, self.random_bytes, self.filter_bytes
+        )
 
     @property
     def rate_m_per_s(self) -> float:
         """Throughput in millions of items per simulated second."""
-        return CostModel.rate_m_per_s(self.items, self.cost.seconds)
+        return CostModel.rate_m_per_s(self.items, self.seconds)
 
     @property
     def wall_rate_per_s(self) -> float:
@@ -75,18 +92,18 @@ class ProfileRecord:
             return float("nan")
         return self.items / self.wall_seconds
 
-    @property
-    def total_bytes(self) -> int:
-        return self.coalesced_bytes + self.random_bytes + self.filter_bytes
-
 
 class Profiler:
-    """Collects :class:`ProfileRecord` entries for a device's operations."""
+    """Accumulates one :class:`ProfileRecord` per region name for a device's
+    operations — memory bounded by the number of distinct names, however
+    many regions run."""
 
     def __init__(self, counter: TrafficCounter, cost_model: CostModel) -> None:
         self._counter = counter
         self._cost_model = cost_model
-        self.records: List[ProfileRecord] = []
+        self._by_name: Dict[str, ProfileRecord] = {}
+        #: The most recent region on its own, ``None`` before the first.
+        self.last: Optional[ProfileRecord] = None
 
     @contextlib.contextmanager
     def region(self, name: str, items: int = 0) -> Iterator[None]:
@@ -101,51 +118,50 @@ class Profiler:
         yield
         wall_delta = time.perf_counter() - wall_before
         delta = self._counter.since(before)
-        cost = self._cost_model.cost_of_snapshot(delta)
-        self.records.append(
-            ProfileRecord(
-                name=name,
-                items=items,
-                coalesced_bytes=delta.coalesced_bytes,
-                random_bytes=delta.random_bytes,
-                launches=delta.launches,
-                cost=cost,
-                filter_bytes=delta.filter_bytes,
-                wall_seconds=wall_delta,
-            )
+        self.last = ProfileRecord(
+            name=name,
+            cost_model=self._cost_model,
+            calls=1,
+            items=items,
+            coalesced_bytes=delta.coalesced_bytes,
+            random_bytes=delta.random_bytes,
+            filter_bytes=delta.filter_bytes,
+            launches=delta.launches,
+            wall_seconds=wall_delta,
         )
-
-    @property
-    def last(self) -> Optional[ProfileRecord]:
-        return self.records[-1] if self.records else None
+        total = self._by_name.get(name)
+        if total is None:
+            total = self._by_name[name] = ProfileRecord(name, self._cost_model)
+        total.add(self.last)
 
     def total_seconds(self, name_prefix: str = "") -> float:
-        """Sum of simulated seconds for records whose name starts with a prefix."""
+        """Sum of simulated seconds for regions whose name starts with a prefix."""
         return sum(
-            r.seconds for r in self.records if r.name.startswith(name_prefix)
+            r.seconds for r in self._by_name.values() if r.name.startswith(name_prefix)
         )
 
     def total_wall_seconds(self, name_prefix: str = "") -> float:
-        """Sum of host wall-clock seconds for records matching a prefix."""
+        """Sum of host wall-clock seconds for regions matching a prefix."""
         return sum(
-            r.wall_seconds for r in self.records if r.name.startswith(name_prefix)
+            r.wall_seconds
+            for r in self._by_name.values()
+            if r.name.startswith(name_prefix)
         )
 
-    def by_name(self) -> Dict[str, List[ProfileRecord]]:
-        """Group records by region name."""
-        grouped: Dict[str, List[ProfileRecord]] = {}
-        for record in self.records:
-            grouped.setdefault(record.name, []).append(record)
-        return grouped
+    def by_name(self) -> Dict[str, ProfileRecord]:
+        """The accumulated record of every region name, in first-seen order."""
+        return self._by_name
 
     def clear(self) -> None:
-        self.records.clear()
+        self._by_name.clear()
+        self.last = None
 
     def summary_rows(self) -> List[Dict[str, object]]:
-        """Flat dict rows for the report writer (one per region occurrence)."""
+        """Flat dict rows for the report writer (one per region name)."""
         return [
             {
                 "region": r.name,
+                "calls": r.calls,
                 "items": r.items,
                 "simulated_ms": r.seconds * 1e3,
                 "rate_m_per_s": r.rate_m_per_s,
@@ -154,7 +170,7 @@ class Profiler:
                 "kernel_launches": r.launches,
                 "wall_ms": r.wall_seconds * 1e3,
             }
-            for r in self.records
+            for r in self._by_name.values()
         ]
 
 

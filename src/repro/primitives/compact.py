@@ -1,4 +1,4 @@
-"""Stream compaction and two-way partitioning (CUB ``DeviceSelect`` family).
+"""Stream compaction (CUB ``DeviceSelect::Flagged``), flat and segmented.
 
 Range queries end with "a segmented compaction based on all set LSBs" that
 gathers the valid elements of each query (Section IV-D stage 5), and cleanup
@@ -17,138 +17,95 @@ from repro.gpu.device import Device, get_default_device
 from repro.primitives.scan import exclusive_scan
 
 
+def segmented_compact(
+    keys: np.ndarray,
+    values: Optional[np.ndarray],
+    flags: np.ndarray,
+    segment_offsets: Optional[np.ndarray],
+    device: Optional[Device] = None,
+    kernel_name: str = "compact.segmented",
+) -> Tuple[np.ndarray, Optional[np.ndarray], Optional[np.ndarray]]:
+    """Keep the flagged elements of a column set — keys plus an optional
+    aligned value column — preserving order, and report where every
+    segment's survivors now begin.
+
+    This is the final stage of RANGE queries: the result buffer holds the
+    concatenated candidates of all queries (segments); compaction removes
+    invalid elements and the returned offsets say where each query's valid
+    results now begin.  Returns ``(kept_keys, kept_values_or_None,
+    new_segment_offsets)`` where ``new_segment_offsets`` has
+    ``len(segment_offsets) + 1`` entries (the last is the total count),
+    matching the "beginning memory offsets of each query" output format
+    described in Section IV-D; ``segment_offsets=None`` is the flat
+    compaction, with no offsets computed or returned.
+
+    The flags are scanned once, for the output positions and the segment
+    offsets alike, and that scan is recorded explicitly because it is a
+    separate kernel on the device.  The value column rides along through
+    the same flags and its traffic is recorded as one extra gather kernel,
+    exactly like the fused keys-and-values compaction the range-query
+    pipeline launches.
+    """
+    device = device or get_default_device()
+    keys = np.asarray(keys)
+    flags = np.asarray(flags, dtype=bool)
+    if keys.shape != flags.shape:
+        raise ValueError("keys and flags must have the same shape")
+    if keys.ndim != 1:
+        raise ValueError("compaction expects one-dimensional arrays")
+    if values is not None:
+        values = np.asarray(values)
+        if values.shape != keys.shape:
+            raise ValueError("values must match the keys in shape")
+    if segment_offsets is not None:
+        segment_offsets = np.asarray(segment_offsets, dtype=np.int64)
+        if segment_offsets.ndim != 1:
+            raise ValueError("segment offsets must be one-dimensional")
+
+    scanned, total = exclusive_scan(
+        flags.astype(np.int64), device=device, kernel_name="compact.scan_flags"
+    )
+    out_keys = keys[flags]
+    device.record_kernel(
+        kernel_name,
+        coalesced_read_bytes=keys.nbytes + flags.size,  # flags are 1 byte each
+        coalesced_write_bytes=out_keys.nbytes,
+        work_items=keys.size,
+    )
+
+    new_offsets = None
+    if segment_offsets is not None:
+        # Valid-per-segment counts -> new offsets: the flag prefix sum read
+        # at the segment boundaries.
+        prefix = np.append(scanned, total)
+        new_offsets = np.append(prefix[np.minimum(segment_offsets, keys.size)], total)
+        device.record_kernel(
+            "compact.segment_offsets",
+            coalesced_read_bytes=segment_offsets.nbytes,
+            coalesced_write_bytes=new_offsets.nbytes,
+            work_items=segment_offsets.size,
+        )
+
+    out_values = None
+    if values is not None:
+        out_values = values[flags]
+        device.record_kernel(
+            f"{kernel_name}.values",
+            coalesced_read_bytes=values.nbytes + flags.size,
+            coalesced_write_bytes=out_values.nbytes,
+            work_items=values.size,
+        )
+    return out_keys, out_values, new_offsets
+
+
 def compact(
     values: np.ndarray,
     flags: np.ndarray,
     device: Optional[Device] = None,
     kernel_name: str = "compact.flagged",
 ) -> np.ndarray:
-    """Keep the elements whose flag is true, preserving order.
-
-    Equivalent to CUB's ``DeviceSelect::Flagged``.  The scan that computes
-    the output offsets is recorded explicitly because it is a separate
-    kernel on the device.
-    """
-    device = device or get_default_device()
-    values = np.asarray(values)
-    flags = np.asarray(flags, dtype=bool)
-    if values.shape != flags.shape:
-        raise ValueError("values and flags must have the same shape")
-    if values.ndim != 1:
-        raise ValueError("compact expects one-dimensional arrays")
-
-    offsets, total = exclusive_scan(
-        flags.astype(np.int64), device=device, kernel_name="compact.scan_flags"
-    )
-    result = np.empty(total, dtype=values.dtype)
-    if total:
-        result[offsets[flags]] = values[flags]
-
-    device.record_kernel(
-        kernel_name,
-        coalesced_read_bytes=values.nbytes + flags.size,  # flags are 1 byte each
-        coalesced_write_bytes=result.nbytes,
-        work_items=values.size,
-    )
-    return result
-
-
-def select_if(
-    values: np.ndarray,
-    predicate,
-    device: Optional[Device] = None,
-    kernel_name: str = "compact.select_if",
-) -> np.ndarray:
-    """Keep elements for which ``predicate(values)`` is true (vectorised).
-
-    ``predicate`` receives the whole array and must return a boolean mask —
-    the device-side equivalent evaluates the functor per element.
-    """
-    values = np.asarray(values)
-    flags = np.asarray(predicate(values), dtype=bool)
-    if flags.shape != values.shape:
-        raise ValueError("predicate must return a mask of the same shape")
-    return compact(values, flags, device=device, kernel_name=kernel_name)
-
-
-def partition_two_way(
-    values: np.ndarray,
-    flags: np.ndarray,
-    device: Optional[Device] = None,
-    kernel_name: str = "compact.partition",
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Stable two-way partition: (selected, rejected), both order-preserving.
-
-    CUB's ``DevicePartition::Flagged``; the cleanup path uses it through the
-    two-bucket multisplit wrapper (:mod:`repro.primitives.multisplit`).
-    """
-    device = device or get_default_device()
-    values = np.asarray(values)
-    flags = np.asarray(flags, dtype=bool)
-    if values.shape != flags.shape:
-        raise ValueError("values and flags must have the same shape")
-    if values.ndim != 1:
-        raise ValueError("partition_two_way expects one-dimensional arrays")
-
-    exclusive_scan(
-        flags.astype(np.int64), device=device, kernel_name="compact.scan_flags"
-    )
-    selected = values[flags]
-    rejected = values[~flags]
-
-    device.record_kernel(
-        kernel_name,
-        coalesced_read_bytes=values.nbytes + flags.size,
-        coalesced_write_bytes=selected.nbytes + rejected.nbytes,
-        work_items=values.size,
-    )
-    return selected, rejected
-
-
-def segmented_compact(
-    values: np.ndarray,
-    flags: np.ndarray,
-    segment_offsets: np.ndarray,
-    device: Optional[Device] = None,
-    kernel_name: str = "compact.segmented",
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Compaction that also reports the new start offset of every segment.
-
-    This is the final stage of RANGE queries: the result buffer holds the
-    concatenated candidates of all queries (segments); compaction removes
-    invalid elements and the returned offsets say where each query's valid
-    results now begin.  Returns ``(compacted_values, new_segment_offsets)``
-    where ``new_segment_offsets`` has ``len(segment_offsets) + 1`` entries
-    (the last is the total count), matching the "beginning memory offsets of
-    each query" output format described in Section IV-D.
-    """
-    device = device or get_default_device()
-    values = np.asarray(values)
-    flags = np.asarray(flags, dtype=bool)
-    segment_offsets = np.asarray(segment_offsets, dtype=np.int64)
-    if values.shape != flags.shape:
-        raise ValueError("values and flags must have the same shape")
-    if values.ndim != 1 or segment_offsets.ndim != 1:
-        raise ValueError("segmented_compact expects one-dimensional arrays")
-
-    compacted = compact(values, flags, device=device, kernel_name=kernel_name)
-
-    # Valid-per-segment counts -> new offsets.  The per-segment counts are
-    # the difference of the flag prefix sum at segment boundaries.
-    if values.size:
-        prefix = np.concatenate(([0], np.cumsum(flags.astype(np.int64))))
-    else:
-        prefix = np.zeros(1, dtype=np.int64)
-    bounded = np.minimum(segment_offsets, values.size)
-    starts = prefix[bounded]
-    new_offsets = np.empty(segment_offsets.size + 1, dtype=np.int64)
-    new_offsets[:-1] = starts
-    new_offsets[-1] = prefix[-1]
-
-    device.record_kernel(
-        "compact.segment_offsets",
-        coalesced_read_bytes=segment_offsets.nbytes,
-        coalesced_write_bytes=new_offsets.nbytes,
-        work_items=segment_offsets.size,
-    )
-    return compacted, new_offsets
+    """Flat :func:`segmented_compact` of one array: the elements whose flag
+    is true, in order."""
+    return segmented_compact(
+        values, None, flags, None, device=device, kernel_name=kernel_name
+    )[0]

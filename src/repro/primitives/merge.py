@@ -11,8 +11,9 @@ moderngpu implements this with merge-path partitioning: the diagonal of the
 (|A|, |B|) merge matrix is cut into equal-sized tiles, each thread block
 merges one tile from shared memory, and the output is written coalesced.
 :func:`merge_path_partitions` reproduces that partitioning (and is tested
-against the actual merge), while :func:`merge_keys` / :func:`merge_pairs`
-produce the merged output with a vectorised rank computation:
+against the actual merge), while :func:`merge` — which :func:`merge_keys`
+and :func:`merge_pairs` spell for one and two columns — produces the merged
+output with a vectorised rank computation:
 
 * element ``A[i]`` lands at ``i + searchsorted(B, A[i], side='left')``
 * element ``B[j]`` lands at ``j + searchsorted(A, B[j], side='right')``
@@ -65,7 +66,7 @@ def merge_path_partitions(
     ``(a_index)`` such that the first ``d`` output elements consist of
     ``a_index`` elements of A and ``d - a_index`` elements of B.  This is the
     coarse-grained partitioning step of moderngpu's merge; the fine-grained
-    merge inside each tile is performed by :func:`merge_keys`.
+    merge inside each tile is performed by :func:`merge`.
 
     The function exists primarily so tests can verify that the partitioning
     the real kernels would use is consistent with the produced merge (every
@@ -113,6 +114,65 @@ def _merge_ranks(
     return a_pos, b_pos
 
 
+def merge(
+    a_keys: np.ndarray,
+    a_values: Optional[np.ndarray],
+    b_keys: np.ndarray,
+    b_values: Optional[np.ndarray],
+    key: KeyFunc = None,
+    device: Optional[Device] = None,
+    kernel_name: str = "merge",
+) -> Tuple[np.ndarray, Optional[np.ndarray]]:
+    """Stable merge of two column sets — keys plus an optional aligned value
+    column each — whose keys are sorted under ``key``.
+
+    Ties are broken in favour of the A side (its elements appear first in
+    the output), which is the ordering the insertion cascade needs: A is
+    the buffer holding the newer elements, B the older resident level.  The
+    ranks are computed once, from the keys; every present column is
+    scattered through them, and the one recorded kernel moves all of them.
+    """
+    device = device or get_default_device()
+    a_keys = _check_sorted_input(a_keys, "a_keys")
+    b_keys = _check_sorted_input(b_keys, "b_keys")
+    if a_keys.dtype != b_keys.dtype:
+        raise TypeError("merge requires matching key dtypes")
+    if (a_values is None) != (b_values is None):
+        raise ValueError("cannot merge a key-only run with a key-value run")
+    if a_values is not None:
+        a_values = np.asarray(a_values)
+        b_values = np.asarray(b_values)
+        if a_values.shape != a_keys.shape or b_values.shape != b_keys.shape:
+            raise ValueError("values must match their keys in shape")
+        if a_values.dtype != b_values.dtype:
+            raise TypeError("merge requires matching value dtypes")
+
+    a_pos, b_pos = _merge_ranks(_apply_keyfunc(a_keys, key), _apply_keyfunc(b_keys, key))
+
+    def interleave(a_column: np.ndarray, b_column: np.ndarray) -> np.ndarray:
+        out = np.empty(a_pos.size + b_pos.size, dtype=a_column.dtype)
+        out[a_pos] = a_column
+        out[b_pos] = b_column
+        return out
+
+    out_keys = interleave(a_keys, b_keys)
+    payload_bytes = a_keys.nbytes + b_keys.nbytes
+    out_values = None
+    if a_values is not None:
+        out_values = interleave(a_values, b_values)
+        payload_bytes += a_values.nbytes + b_values.nbytes
+
+    moved = int(payload_bytes / MERGE_BANDWIDTH_EFFICIENCY)
+    device.record_kernel(
+        kernel_name,
+        coalesced_read_bytes=moved,
+        coalesced_write_bytes=moved,
+        work_items=out_keys.size,
+        launches=2,  # partition kernel + merge kernel
+    )
+    return out_keys, out_values
+
+
 def merge_keys(
     a_keys: np.ndarray,
     b_keys: np.ndarray,
@@ -120,35 +180,10 @@ def merge_keys(
     device: Optional[Device] = None,
     kernel_name: str = "merge.keys",
 ) -> np.ndarray:
-    """Stable merge of two key arrays sorted under ``key``.
-
-    Ties are broken in favour of ``a_keys`` (its elements appear first in
-    the output), which is the ordering the insertion cascade needs when the
-    first argument is the more recently inserted level.
-    """
-    device = device or get_default_device()
-    a_keys = _check_sorted_input(a_keys, "a_keys")
-    b_keys = _check_sorted_input(b_keys, "b_keys")
-    if a_keys.dtype != b_keys.dtype:
-        raise TypeError("merge_keys requires matching key dtypes")
-
-    a_cmp = _apply_keyfunc(a_keys, key)
-    b_cmp = _apply_keyfunc(b_keys, key)
-    a_pos, b_pos = _merge_ranks(a_cmp, b_cmp)
-
-    out = np.empty(a_keys.size + b_keys.size, dtype=a_keys.dtype)
-    out[a_pos] = a_keys
-    out[b_pos] = b_keys
-
-    moved = int((a_keys.nbytes + b_keys.nbytes) / MERGE_BANDWIDTH_EFFICIENCY)
-    device.record_kernel(
-        kernel_name,
-        coalesced_read_bytes=moved,
-        coalesced_write_bytes=moved,
-        work_items=out.size,
-        launches=2,  # partition kernel + merge kernel
-    )
-    return out
+    """:func:`merge` of two key arrays."""
+    return merge(
+        a_keys, None, b_keys, None, key=key, device=device, kernel_name=kernel_name
+    )[0]
 
 
 def merge_pairs(
@@ -160,44 +195,8 @@ def merge_pairs(
     device: Optional[Device] = None,
     kernel_name: str = "merge.pairs",
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """Stable key-value merge, ties resolved in favour of the A side.
-
-    This is the workhorse of the insertion cascade: A is the buffer holding
-    the newer elements, B the older resident level; values travel with their
-    keys.
-    """
-    device = device or get_default_device()
-    a_keys = _check_sorted_input(a_keys, "a_keys")
-    b_keys = _check_sorted_input(b_keys, "b_keys")
-    a_values = np.asarray(a_values)
-    b_values = np.asarray(b_values)
-    if a_keys.dtype != b_keys.dtype:
-        raise TypeError("merge_pairs requires matching key dtypes")
-    if a_values.shape != a_keys.shape or b_values.shape != b_keys.shape:
-        raise ValueError("values must match their keys in shape")
-    if a_values.dtype != b_values.dtype:
-        raise TypeError("merge_pairs requires matching value dtypes")
-
-    a_cmp = _apply_keyfunc(a_keys, key)
-    b_cmp = _apply_keyfunc(b_keys, key)
-    a_pos, b_pos = _merge_ranks(a_cmp, b_cmp)
-
-    out_keys = np.empty(a_keys.size + b_keys.size, dtype=a_keys.dtype)
-    out_values = np.empty(a_keys.size + b_keys.size, dtype=a_values.dtype)
-    out_keys[a_pos] = a_keys
-    out_keys[b_pos] = b_keys
-    out_values[a_pos] = a_values
-    out_values[b_pos] = b_values
-
-    moved = int(
-        (a_keys.nbytes + b_keys.nbytes + a_values.nbytes + b_values.nbytes)
-        / MERGE_BANDWIDTH_EFFICIENCY
+    """:func:`merge` of two key-value runs; values travel with their keys."""
+    return merge(
+        a_keys, a_values, b_keys, b_values, key=key, device=device,
+        kernel_name=kernel_name,
     )
-    device.record_kernel(
-        kernel_name,
-        coalesced_read_bytes=moved,
-        coalesced_write_bytes=moved,
-        work_items=out_keys.size,
-        launches=2,  # partition kernel + merge kernel
-    )
-    return out_keys, out_values

@@ -20,7 +20,6 @@ from typing import Callable, Optional, Tuple
 import numpy as np
 
 from repro.gpu.device import Device, get_default_device
-from repro.gpu.warp import WARP_SIZE
 from repro.primitives.scan import exclusive_scan
 
 #: Maximum number of buckets the warp-level variant supports (one ballot per
@@ -40,13 +39,19 @@ def _bucket_ids(
     return ids
 
 
-def _record_multisplit_traffic(
+def record_multisplit(
     device: Device, payload_bytes: int, n: int, num_buckets: int, kernel_name: str
 ) -> None:
+    """Record the histogram and scatter kernels a warp-level multisplit of
+    ``n`` elements (``payload_bytes`` in all their columns) launches, from
+    the sizes alone.  The scan of the bucket counts between the two is the
+    caller's: :func:`multisplit` runs it, the strict-order planner — which
+    routes a whole tick in one segmented pass — scans its own segments.
+    """
     # Warp-level multisplit: one read to compute warp histograms (ballot
     # based, no global traffic beyond the keys), histogram write + scan, then
     # one read + one scattered-but-mostly-coalesced write of the payload.
-    num_warps = max(1, -(-n // WARP_SIZE))
+    num_warps = max(1, -(-n // device.spec.warp_size))
     hist_bytes = num_warps * num_buckets * 4
     device.record_kernel(
         f"{kernel_name}.histogram",
@@ -62,19 +67,23 @@ def _record_multisplit_traffic(
     )
 
 
-def multisplit_keys(
+def multisplit(
     keys: np.ndarray,
+    values: Optional[np.ndarray],
     bucket_of: Callable[[np.ndarray], np.ndarray],
     num_buckets: int = 2,
     device: Optional[Device] = None,
-    kernel_name: str = "multisplit.keys",
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Stable bucket partition of a key array.
+    kernel_name: str = "multisplit",
+) -> Tuple[np.ndarray, Optional[np.ndarray], np.ndarray]:
+    """Stable bucket partition of a column set — keys plus an optional
+    aligned value column.
 
     Parameters
     ----------
     keys:
         Input keys (any dtype).
+    values:
+        Aligned value column, reordered with the keys; ``None`` for none.
     bucket_of:
         Vectorised functor mapping the key array to integer bucket ids in
         ``[0, num_buckets)``.
@@ -83,7 +92,7 @@ def multisplit_keys(
 
     Returns
     -------
-    (reordered_keys, bucket_offsets)
+    (reordered_keys, reordered_values_or_None, bucket_offsets)
         ``bucket_offsets`` has ``num_buckets + 1`` entries; bucket ``i``
         occupies ``reordered_keys[bucket_offsets[i]:bucket_offsets[i+1]]``.
     """
@@ -91,18 +100,25 @@ def multisplit_keys(
     keys = np.asarray(keys)
     if keys.ndim != 1:
         raise ValueError("multisplit expects a one-dimensional key array")
+    if values is not None:
+        values = np.asarray(values)
+        if values.shape != keys.shape:
+            raise ValueError("values must match the keys in shape")
     if not 1 <= num_buckets <= MAX_WARP_BUCKETS:
         raise ValueError(f"num_buckets must be in [1, {MAX_WARP_BUCKETS}]")
 
     ids = _bucket_ids(keys, bucket_of, num_buckets)
-    if ids.size and not np.any(ids != ids[0]):
-        # Single-bucket batch: a stable partition is the identity, so the
-        # argsort can be skipped outright.  The traffic accounting below
-        # is unchanged — the real kernel still runs its passes.
-        reordered = keys.copy()
-    else:
-        order = np.argsort(ids, kind="stable")
-        reordered = keys[order]
+    # Single-bucket batch: a stable partition is the identity, so the
+    # argsort is skipped outright.  The traffic accounting below is
+    # unchanged — the real kernel still runs its passes.
+    identity = ids.size and not np.any(ids != ids[0])
+    order = None if identity else np.argsort(ids, kind="stable")
+
+    def reorder(column: np.ndarray) -> np.ndarray:
+        return column.copy() if order is None else column[order]
+
+    reordered_keys = reorder(keys)
+    reordered_values = None if values is None else reorder(values)
 
     counts = np.bincount(ids, minlength=num_buckets).astype(np.int64)
     offsets_body, total = exclusive_scan(
@@ -110,7 +126,23 @@ def multisplit_keys(
     )
     offsets = np.concatenate([offsets_body, [total]])
 
-    _record_multisplit_traffic(device, keys.nbytes, keys.size, num_buckets, kernel_name)
+    payload_bytes = keys.nbytes + (0 if values is None else values.nbytes)
+    record_multisplit(device, payload_bytes, keys.size, num_buckets, kernel_name)
+    return reordered_keys, reordered_values, offsets
+
+
+def multisplit_keys(
+    keys: np.ndarray,
+    bucket_of: Callable[[np.ndarray], np.ndarray],
+    num_buckets: int = 2,
+    device: Optional[Device] = None,
+    kernel_name: str = "multisplit.keys",
+) -> Tuple[np.ndarray, np.ndarray]:
+    """:func:`multisplit` of a key array: ``(reordered_keys, bucket_offsets)``."""
+    reordered, _, offsets = multisplit(
+        keys, None, bucket_of, num_buckets=num_buckets, device=device,
+        kernel_name=kernel_name,
+    )
     return reordered, offsets
 
 
@@ -122,35 +154,9 @@ def multisplit_pairs(
     device: Optional[Device] = None,
     kernel_name: str = "multisplit.pairs",
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Stable bucket partition of key-value pairs.
-
-    Returns ``(reordered_keys, reordered_values, bucket_offsets)``; see
-    :func:`multisplit_keys` for the offset convention.
-    """
-    device = device or get_default_device()
-    keys = np.asarray(keys)
-    values = np.asarray(values)
-    if keys.ndim != 1 or values.shape != keys.shape:
-        raise ValueError("keys and values must be one-dimensional and equally long")
-    if not 1 <= num_buckets <= MAX_WARP_BUCKETS:
-        raise ValueError(f"num_buckets must be in [1, {MAX_WARP_BUCKETS}]")
-
-    ids = _bucket_ids(keys, bucket_of, num_buckets)
-    if ids.size and not np.any(ids != ids[0]):
-        reordered_keys = keys.copy()
-        reordered_values = values.copy()
-    else:
-        order = np.argsort(ids, kind="stable")
-        reordered_keys = keys[order]
-        reordered_values = values[order]
-
-    counts = np.bincount(ids, minlength=num_buckets).astype(np.int64)
-    offsets_body, total = exclusive_scan(
-        counts, device=device, kernel_name=f"{kernel_name}.scan"
+    """:func:`multisplit` of key-value pairs:
+    ``(reordered_keys, reordered_values, bucket_offsets)``."""
+    return multisplit(
+        keys, values, bucket_of, num_buckets=num_buckets, device=device,
+        kernel_name=kernel_name,
     )
-    offsets = np.concatenate([offsets_body, [total]])
-
-    _record_multisplit_traffic(
-        device, keys.nbytes + values.nbytes, keys.size, num_buckets, kernel_name
-    )
-    return reordered_keys, reordered_values, offsets

@@ -126,18 +126,28 @@ def record_radix_sort(
         )
 
 
-def _sort_passes(
+def radix_sort(
     keys: np.ndarray,
     values: Optional[np.ndarray],
-    config: RadixSortConfig,
-    device: Device,
+    config: RadixSortConfig = RadixSortConfig(),
+    device: Optional[Device] = None,
 ) -> Tuple[np.ndarray, Optional[np.ndarray]]:
-    """Sorted key/value copies, with every digit pass accounted for.
+    """Stable ascending sort of a column set — unsigned integer keys plus an
+    optional aligned value column of any dtype — with every digit pass
+    accounted for (CUB ``SortKeys`` / ``SortPairs``).
 
     Stable LSD passes over the bits ``[begin_bit, end_bit)`` order the
     input exactly as one stable sort by that bit field does, so the host
     does the one sort and :func:`record_radix_sort` records the passes.
+    The outputs are new arrays; the input is not modified (the real CUB
+    call ping-pongs between two buffers for the same reason).
     """
+    device = device or get_default_device()
+    keys = _check_keys(keys)
+    if values is not None:
+        values = np.asarray(values)
+        if values.ndim != 1 or values.size != keys.size:
+            raise ValueError("values must be one-dimensional and match keys in length")
     begin_bit, end_bit = _resolve_bits(keys.dtype, config)
     field = keys
     if end_bit < keys.dtype.itemsize * 8:
@@ -160,15 +170,8 @@ def radix_sort_keys(
     config: RadixSortConfig = RadixSortConfig(),
     device: Optional[Device] = None,
 ) -> np.ndarray:
-    """Stable ascending sort of an unsigned integer key array.
-
-    Returns a new sorted array; the input is not modified (the real CUB call
-    uses a :class:`~repro.gpu.memory.DoubleBuffer` for the same reason).
-    """
-    device = device or get_default_device()
-    keys = _check_keys(keys)
-    sorted_keys, _ = _sort_passes(keys, None, config, device)
-    return sorted_keys
+    """:func:`radix_sort` of a key array."""
+    return radix_sort(keys, None, config=config, device=device)[0]
 
 
 def radix_sort_pairs(
@@ -177,16 +180,6 @@ def radix_sort_pairs(
     config: RadixSortConfig = RadixSortConfig(),
     device: Optional[Device] = None,
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """Stable ascending key-value sort (CUB ``SortPairs``).
-
-    ``values`` may be any dtype (the LSM stores 32-bit values; the cleanup
-    path also sorts permutation indices).  Both outputs are new arrays.
-    """
-    device = device or get_default_device()
-    keys = _check_keys(keys)
-    values = np.asarray(values)
-    if values.ndim != 1 or values.size != keys.size:
-        raise ValueError("values must be one-dimensional and match keys in length")
-    sorted_keys, sorted_values = _sort_passes(keys, values, config, device)
-    assert sorted_values is not None
-    return sorted_keys, sorted_values
+    """:func:`radix_sort` of key-value pairs (the LSM stores 32-bit values;
+    the cleanup path also sorts permutation indices)."""
+    return radix_sort(keys, values, config=config, device=device)

@@ -1,4 +1,4 @@
-"""Device-wide and segmented prefix sums (CUB ``DeviceScan`` equivalents).
+"""Device-wide exclusive prefix sum (CUB ``DeviceScan::ExclusiveSum``).
 
 The GPU LSM uses an exclusive scan to turn the per-query, per-level result
 count estimates of COUNT and RANGE queries into global output offsets
@@ -19,13 +19,6 @@ import numpy as np
 from repro.gpu.device import Device, get_default_device
 
 
-def _as_int_array(values: np.ndarray, name: str) -> np.ndarray:
-    values = np.asarray(values)
-    if values.ndim != 1:
-        raise ValueError(f"{name} must be one-dimensional")
-    return values
-
-
 def exclusive_scan(
     values: np.ndarray,
     device: Optional[Device] = None,
@@ -42,7 +35,9 @@ def exclusive_scan(
     appending results after an existing region of the output buffer.
     """
     device = device or get_default_device()
-    values = _as_int_array(values, "values")
+    values = np.asarray(values)
+    if values.ndim != 1:
+        raise ValueError("values must be one-dimensional")
     acc = np.cumsum(values, dtype=np.int64)
     total = int(acc[-1]) if values.size else 0
     result = np.empty(values.size, dtype=np.int64)
@@ -57,71 +52,3 @@ def exclusive_scan(
         work_items=values.size,
     )
     return result, total + initial if values.size else initial
-
-
-def inclusive_scan(
-    values: np.ndarray,
-    device: Optional[Device] = None,
-    kernel_name: str = "scan.inclusive",
-) -> np.ndarray:
-    """Inclusive plus-scan (CUB ``InclusiveSum``)."""
-    device = device or get_default_device()
-    values = _as_int_array(values, "values")
-    result = np.cumsum(values, dtype=np.int64)
-
-    device.record_kernel(
-        kernel_name,
-        coalesced_read_bytes=values.nbytes,
-        coalesced_write_bytes=result.nbytes,
-        work_items=values.size,
-    )
-    return result
-
-
-def segmented_exclusive_scan(
-    values: np.ndarray,
-    segment_offsets: np.ndarray,
-    device: Optional[Device] = None,
-    kernel_name: str = "scan.segmented_exclusive",
-) -> np.ndarray:
-    """Exclusive plus-scan restarted at every segment boundary.
-
-    ``segment_offsets`` holds the start index of each segment
-    (length ``num_segments``); segments are contiguous and cover the whole
-    input, the last segment extending to ``len(values)``.
-    """
-    device = device or get_default_device()
-    values = _as_int_array(values, "values")
-    segment_offsets = np.asarray(segment_offsets, dtype=np.int64)
-    if segment_offsets.ndim != 1:
-        raise ValueError("segment_offsets must be one-dimensional")
-    if segment_offsets.size and (
-        segment_offsets[0] != 0
-        or np.any(np.diff(segment_offsets) < 0)
-        or (segment_offsets[-1] > values.size)
-    ):
-        raise ValueError("segment_offsets must be sorted, start at 0 and stay in range")
-
-    result = np.zeros(values.size, dtype=np.int64)
-    if values.size:
-        inclusive = np.cumsum(values, dtype=np.int64)
-        result[1:] = inclusive[:-1]
-        # Subtract, from every element, the whole-array exclusive sum at the
-        # start of its segment — this restarts the scan per segment without
-        # a Python loop.  Each segment start (duplicates from empty segments
-        # included) bumps the per-element segment id by one, so every
-        # element maps to the segment it actually belongs to.
-        marks = np.zeros(values.size, dtype=np.int64)
-        in_range_starts = segment_offsets[segment_offsets < values.size]
-        np.add.at(marks, in_range_starts, 1)
-        seg_of = np.cumsum(marks) - 1
-        base = result[segment_offsets[seg_of]]
-        result = result - base
-
-    device.record_kernel(
-        kernel_name,
-        coalesced_read_bytes=values.nbytes + segment_offsets.nbytes,
-        coalesced_write_bytes=result.nbytes,
-        work_items=values.size,
-    )
-    return result

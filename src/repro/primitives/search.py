@@ -41,22 +41,32 @@ def _probe_count(level_size: int) -> int:
     return int(math.ceil(math.log2(level_size))) + 1
 
 
-def _record_search_traffic(
-    device: Device,
-    num_queries: int,
-    level_size: int,
-    item_bytes: int,
+def _search(
+    sorted_keys: np.ndarray,
+    queries: np.ndarray,
+    side: str,
+    device: Optional[Device],
     kernel_name: str,
     cached_probes: int,
-) -> None:
-    probes = max(0, _probe_count(level_size) - cached_probes)
+) -> np.ndarray:
+    """One binary search per query (``side`` as in ``numpy.searchsorted``),
+    its probes charged as random transactions."""
+    device = device or get_default_device()
+    sorted_keys = np.asarray(sorted_keys)
+    queries = np.asarray(queries)
+    if sorted_keys.ndim != 1 or queries.ndim != 1:
+        raise ValueError("binary search expects one-dimensional arrays")
+
+    result = np.searchsorted(sorted_keys, queries, side=side).astype(np.int64)
+    probes = max(0, _probe_count(sorted_keys.size) - cached_probes)
     device.record_kernel(
         kernel_name,
-        random_read_bytes=num_queries * probes * TRANSACTION_BYTES,
-        coalesced_read_bytes=num_queries * item_bytes,
-        coalesced_write_bytes=num_queries * np.dtype(np.int64).itemsize,
-        work_items=num_queries,
+        random_read_bytes=queries.size * probes * TRANSACTION_BYTES,
+        coalesced_read_bytes=queries.size * queries.dtype.itemsize,
+        coalesced_write_bytes=queries.size * np.dtype(np.int64).itemsize,
+        work_items=queries.size,
     )
+    return result
 
 
 def lower_bound(
@@ -71,22 +81,7 @@ def lower_bound(
     Both arrays must share a dtype family (unsigned keys); the result is an
     ``int64`` index array with values in ``[0, len(sorted_keys)]``.
     """
-    device = device or get_default_device()
-    sorted_keys = np.asarray(sorted_keys)
-    queries = np.asarray(queries)
-    if sorted_keys.ndim != 1 or queries.ndim != 1:
-        raise ValueError("lower_bound expects one-dimensional arrays")
-
-    result = np.searchsorted(sorted_keys, queries, side="left").astype(np.int64)
-    _record_search_traffic(
-        device,
-        queries.size,
-        sorted_keys.size,
-        queries.dtype.itemsize,
-        kernel_name,
-        cached_probes,
-    )
-    return result
+    return _search(sorted_keys, queries, "left", device, kernel_name, cached_probes)
 
 
 def upper_bound(
@@ -97,51 +92,4 @@ def upper_bound(
     cached_probes: int = DEFAULT_CACHED_PROBES,
 ) -> np.ndarray:
     """Index of the first element ``> query`` for every query."""
-    device = device or get_default_device()
-    sorted_keys = np.asarray(sorted_keys)
-    queries = np.asarray(queries)
-    if sorted_keys.ndim != 1 or queries.ndim != 1:
-        raise ValueError("upper_bound expects one-dimensional arrays")
-
-    result = np.searchsorted(sorted_keys, queries, side="right").astype(np.int64)
-    _record_search_traffic(
-        device,
-        queries.size,
-        sorted_keys.size,
-        queries.dtype.itemsize,
-        kernel_name,
-        cached_probes,
-    )
-    return result
-
-
-def sorted_search(
-    needles: np.ndarray,
-    haystack: np.ndarray,
-    device: Optional[Device] = None,
-    kernel_name: str = "search.sorted_search",
-) -> np.ndarray:
-    """moderngpu-style *sorted search*: both inputs are sorted.
-
-    Returns the lower-bound index of every needle.  Because both inputs are
-    sorted the real kernel streams both arrays once (this is the "bulk"
-    lookup variant the paper mentions but does not adopt — Section IV-B);
-    the traffic model charges coalesced reads accordingly, making the bulk
-    variant available for comparison in the benchmark harness.
-    """
-    device = device or get_default_device()
-    needles = np.asarray(needles)
-    haystack = np.asarray(haystack)
-    if needles.ndim != 1 or haystack.ndim != 1:
-        raise ValueError("sorted_search expects one-dimensional arrays")
-    if needles.size > 1 and np.any(np.diff(needles.astype(np.int64)) < 0):
-        raise ValueError("needles must be sorted for sorted_search")
-
-    result = np.searchsorted(haystack, needles, side="left").astype(np.int64)
-    device.record_kernel(
-        kernel_name,
-        coalesced_read_bytes=needles.nbytes + haystack.nbytes,
-        coalesced_write_bytes=result.nbytes,
-        work_items=needles.size,
-    )
-    return result
+    return _search(sorted_keys, queries, "right", device, kernel_name, cached_probes)

@@ -17,13 +17,12 @@ implementations use for large segment counts.
 
 from __future__ import annotations
 
-from typing import Callable, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
 from repro.gpu.device import Device, get_default_device
-
-KeyFunc = Optional[Callable[[np.ndarray], np.ndarray]]
+from repro.primitives.merge import KeyFunc
 
 
 def _segment_ids_from_offsets(offsets: np.ndarray, total: int) -> np.ndarray:
@@ -43,6 +42,49 @@ def _segment_ids_from_offsets(offsets: np.ndarray, total: int) -> np.ndarray:
     return ids
 
 
+def segmented_sort(
+    keys: np.ndarray,
+    values: Optional[np.ndarray],
+    segment_offsets: np.ndarray,
+    key: KeyFunc = None,
+    device: Optional[Device] = None,
+    kernel_name: str = "segmented_sort",
+) -> Tuple[np.ndarray, Optional[np.ndarray]]:
+    """Sort each segment of a column set — keys plus an optional aligned
+    value column — independently and stably.
+
+    ``segment_offsets`` holds the start index of every segment (the last
+    segment extends to the end of the array).  ``key`` optionally extracts
+    the comparison key (the LSM passes "shift out the status bit").  The
+    order is computed once, from the keys, and gathers every present column.
+    """
+    device = device or get_default_device()
+    keys = np.asarray(keys)
+    if keys.ndim != 1:
+        raise ValueError("segmented sort expects a one-dimensional key array")
+    if values is not None:
+        values = np.asarray(values)
+        if values.shape != keys.shape:
+            raise ValueError("values must match the keys in shape")
+
+    seg_ids = _segment_ids_from_offsets(segment_offsets, keys.size)
+    cmp = keys if key is None else key(keys)
+    # lexsort's last key is the primary one: by segment, then by cmp within
+    # it.  np.lexsort is stable, so equal (seg, cmp) pairs keep their input
+    # order, which is what preserves the temporal ordering of duplicate keys.
+    order = np.lexsort((cmp, seg_ids)) if keys.size else np.empty(0, dtype=np.int64)
+
+    payload = keys.nbytes + (0 if values is None else values.nbytes)
+    device.record_kernel(
+        kernel_name,
+        coalesced_read_bytes=2 * payload,
+        coalesced_write_bytes=payload,
+        work_items=keys.size,
+        launches=4,  # real segsort does multiple merge passes
+    )
+    return keys[order], None if values is None else values[order]
+
+
 def segmented_sort_keys(
     keys: np.ndarray,
     segment_offsets: np.ndarray,
@@ -50,33 +92,10 @@ def segmented_sort_keys(
     device: Optional[Device] = None,
     kernel_name: str = "segmented_sort.keys",
 ) -> np.ndarray:
-    """Sort each segment of ``keys`` independently and stably.
-
-    ``segment_offsets`` holds the start index of every segment (the last
-    segment extends to the end of the array).  ``key`` optionally extracts
-    the comparison key (the LSM passes "shift out the status bit").
-    """
-    device = device or get_default_device()
-    keys = np.asarray(keys)
-    if keys.ndim != 1:
-        raise ValueError("segmented_sort_keys expects a one-dimensional array")
-
-    seg_ids = _segment_ids_from_offsets(segment_offsets, keys.size)
-    cmp = keys if key is None else key(keys)
-    # lexsort's last key is the primary one; sorting by (cmp within segment).
-    order = np.lexsort((cmp, seg_ids)) if keys.size else np.empty(0, dtype=np.int64)
-    # np.lexsort is stable, so equal (seg, cmp) pairs keep their input order,
-    # which is what preserves the temporal ordering of duplicate keys.
-    result = keys[order]
-
-    device.record_kernel(
-        kernel_name,
-        coalesced_read_bytes=2 * keys.nbytes,
-        coalesced_write_bytes=keys.nbytes,
-        work_items=keys.size,
-        launches=4,  # real segsort does multiple merge passes
-    )
-    return result
+    """:func:`segmented_sort` of a key array (COUNT queries)."""
+    return segmented_sort(
+        keys, None, segment_offsets, key=key, device=device, kernel_name=kernel_name
+    )[0]
 
 
 def segmented_sort_pairs(
@@ -87,25 +106,7 @@ def segmented_sort_pairs(
     device: Optional[Device] = None,
     kernel_name: str = "segmented_sort.pairs",
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """Segmented stable sort of key-value pairs (used by RANGE queries)."""
-    device = device or get_default_device()
-    keys = np.asarray(keys)
-    values = np.asarray(values)
-    if keys.ndim != 1 or values.shape != keys.shape:
-        raise ValueError("keys and values must be one-dimensional and equally long")
-
-    seg_ids = _segment_ids_from_offsets(segment_offsets, keys.size)
-    cmp = keys if key is None else key(keys)
-    order = np.lexsort((cmp, seg_ids)) if keys.size else np.empty(0, dtype=np.int64)
-    sorted_keys = keys[order]
-    sorted_values = values[order]
-
-    payload = keys.nbytes + values.nbytes
-    device.record_kernel(
-        kernel_name,
-        coalesced_read_bytes=2 * payload,
-        coalesced_write_bytes=payload,
-        work_items=keys.size,
-        launches=4,
+    """:func:`segmented_sort` of key-value pairs (RANGE queries)."""
+    return segmented_sort(
+        keys, values, segment_offsets, key=key, device=device, kernel_name=kernel_name
     )
-    return sorted_keys, sorted_values

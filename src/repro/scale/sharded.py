@@ -625,23 +625,9 @@ class ShardedLSM:
         )
         return per_shard
 
-    def _check_range_args(
-        self, k1: np.ndarray, k2: np.ndarray
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        k1 = np.asarray(k1)
-        k2 = np.asarray(k2)
-        if k1.ndim != 1 or k2.shape != k1.shape:
-            raise ValueError("k1 and k2 must be one-dimensional and equally long")
-        if k1.size:
-            self.encoder.check_query_keys(k1, "range bounds")
-            self.encoder.check_query_keys(k2, "range bounds")
-            if np.any(k2 < k1):
-                raise ValueError("every range must satisfy k1 <= k2")
-        return k1, k2
-
     def count(self, k1: np.ndarray, k2: np.ndarray) -> np.ndarray:
         """Batch COUNT: per-shard counts of the clipped ranges, summed."""
-        k1, k2 = self._check_range_args(k1, k2)
+        k1, k2 = self.encoder.check_range_args(k1, k2)
         nq = k1.size
         counts = np.zeros(nq, dtype=np.int64)
         if nq == 0:
@@ -659,7 +645,7 @@ class ShardedLSM:
         ascending key order, so the merged buffer keeps the paper's
         "sorted by key within each query" guarantee.
         """
-        k1, k2 = self._check_range_args(k1, k2)
+        k1, k2 = self.encoder.check_range_args(k1, k2)
         nq = k1.size
         empty_vals = (
             None if self.key_only else np.zeros(0, self.shard_config.value_dtype)

@@ -1,14 +1,17 @@
 """Shared fixtures for the test suite.
 
 Every test that touches the simulated GPU gets its own :class:`Device`, so
-traffic counters and memory accounting never leak between tests.
+traffic counters never leak between tests.
 """
+
+import dataclasses
 
 import numpy as np
 import pytest
 
+from repro.gpu.counters import KernelStats
 from repro.gpu.device import Device, set_default_device
-from repro.gpu.spec import K40C_SPEC, TINY_SPEC
+from repro.gpu.spec import K40C_SPEC
 
 
 @pytest.fixture
@@ -18,11 +21,31 @@ def device():
     yield dev
 
 
+class RecordingDevice(Device):
+    """A device that also notes, in order, what every ``record_kernel``
+    call was given — the ordered launch log a :class:`Device` itself does
+    not keep.  ``launches`` holds one tuple of :class:`KernelStats` fields
+    (name first, defaults filled in) per call."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.launches = []
+
+    def record_kernel(self, name, **traffic):
+        self.launches.append(
+            dataclasses.astuple(
+                KernelStats(name, **{k: int(v) for k, v in traffic.items()})
+            )
+        )
+        super().record_kernel(name, **traffic)
+
+
 @pytest.fixture
-def tiny_device():
-    """A small device (64 MiB DRAM) for out-of-memory tests."""
-    dev = Device(TINY_SPEC, seed=1234)
-    yield dev
+def recording_device():
+    """Factory of fresh, identically seeded :class:`RecordingDevice` s — a
+    golden comparison needs two, one under the reference and one under the
+    code it pins."""
+    return lambda: RecordingDevice(K40C_SPEC, seed=1)
 
 
 @pytest.fixture

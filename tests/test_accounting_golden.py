@@ -1,15 +1,21 @@
 """Golden accounting: execution may change, the recorded kernels may not.
 
-Two kinds of pin:
+Three kinds of pin:
 
 * the radix sort against the *literal-pass* LSD sort it replaced, kept
-  here as the reference: identical outputs, an identical ordered kernel
-  log (every field of every record) and a bit-identical simulated clock;
-* whole ticks of the default update-heavy mix on ``GPULSM(4096)`` and
-  ``ShardedLSM(4, 4096)``: the per-kernel aggregates of every device and
-  the simulated clocks, as literals captured on the commit before the
-  hot primitives stopped executing what they only need to account for
-  (``python tests/test_accounting_golden.py`` prints them).
+  here as the reference: identical outputs, identical ordered records
+  (every field of every ``record_kernel`` call, noted by the
+  ``recording_device`` fixture) and a bit-identical simulated clock;
+* merge, segmented sort, multisplit and segmented compaction against the
+  keys / pairs twins each was written as before they shared one body,
+  kept here as references, under the same three checks;
+* whole runs — ticks of the default update-heavy mix on ``GPULSM(4096)``
+  (key-value and key-only) and ``ShardedLSM(4, 4096)``, a partial
+  compaction plus a cleanup after them, and an insert / delete sequence
+  on the sorted-array baseline: the per-kernel aggregates of every device
+  and the simulated clocks, as literals captured on the commit before the
+  code under them was rewritten (``python tests/test_accounting_golden.py``
+  prints them).
 """
 
 import dataclasses
@@ -18,20 +24,42 @@ import pprint
 import numpy as np
 import pytest
 
+from repro.baselines.sorted_array import GPUSortedArray
 from repro.bench.wallclock import make_prefill
 from repro.bench.workloads import MixedOpConfig, make_mixed_batches
 from repro.core.lsm import GPULSM
 from repro.gpu.device import Device
 from repro.gpu.spec import K40C_SPEC
+from repro.primitives.compact import segmented_compact
 from repro.primitives.histogram import block_histograms
+from repro.primitives.merge import merge_keys, merge_pairs
+from repro.primitives.multisplit import multisplit_keys, multisplit_pairs
 from repro.primitives.radix_sort import (
     RadixSortConfig,
     radix_sort_keys,
     radix_sort_pairs,
 )
 from repro.primitives.scan import exclusive_scan
+from repro.primitives.segmented_sort import segmented_sort_keys, segmented_sort_pairs
 from repro.scale import ShardedLSM
 from repro.serve.engine import Engine
+
+
+def assert_same_run(recording_device, reference, current):
+    """``reference(device)`` and ``current(device)`` return the same arrays
+    (``None`` where a column is absent), dtypes included, make the same
+    ``record_kernel`` calls in the same order and leave the same clock."""
+    ref_device, device = recording_device(), recording_device()
+    want, got = reference(ref_device), current(device)
+    assert len(got) == len(want)
+    for got_column, want_column in zip(got, want):
+        if want_column is None:
+            assert got_column is None
+        else:
+            assert np.array_equal(got_column, want_column)
+            assert got_column.dtype == want_column.dtype
+    assert device.launches == ref_device.launches
+    assert device.simulated_seconds.hex() == ref_device.simulated_seconds.hex()
 
 
 # ---------------------------------------------------------------------- #
@@ -75,43 +103,43 @@ def reference_sort_passes(keys, values, config, device):
 BIT_RANGES = [(0, None), (1, None), (0, 31), (5, 22), (8, 16), (3, 4), (32, None)]
 
 
-def assert_sorts_like_the_literal_passes(keys, values, config):
-    ref_device, device = Device(K40C_SPEC, seed=1), Device(K40C_SPEC, seed=1)
-    ref_keys, ref_values = reference_sort_passes(keys, values, config, ref_device)
-    if values is None:
-        out_keys = radix_sort_keys(keys, config=config, device=device)
-    else:
-        out_keys, out_values = radix_sort_pairs(keys, values, config=config, device=device)
-        assert np.array_equal(out_values, ref_values)
-        assert out_values.dtype == ref_values.dtype
-    assert np.array_equal(out_keys, ref_keys)
-    assert out_keys.dtype == ref_keys.dtype
-    assert [dataclasses.astuple(k) for k in device.counter.log] == [
-        dataclasses.astuple(k) for k in ref_device.counter.log
-    ]
-    assert device.simulated_seconds.hex() == ref_device.simulated_seconds.hex()
+def assert_sorts_like_the_literal_passes(recording_device, keys, values, config):
+    def current(device):
+        if values is None:
+            return radix_sort_keys(keys, config=config, device=device), None
+        return radix_sort_pairs(keys, values, config=config, device=device)
+
+    assert_same_run(
+        recording_device,
+        lambda device: reference_sort_passes(keys, values, config, device),
+        current,
+    )
 
 
 @pytest.mark.parametrize("n", [0, 1, 255, 4096, 4097])
 @pytest.mark.parametrize("begin_bit,end_bit", BIT_RANGES)
 @pytest.mark.parametrize("digit_bits", [4, 8, 11])
 @pytest.mark.parametrize("pairs", [False, True], ids=["keys", "pairs"])
-def test_radix_sort_matches_literal_passes(pairs, digit_bits, begin_bit, end_bit, n):
+def test_radix_sort_matches_literal_passes(
+    recording_device, pairs, digit_bits, begin_bit, end_bit, n
+):
     rng = np.random.default_rng(n * 31 + digit_bits)
     keys = rng.integers(0, 1 << 32, n, dtype=np.uint64).astype(np.uint32)
     # Duplicates under most bit ranges, so stability is observable.
     keys[: n // 2] &= np.uint32(0xFFFF00FF)
     values = np.arange(n, dtype=np.uint32) if pairs else None
     assert_sorts_like_the_literal_passes(
+        recording_device,
         keys,
         values,
         RadixSortConfig(digit_bits=digit_bits, begin_bit=begin_bit, end_bit=end_bit),
     )
 
 
-def test_radix_sort_64_bit_keys_match_literal_passes():
+def test_radix_sort_64_bit_keys_match_literal_passes(recording_device):
     rng = np.random.default_rng(5)
     assert_sorts_like_the_literal_passes(
+        recording_device,
         rng.integers(0, 1 << 63, 1000, dtype=np.uint64),
         np.arange(1000, dtype=np.uint32),
         RadixSortConfig(digit_bits=11, begin_bit=7),
@@ -119,7 +147,350 @@ def test_radix_sort_64_bit_keys_match_literal_passes():
 
 
 # ---------------------------------------------------------------------- #
-# Whole-tick goldens
+# Merge, segmented sort, multisplit and segmented compaction vs the
+# keys / pairs twins they were merged from
+# ---------------------------------------------------------------------- #
+def _reference_merge_ranks(a_cmp, b_cmp):
+    a_pos = np.arange(a_cmp.size, dtype=np.int64) + np.searchsorted(
+        b_cmp, a_cmp, side="left"
+    )
+    b_pos = np.arange(b_cmp.size, dtype=np.int64) + np.searchsorted(
+        a_cmp, b_cmp, side="right"
+    )
+    return a_pos, b_pos
+
+
+def reference_merge_keys(a_keys, b_keys, key, device, kernel_name):
+    a_cmp = a_keys if key is None else key(a_keys)
+    b_cmp = b_keys if key is None else key(b_keys)
+    a_pos, b_pos = _reference_merge_ranks(a_cmp, b_cmp)
+
+    out = np.empty(a_keys.size + b_keys.size, dtype=a_keys.dtype)
+    out[a_pos] = a_keys
+    out[b_pos] = b_keys
+
+    moved = int((a_keys.nbytes + b_keys.nbytes) / 0.40)
+    device.record_kernel(
+        kernel_name,
+        coalesced_read_bytes=moved,
+        coalesced_write_bytes=moved,
+        work_items=out.size,
+        launches=2,  # partition kernel + merge kernel
+    )
+    return out
+
+
+def reference_merge_pairs(a_keys, a_values, b_keys, b_values, key, device, kernel_name):
+    a_cmp = a_keys if key is None else key(a_keys)
+    b_cmp = b_keys if key is None else key(b_keys)
+    a_pos, b_pos = _reference_merge_ranks(a_cmp, b_cmp)
+
+    out_keys = np.empty(a_keys.size + b_keys.size, dtype=a_keys.dtype)
+    out_values = np.empty(a_keys.size + b_keys.size, dtype=a_values.dtype)
+    out_keys[a_pos] = a_keys
+    out_keys[b_pos] = b_keys
+    out_values[a_pos] = a_values
+    out_values[b_pos] = b_values
+
+    moved = int(
+        (a_keys.nbytes + b_keys.nbytes + a_values.nbytes + b_values.nbytes) / 0.40
+    )
+    device.record_kernel(
+        kernel_name,
+        coalesced_read_bytes=moved,
+        coalesced_write_bytes=moved,
+        work_items=out_keys.size,
+        launches=2,
+    )
+    return out_keys, out_values
+
+
+def _reference_segment_ids(offsets, total):
+    offsets = np.asarray(offsets, dtype=np.int64)
+    ids = np.zeros(total, dtype=np.int64)
+    if total:
+        starts = offsets[(offsets > 0) & (offsets < total)]
+        np.add.at(ids, starts, 1)
+        ids = np.cumsum(ids)
+    return ids
+
+
+def reference_segmented_sort_keys(keys, segment_offsets, key, device, kernel_name):
+    seg_ids = _reference_segment_ids(segment_offsets, keys.size)
+    cmp = keys if key is None else key(keys)
+    order = np.lexsort((cmp, seg_ids)) if keys.size else np.empty(0, dtype=np.int64)
+    result = keys[order]
+
+    device.record_kernel(
+        kernel_name,
+        coalesced_read_bytes=2 * keys.nbytes,
+        coalesced_write_bytes=keys.nbytes,
+        work_items=keys.size,
+        launches=4,  # real segsort does multiple merge passes
+    )
+    return result
+
+
+def reference_segmented_sort_pairs(
+    keys, values, segment_offsets, key, device, kernel_name
+):
+    seg_ids = _reference_segment_ids(segment_offsets, keys.size)
+    cmp = keys if key is None else key(keys)
+    order = np.lexsort((cmp, seg_ids)) if keys.size else np.empty(0, dtype=np.int64)
+    sorted_keys = keys[order]
+    sorted_values = values[order]
+
+    payload = keys.nbytes + values.nbytes
+    device.record_kernel(
+        kernel_name,
+        coalesced_read_bytes=2 * payload,
+        coalesced_write_bytes=payload,
+        work_items=keys.size,
+        launches=4,
+    )
+    return sorted_keys, sorted_values
+
+
+def _reference_record_multisplit_traffic(device, payload_bytes, n, num_buckets, kernel_name):
+    num_warps = max(1, -(-n // 32))
+    hist_bytes = num_warps * num_buckets * 4
+    device.record_kernel(
+        f"{kernel_name}.histogram",
+        coalesced_read_bytes=payload_bytes,
+        coalesced_write_bytes=hist_bytes,
+        work_items=n,
+    )
+    device.record_kernel(
+        f"{kernel_name}.scatter",
+        coalesced_read_bytes=payload_bytes + hist_bytes,
+        coalesced_write_bytes=payload_bytes,
+        work_items=n,
+    )
+
+
+def reference_multisplit_keys(keys, bucket_of, num_buckets, device, kernel_name):
+    ids = np.asarray(bucket_of(keys)).astype(np.int64)
+    if ids.size and not np.any(ids != ids[0]):
+        reordered = keys.copy()
+    else:
+        order = np.argsort(ids, kind="stable")
+        reordered = keys[order]
+
+    counts = np.bincount(ids, minlength=num_buckets).astype(np.int64)
+    offsets_body, total = exclusive_scan(
+        counts, device=device, kernel_name=f"{kernel_name}.scan"
+    )
+    offsets = np.concatenate([offsets_body, [total]])
+
+    _reference_record_multisplit_traffic(
+        device, keys.nbytes, keys.size, num_buckets, kernel_name
+    )
+    return reordered, offsets
+
+
+def reference_multisplit_pairs(keys, values, bucket_of, num_buckets, device, kernel_name):
+    ids = np.asarray(bucket_of(keys)).astype(np.int64)
+    if ids.size and not np.any(ids != ids[0]):
+        reordered_keys = keys.copy()
+        reordered_values = values.copy()
+    else:
+        order = np.argsort(ids, kind="stable")
+        reordered_keys = keys[order]
+        reordered_values = values[order]
+
+    counts = np.bincount(ids, minlength=num_buckets).astype(np.int64)
+    offsets_body, total = exclusive_scan(
+        counts, device=device, kernel_name=f"{kernel_name}.scan"
+    )
+    offsets = np.concatenate([offsets_body, [total]])
+
+    _reference_record_multisplit_traffic(
+        device, keys.nbytes + values.nbytes, keys.size, num_buckets, kernel_name
+    )
+    return reordered_keys, reordered_values, offsets
+
+
+def reference_segmented_compact(keys, values, mask, segment_offsets, device, kernel_name):
+    """The flagged compaction of the key column, the per-segment offsets,
+    then the value column through the same mask as one more gather."""
+    segment_offsets = np.asarray(segment_offsets, dtype=np.int64)
+    offsets, total = exclusive_scan(
+        mask.astype(np.int64), device=device, kernel_name="compact.scan_flags"
+    )
+    out_keys = np.empty(total, dtype=keys.dtype)
+    if total:
+        out_keys[offsets[mask]] = keys[mask]
+    device.record_kernel(
+        kernel_name,
+        coalesced_read_bytes=keys.nbytes + mask.size,  # flags are 1 byte each
+        coalesced_write_bytes=out_keys.nbytes,
+        work_items=keys.size,
+    )
+
+    if keys.size:
+        prefix = np.concatenate(([0], np.cumsum(mask.astype(np.int64))))
+    else:
+        prefix = np.zeros(1, dtype=np.int64)
+    bounded = np.minimum(segment_offsets, keys.size)
+    new_offsets = np.empty(segment_offsets.size + 1, dtype=np.int64)
+    new_offsets[:-1] = prefix[bounded]
+    new_offsets[-1] = prefix[-1]
+    device.record_kernel(
+        "compact.segment_offsets",
+        coalesced_read_bytes=segment_offsets.nbytes,
+        coalesced_write_bytes=new_offsets.nbytes,
+        work_items=segment_offsets.size,
+    )
+
+    if values is None:
+        return out_keys, None, new_offsets
+    out_values = values[mask]
+    device.record_kernel(
+        f"{kernel_name}.values",
+        coalesced_read_bytes=values.nbytes + mask.size,
+        coalesced_write_bytes=out_values.nbytes,
+        work_items=int(values.size),
+    )
+    return out_keys, out_values, new_offsets
+
+
+def strip_status(words):
+    """The encoder's comparison key: the word without its status bit."""
+    return words >> words.dtype.type(1)
+
+
+SIZES = [0, 1, 255, 4096, 4097]
+columns_cases = pytest.mark.parametrize(
+    "pairs,dtype",
+    [
+        pytest.param(pairs, dtype, id=f"{'pairs' if pairs else 'keys'}-{dtype.__name__}")
+        for pairs in (False, True)
+        for dtype in (np.uint32, np.uint64)
+    ],
+)
+key_cases = pytest.mark.parametrize(
+    "key", [None, strip_status], ids=["raw", "strip_status"]
+)
+
+
+def duplicated_words(rng, n, dtype):
+    """``n`` words drawn from ``n / 2`` values: duplicates as whole words,
+    and more of them once the status bit is stripped."""
+    return rng.integers(0, max(4, n // 2), n).astype(dtype)
+
+
+def segment_starts(rng, n):
+    """Start offsets of ~``n / 16`` segments, empty ones among them."""
+    return np.concatenate(
+        ([0], np.sort(rng.integers(0, n + 1, n // 16 + 2)))
+    ).astype(np.int64)
+
+
+@pytest.mark.parametrize("n", SIZES)
+@key_cases
+@columns_cases
+def test_merge_matches_the_keys_and_pairs_twins(recording_device, pairs, dtype, key, n):
+    rng = np.random.default_rng(n + 1)
+    sides = []
+    for size in (n, n // 3 + 2):
+        words = duplicated_words(rng, size, dtype)
+        words = words[np.argsort(words if key is None else key(words), kind="stable")]
+        sides.append((words, np.arange(size, dtype=np.uint32) if pairs else None))
+    (a_keys, a_values), (b_keys, b_values) = sides
+    if pairs:
+        assert_same_run(
+            recording_device,
+            lambda d: reference_merge_pairs(a_keys, a_values, b_keys, b_values, key, d, "m"),
+            lambda d: merge_pairs(
+                a_keys, a_values, b_keys, b_values, key=key, device=d, kernel_name="m"
+            ),
+        )
+    else:
+        assert_same_run(
+            recording_device,
+            lambda d: (reference_merge_keys(a_keys, b_keys, key, d, "m"),),
+            lambda d: (merge_keys(a_keys, b_keys, key=key, device=d, kernel_name="m"),),
+        )
+
+
+@pytest.mark.parametrize("n", SIZES)
+@key_cases
+@columns_cases
+def test_segmented_sort_matches_the_keys_and_pairs_twins(
+    recording_device, pairs, dtype, key, n
+):
+    rng = np.random.default_rng(n + 2)
+    keys = duplicated_words(rng, n, dtype)
+    values = np.arange(n, dtype=np.uint32)
+    offsets = segment_starts(rng, n)
+    if pairs:
+        assert_same_run(
+            recording_device,
+            lambda d: reference_segmented_sort_pairs(keys, values, offsets, key, d, "s"),
+            lambda d: segmented_sort_pairs(
+                keys, values, offsets, key=key, device=d, kernel_name="s"
+            ),
+        )
+    else:
+        assert_same_run(
+            recording_device,
+            lambda d: (reference_segmented_sort_keys(keys, offsets, key, d, "s"),),
+            lambda d: (
+                segmented_sort_keys(keys, offsets, key=key, device=d, kernel_name="s"),
+            ),
+        )
+
+
+@pytest.mark.parametrize("n", SIZES)
+@pytest.mark.parametrize("num_buckets", [1, 2, 4])
+@columns_cases
+def test_multisplit_matches_the_keys_and_pairs_twins(
+    recording_device, pairs, dtype, num_buckets, n
+):
+    rng = np.random.default_rng(n + 3)
+    keys = duplicated_words(rng, n, dtype)
+    values = np.arange(n, dtype=np.uint32)
+
+    def bucket_of(words):  # 2 buckets: the status bit, cleanup's split
+        return (words % words.dtype.type(num_buckets)).astype(np.int64)
+
+    if pairs:
+        assert_same_run(
+            recording_device,
+            lambda d: reference_multisplit_pairs(keys, values, bucket_of, num_buckets, d, "p"),
+            lambda d: multisplit_pairs(
+                keys, values, bucket_of, num_buckets=num_buckets, device=d, kernel_name="p"
+            ),
+        )
+    else:
+        assert_same_run(
+            recording_device,
+            lambda d: reference_multisplit_keys(keys, bucket_of, num_buckets, d, "p"),
+            lambda d: multisplit_keys(
+                keys, bucket_of, num_buckets=num_buckets, device=d, kernel_name="p"
+            ),
+        )
+
+
+@pytest.mark.parametrize("n", SIZES)
+@columns_cases
+def test_segmented_compact_matches_the_keys_then_values_passes(
+    recording_device, pairs, dtype, n
+):
+    rng = np.random.default_rng(n + 4)
+    keys = duplicated_words(rng, n, dtype)
+    values = np.arange(n, dtype=np.uint32) if pairs else None
+    mask = rng.random(n) < 0.6
+    offsets = segment_starts(rng, n)
+    assert_same_run(
+        recording_device,
+        lambda d: reference_segmented_compact(keys, values, mask, offsets, d, "c"),
+        lambda d: segmented_compact(keys, values, mask, offsets, device=d, kernel_name="c"),
+    )
+
+
+# ---------------------------------------------------------------------- #
+# Whole-run goldens
 # ---------------------------------------------------------------------- #
 TICK = 4096
 PREFILL_BATCHES = 7
@@ -135,11 +506,19 @@ def aggregates(device):
     }
 
 
+def accounting(devices):
+    """The devices' per-kernel aggregates and their clocks."""
+    return (
+        [aggregates(d) for d in devices],
+        [d.simulated_seconds.hex() for d in devices],
+    )
+
+
 def run_ticks(backend):
     """Seven prefill batches, then 16 default-mix ticks through the inline
     engine; returns the devices' aggregates and clocks."""
     for keys, values in make_prefill(TICK, PREFILL_BATCHES):
-        backend.insert(keys, values)
+        backend.insert(keys, None if getattr(backend, "key_only", False) else values)
     engine = Engine(backend)
     batches = make_mixed_batches(
         MixedOpConfig(num_ops=TICKS * TICK, tick_size=TICK, seed=SEED,
@@ -149,13 +528,9 @@ def run_ticks(backend):
         engine.apply(batch)
     engine.close()
     shards = getattr(backend, "shards", None)
-    devices = (
+    return accounting(
         [backend.device] if shards is None
         else [backend.router_device] + [s.device for s in shards]
-    )
-    return (
-        [aggregates(d) for d in devices],
-        [d.simulated_seconds.hex() for d in devices],
     )
 
 
@@ -165,6 +540,55 @@ def make_gpulsm():
 
 def make_sharded4():
     return ShardedLSM(4, batch_size=TICK, seed=1)
+
+
+def run_key_only_ticks():
+    """The same ticks on a key-only ``GPULSM``: every primitive takes its
+    no-value-column path."""
+    return run_ticks(
+        GPULSM(batch_size=TICK, device=Device(K40C_SPEC, seed=1), key_only=True)
+    )
+
+
+def run_maintenance():
+    """After the ticks (23 resident batches, four occupied levels): fold
+    the two smallest levels, then clean the whole structure up — the
+    multisplit, padding and redistribution no tick reaches.  Counters are
+    reset in between, so the literal holds the maintenance kernels only."""
+    lsm = make_gpulsm()
+    run_ticks(lsm)
+    lsm.device.reset_counters()
+    lsm.compact_levels(2)
+    lsm.cleanup()
+    return accounting([lsm.device])
+
+
+def run_sorted_array(key_only):
+    """Build-by-insert, an overlapping second insert (the whole-array
+    merge) and a delete batch on the sorted-array baseline."""
+    rng = np.random.default_rng(SEED)
+    array = GPUSortedArray(device=Device(K40C_SPEC, seed=1), key_only=key_only)
+    for _ in range(2):
+        keys = rng.integers(0, 3 * TICK, TICK, dtype=np.uint32)
+        array.insert(keys, None if key_only else keys * np.uint32(5))
+    array.delete(rng.integers(0, 3 * TICK, TICK, dtype=np.uint32))
+    return accounting([array.device])
+
+
+def run_sorted_array_key_only():
+    return run_sorted_array(True)
+
+
+def run_sorted_array_key_value():
+    return run_sorted_array(False)
+
+
+MORE_RUNS = (
+    run_key_only_ticks,
+    run_maintenance,
+    run_sorted_array_key_only,
+    run_sorted_array_key_value,
+)
 
 
 #: Captured on the parent commit (see the module docstring).
@@ -285,6 +709,62 @@ GOLDEN = {'make_gpulsm': ([{'api.plan.multisplit.histogram': (524288, 32768, 0, 
                     '0x1.2d9c3cf566bb9p-8', '0x1.256cafb8760f3p-8'])}
 
 
+#: The paths the two tick goldens above do not reach, captured on the
+#: commit before the keys / pairs twins of the primitives were merged.
+MORE_GOLDEN = {'run_key_only_ticks': ([{'api.plan.multisplit.histogram': (524288, 32768, 0, 0, 0, 0, 65536, 16),
+                          'api.plan.multisplit.scan': (512, 512, 0, 0, 0, 0, 64, 16),
+                          'api.plan.multisplit.scatter': (557056, 524288, 0, 0, 0, 0, 65536, 16),
+                          'api.update.canonicalise': (1149504, 1149504, 0, 0, 0, 0, 35922, 16),
+                          'compact.scan_flags': (555728, 555728, 0, 0, 0, 0, 69466, 16),
+                          'compact.segment_offsets': (39040, 39168, 0, 0, 0, 0, 4880, 16),
+                          'histogram.block_digit': (1507328, 188416, 0, 0, 0, 0, 376832, 92),
+                          'lsm.count.segmented_sort': (709336, 354668, 0, 0, 0, 0, 88667, 64),
+                          'lsm.lookup.lower_bound': (193396, 386792, 20033280, 0, 0, 0, 48349, 39),
+                          'lsm.merge_level': (3031040, 3031040, 0, 0, 0, 0, 303104, 38),
+                          'lsm.query.count_valid': (88667, 39728, 0, 0, 0, 0, 88667, 16),
+                          'lsm.query.gather': (632532, 632532, 0, 0, 0, 0, 158133, 32),
+                          'lsm.query.lower_bound': (95800, 191600, 9920928, 0, 0, 0, 23950, 78),
+                          'lsm.query.scan': (191600, 191600, 0, 0, 0, 0, 23950, 32),
+                          'lsm.query.upper_bound': (95800, 191600, 9920928, 0, 0, 0, 23950, 78),
+                          'lsm.query.validate': (632532, 158133, 0, 0, 0, 0, 158133, 32),
+                          'lsm.range.compact': (347330, 224992, 0, 0, 0, 0, 69466, 16),
+                          'lsm.range.segmented_sort': (555728, 277864, 0, 0, 0, 0, 69466, 64),
+                          'lsm.store_level': (0, 983040, 0, 0, 0, 0, 245760, 23),
+                          'radix_sort.scan': (188416, 188416, 0, 0, 0, 0, 23552, 92),
+                          'radix_sort.scatter': (1507328, 0, 0, 1507328, 0, 0, 376832, 92)}],
+                        ['0x1.75329d120f644p-8']),
+ 'run_maintenance': ([{'lsm.distribute_levels': (491520, 491520, 0, 0, 0, 0, 61440, 1),
+                       'lsm.maintenance.distribute': (65536, 65536, 0, 0, 0, 0, 8192, 1),
+                       'lsm.maintenance.mark': (409600, 102400, 0, 0, 0, 0, 102400, 2),
+                       'lsm.maintenance.merge': (2539520, 2539520, 0, 0, 0, 0, 126976, 6),
+                       'lsm.maintenance.multisplit.histogram': (819200, 25600, 0, 0, 0, 0, 102400,
+                                                                2),
+                       'lsm.maintenance.multisplit.scan': (32, 32, 0, 0, 0, 0, 4, 2),
+                       'lsm.maintenance.multisplit.scatter': (844800, 819200, 0, 0, 0, 0, 102400,
+                                                              2),
+                       'lsm.maintenance.pad': (0, 39288, 0, 0, 0, 0, 4911, 2)}],
+                     ['0x1.1c746221ee9d8p-13']),
+ 'run_sorted_array_key_only': ([{'histogram.block_digit': (196608, 24576, 0, 0, 0, 0, 49152, 12),
+                                 'radix_sort.scan': (24576, 24576, 0, 0, 0, 0, 3072, 12),
+                                 'radix_sort.scatter': (196608, 0, 0, 196608, 0, 0, 49152, 12),
+                                 'sorted_array.dedup': (60564, 51556, 0, 0, 0, 0, 15141, 3),
+                                 'sorted_array.delete.compact': (23760, 17188, 0, 0, 0, 0, 5940, 1),
+                                 'sorted_array.delete.search': (23760, 47520, 2090880, 0, 0, 0,
+                                                                5940, 1),
+                                 'sorted_array.merge': (69490, 69490, 0, 0, 0, 0, 6949, 2)}],
+                               ['0x1.2956d276d7c96p-12']),
+ 'run_sorted_array_key_value': ([{'histogram.block_digit': (196608, 24576, 0, 0, 0, 0, 49152, 12),
+                                  'radix_sort.scan': (24576, 24576, 0, 0, 0, 0, 3072, 12),
+                                  'radix_sort.scatter': (327680, 0, 0, 327680, 0, 0, 49152, 12),
+                                  'sorted_array.dedup': (60564, 51556, 0, 0, 0, 0, 15141, 3),
+                                  'sorted_array.delete.compact': (23760, 17188, 0, 0, 0, 0, 5940,
+                                                                  1),
+                                  'sorted_array.delete.search': (23760, 47520, 2090880, 0, 0, 0,
+                                                                 5940, 1),
+                                  'sorted_array.merge': (138980, 138980, 0, 0, 0, 0, 6949, 2)}],
+                                ['0x1.2e9bfbacadf60p-12'])}
+
+
 @pytest.mark.parametrize("make", [make_gpulsm, make_sharded4])
 def test_whole_tick_accounting_is_golden(make):
     per_kernel, clocks = run_ticks(make())
@@ -293,8 +773,14 @@ def test_whole_tick_accounting_is_golden(make):
     assert clocks == want_clocks
 
 
+@pytest.mark.parametrize("run", MORE_RUNS)
+def test_whole_run_accounting_is_golden(run):
+    assert run() == MORE_GOLDEN[run.__name__]
+
+
 if __name__ == "__main__":
     pprint.pprint(
         {make.__name__: run_ticks(make()) for make in (make_gpulsm, make_sharded4)},
         width=100, compact=True,
     )
+    pprint.pprint({run.__name__: run() for run in MORE_RUNS}, width=100, compact=True)

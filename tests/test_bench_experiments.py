@@ -1,8 +1,9 @@
 """Smoke and shape tests for the experiment harness (tables, figures, cleanup).
 
 These run every table/figure generator at a tiny scale and assert the
-qualitative relationships the paper reports — the same checks EXPERIMENTS.md
-documents at the larger benchmark scale.
+qualitative relationships the paper reports — the same checks the targets
+under ``benchmarks/`` make at the larger benchmark scale, whose rows are
+recorded in ``benchmarks/results/``.
 """
 
 import pytest
@@ -97,7 +98,8 @@ class TestTable3:
     def test_smaller_batches_have_lower_worst_case_lsm_rates(self, rows):
         # Smaller batches mean more occupied levels at full size, so the
         # worst-case (min) lookup rate must drop.  (The harmonic-mean column
-        # only becomes monotone at larger scales; EXPERIMENTS.md shows it.)
+        # only becomes monotone at larger scales; see
+        # benchmarks/results/table3_lookup_rates.csv.)
         mins = [r["lsm_none_min"] for r in rows[:-1]]
         assert mins[-1] <= mins[0]
 

@@ -129,3 +129,35 @@ class Test64BitEncoder:
     def test_key_bits(self):
         assert KeyEncoder(np.dtype(np.uint32)).key_bits == 32
         assert KeyEncoder(np.dtype(np.uint64)).key_bits == 64
+
+
+class TestRangeArgs:
+    def test_accepts_aligned_in_domain_bounds(self):
+        k1, k2 = DEFAULT_ENCODER.check_range_args([1, 5], [1, MAX_KEY])
+        assert list(k1) == [1, 5] and list(k2) == [1, MAX_KEY]
+        assert DEFAULT_ENCODER.check_range_args([], [])[0].size == 0
+
+    @pytest.mark.parametrize(
+        "k1,k2,message",
+        [
+            ([[1]], [[2]], "one-dimensional and equally long"),
+            ([1, 2], [3], "one-dimensional and equally long"),
+            ([5], [4], "k1 <= k2"),
+            ([-1], [4], "range bounds must be non-negative"),
+            ([1], [MAX_KEY + 1], "range bounds exceed the 31-bit"),
+        ],
+    )
+    def test_every_range_surface_rejects_alike(self, k1, k2, message):
+        from repro.core.lsm import GPULSM
+        from repro.scale import ShardedLSM
+
+        sharded = ShardedLSM(2, batch_size=4)
+        for check in (
+            DEFAULT_ENCODER.check_range_args,
+            GPULSM(batch_size=4).count,
+            GPULSM(batch_size=4).range_query,
+            sharded.count,
+            sharded.range_query,
+        ):
+            with pytest.raises(ValueError, match=message):
+                check(np.array(k1), np.array(k2))

@@ -17,85 +17,67 @@ class TestKernelStats:
         assert s.random_bytes == 6
         assert s.total_bytes == 36
 
-    def test_merge_accumulates(self):
-        a = KernelStats("k", coalesced_read_bytes=10, work_items=3, launches=1)
-        b = KernelStats("k", coalesced_read_bytes=20, work_items=4, launches=2)
-        m = a.merge(b)
-        assert m.coalesced_read_bytes == 30
-        assert m.work_items == 7
-        assert m.launches == 3
-        assert m.name == "k"
-
-    def test_scaled(self):
-        s = KernelStats("k", coalesced_read_bytes=100, random_write_bytes=50,
-                        work_items=10)
-        t = s.scaled(2.0)
-        assert t.coalesced_read_bytes == 200
-        assert t.random_write_bytes == 100
-        assert t.work_items == 20
-
 
 class TestTrafficCounter:
     def test_record_updates_totals(self):
         c = TrafficCounter()
-        c.record(KernelStats("a", coalesced_read_bytes=100, launches=2))
-        c.record(KernelStats("b", random_read_bytes=50))
+        c.record("a", coalesced_read_bytes=100, launches=2)
+        c.record("b", random_read_bytes=50)
         assert c.total_coalesced_bytes == 100
         assert c.total_random_bytes == 50
         assert c.total_launches == 3
-        assert len(c) == 2
+        assert sorted(c.per_kernel) == ["a", "b"]
 
     def test_per_kernel_aggregation(self):
         c = TrafficCounter()
-        c.record(KernelStats("a", coalesced_read_bytes=10))
-        c.record(KernelStats("a", coalesced_read_bytes=15))
-        assert c.per_kernel["a"].coalesced_read_bytes == 25
+        c.record("a", coalesced_read_bytes=10)
+        c.record("a", coalesced_read_bytes=15)
+        assert c.per_kernel["a"] == KernelStats(
+            "a", coalesced_read_bytes=25, launches=2
+        )
 
     def test_snapshot_difference(self):
         c = TrafficCounter()
-        c.record(KernelStats("a", coalesced_read_bytes=10))
+        c.record("a", coalesced_read_bytes=10)
         snap = c.snapshot()
-        c.record(KernelStats("b", coalesced_read_bytes=30, launches=4))
+        c.record("b", coalesced_read_bytes=30, launches=4)
         delta = c.since(snap)
         assert delta.coalesced_bytes == 30
         assert delta.launches == 4
-        assert delta.log_length == 1
-
-    def test_kernels_since(self):
-        c = TrafficCounter()
-        c.record(KernelStats("a"))
-        snap = c.snapshot()
-        c.record(KernelStats("b"))
-        c.record(KernelStats("c"))
-        names = [k.name for k in c.kernels_since(snap)]
-        assert names == ["b", "c"]
 
     def test_reset(self):
         c = TrafficCounter()
-        c.record(KernelStats("a", coalesced_read_bytes=10))
+        c.record("a", coalesced_read_bytes=10)
         c.reset()
         assert c.total_bytes == 0
-        assert len(c) == 0
+        assert c.total_launches == 0
         assert not c.per_kernel
+
+
+def streaming_seconds(model, nbytes, launches=1):
+    """Simulated seconds to stream ``nbytes`` coalesced."""
+    return model.cost_of(
+        KernelStats("k", coalesced_read_bytes=nbytes, launches=launches)
+    ).seconds
 
 
 class TestCostModel:
     def test_coalesced_cheaper_than_random(self):
         model = CostModel(K40C_SPEC)
-        coalesced = model.streaming_time(1 << 20)
-        random = model.random_time(1 << 20)
+        coalesced = streaming_seconds(model, 1 << 20)
+        random = model.cost_of(KernelStats("k", random_read_bytes=1 << 20)).seconds
         assert coalesced < random
 
     def test_cost_scales_linearly_with_bytes(self):
         model = CostModel(K40C_SPEC)
-        small = model.streaming_time(1 << 20, launches=0)
-        big = model.streaming_time(1 << 22, launches=0)
+        small = streaming_seconds(model, 1 << 20, launches=0)
+        big = streaming_seconds(model, 1 << 22, launches=0)
         assert big == pytest.approx(4 * small)
 
     def test_launch_overhead_additive(self):
         model = CostModel(K40C_SPEC)
-        none = model.streaming_time(1 << 20, launches=0)
-        one = model.streaming_time(1 << 20, launches=1)
+        none = streaming_seconds(model, 1 << 20, launches=0)
+        one = streaming_seconds(model, 1 << 20, launches=1)
         assert one - none == pytest.approx(K40C_SPEC.kernel_launch_overhead_s)
 
     def test_cost_breakdown_sums(self):
@@ -108,15 +90,15 @@ class TestCostModel:
             cost.launch_seconds + cost.coalesced_seconds + cost.random_seconds
         )
 
-    def test_cost_of_many_equals_sum(self):
+    def test_clock_seconds_are_the_cost_seconds(self):
         model = CostModel(K40C_SPEC)
-        records = [
-            KernelStats("a", coalesced_read_bytes=1 << 18),
-            KernelStats("b", random_write_bytes=1 << 15, launches=2),
-        ]
-        total = model.cost_of_many(records)
-        manual = model.cost_of(records[0]) + model.cost_of(records[1])
-        assert total.seconds == pytest.approx(manual.seconds)
+        stats = KernelStats(
+            "k", coalesced_write_bytes=1 << 18, random_write_bytes=1 << 15,
+            filter_read_bytes=1 << 10, launches=2,
+        )
+        assert model.seconds(
+            stats.launches, stats.coalesced_bytes, stats.random_bytes, stats.filter_bytes
+        ).hex() == model.cost_of(stats).seconds.hex()
 
     def test_rate_helper(self):
         assert CostModel.rate_m_per_s(1_000_000, 1.0) == pytest.approx(1.0)
@@ -130,9 +112,9 @@ class TestCostModel:
         fast = GPUSpec(dram_bandwidth_gbs=1000.0)
         slow = GPUSpec(dram_bandwidth_gbs=100.0)
         nbytes = 1 << 24
-        assert CostModel(fast).streaming_time(nbytes, launches=0) < CostModel(
-            slow
-        ).streaming_time(nbytes, launches=0)
+        assert streaming_seconds(CostModel(fast), nbytes, launches=0) < streaming_seconds(
+            CostModel(slow), nbytes, launches=0
+        )
 
 
 class TestProfiler:
@@ -152,9 +134,9 @@ class TestProfiler:
             device.record_kernel("k", coalesced_read_bytes=100)
         with device.timed_region("second", items=1):
             device.record_kernel("k", coalesced_read_bytes=300)
-        first, second = device.profiler.records
-        assert first.coalesced_bytes == 100
-        assert second.coalesced_bytes == 300
+        regions = device.profiler.by_name()
+        assert regions["first"].coalesced_bytes == 100
+        assert regions["second"].coalesced_bytes == 300
 
     def test_total_seconds_prefix_filter(self, device):
         with device.timed_region("lsm.insert", items=1):
@@ -170,10 +152,16 @@ class TestProfiler:
             device.record_kernel("k", coalesced_read_bytes=1 << 10)
         rows = device.profiler.summary_rows()
         assert rows[0]["region"] == "op"
+        assert rows[0]["calls"] == 1
         assert rows[0]["items"] == 10
 
     def test_by_name_groups(self, device):
         for _ in range(3):
-            with device.timed_region("op"):
+            with device.timed_region("op", items=2):
                 device.record_kernel("k", coalesced_read_bytes=1)
-        assert len(device.profiler.by_name()["op"]) == 3
+        total = device.profiler.by_name()["op"]
+        assert (total.calls, total.items, total.coalesced_bytes, total.launches) == (
+            3, 6, 3, 3
+        )
+        assert device.profiler.last.calls == 1
+        assert len(device.profiler.summary_rows()) == 1

@@ -1,11 +1,9 @@
-"""Unit tests for launch geometry and warp-wide primitives."""
+"""Unit tests for the kernel launch configuration."""
 
-import numpy as np
 import pytest
 
 from repro.gpu.errors import LaunchConfigurationError
-from repro.gpu.launch import LaunchConfig, make_grid, warps_for
-from repro.gpu import warp
+from repro.gpu.launch import LaunchConfig
 
 
 class TestLaunchConfig:
@@ -20,113 +18,3 @@ class TestLaunchConfig:
     def test_rejects_zero_items_per_thread(self):
         with pytest.raises(LaunchConfigurationError):
             LaunchConfig(items_per_thread=0)
-
-
-class TestMakeGrid:
-    def test_exact_tile_multiple(self):
-        grid = make_grid(2048, LaunchConfig(block_size=256, items_per_thread=4))
-        assert grid.num_blocks == 2
-        assert grid.num_threads == 512
-
-    def test_rounds_up_partial_tile(self):
-        grid = make_grid(1025, LaunchConfig(block_size=256, items_per_thread=4))
-        assert grid.num_blocks == 2
-
-    def test_zero_items_still_one_block(self):
-        grid = make_grid(0)
-        assert grid.num_blocks == 1
-
-    def test_rejects_negative_items(self):
-        with pytest.raises(LaunchConfigurationError):
-            make_grid(-1)
-
-    def test_rejects_oversized_block(self):
-        with pytest.raises(LaunchConfigurationError):
-            make_grid(10, LaunchConfig(block_size=2048))
-
-    def test_saturation_flag(self):
-        small = make_grid(128)
-        huge = make_grid(1 << 22)
-        assert not small.is_saturating
-        assert huge.is_saturating
-
-    def test_warp_count(self):
-        grid = make_grid(1024, LaunchConfig(block_size=256, items_per_thread=1))
-        assert grid.num_warps == 1024 // 32
-
-    def test_warps_for(self):
-        assert warps_for(0) == 1
-        assert warps_for(1) == 1
-        assert warps_for(33) == 2
-        with pytest.raises(LaunchConfigurationError):
-            warps_for(-1)
-
-
-class TestWarpPrimitives:
-    def test_pad_to_warps_shape(self):
-        padded, n = warp.pad_to_warps(np.arange(40))
-        assert padded.shape == (2, 32)
-        assert n == 40
-
-    def test_pad_to_warps_preserves_values(self):
-        padded, n = warp.pad_to_warps(np.arange(5), fill_value=0)
-        assert list(padded.reshape(-1)[:5]) == [0, 1, 2, 3, 4]
-        assert np.all(padded.reshape(-1)[5:] == 0)
-
-    def test_ballot_bits(self):
-        pred = np.zeros((1, 32), dtype=bool)
-        pred[0, 0] = True
-        pred[0, 5] = True
-        mask = warp.ballot(pred)
-        assert mask[0] == (1 | (1 << 5))
-
-    def test_ballot_all_set(self):
-        pred = np.ones((1, 32), dtype=bool)
-        assert warp.ballot(pred)[0] == np.uint64(0xFFFFFFFF)
-
-    def test_ballot_rejects_bad_shape(self):
-        with pytest.raises(ValueError):
-            warp.ballot(np.ones((1, 16), dtype=bool))
-
-    def test_popc_matches_ballot(self, rng):
-        pred = rng.random((4, 32)) < 0.5
-        masks = warp.ballot(pred)
-        counts = warp.popc(masks)
-        assert np.array_equal(counts, pred.sum(axis=1))
-
-    def test_lane_and_warp_id(self):
-        lanes = warp.lane_id(70)
-        warps = warp.warp_id(70)
-        assert lanes[0] == 0 and lanes[33] == 1
-        assert warps[0] == 0 and warps[64] == 2
-
-    def test_shfl_up_shifts(self):
-        vals = np.arange(32).reshape(1, 32)
-        out = warp.shfl_up(vals, 1, fill_value=-1)
-        assert out[0, 0] == -1
-        assert out[0, 1] == 0
-        assert out[0, 31] == 30
-
-    def test_shfl_up_zero_delta_identity(self):
-        vals = np.arange(32).reshape(1, 32)
-        assert np.array_equal(warp.shfl_up(vals, 0), vals)
-
-    def test_shfl_up_rejects_bad_delta(self):
-        vals = np.zeros((1, 32))
-        with pytest.raises(ValueError):
-            warp.shfl_up(vals, 32)
-
-    def test_warp_inclusive_scan_matches_cumsum(self, rng):
-        vals = rng.integers(0, 10, (3, 32))
-        scanned = warp.warp_inclusive_scan(vals)
-        assert np.array_equal(scanned, np.cumsum(vals, axis=1))
-
-    def test_warp_exclusive_scan_matches_cumsum(self, rng):
-        vals = rng.integers(0, 10, (2, 32))
-        scanned = warp.warp_exclusive_scan(vals)
-        expected = np.cumsum(vals, axis=1) - vals
-        assert np.array_equal(scanned, expected)
-
-    def test_warp_reduce_matches_sum(self, rng):
-        vals = rng.integers(0, 100, (5, 32))
-        assert np.array_equal(warp.warp_reduce(vals), vals.sum(axis=1))

@@ -14,7 +14,7 @@ from repro.primitives.compact import compact
 from repro.primitives.merge import merge_keys, merge_pairs
 from repro.primitives.multisplit import multisplit_keys
 from repro.primitives.radix_sort import radix_sort_keys, radix_sort_pairs
-from repro.primitives.scan import exclusive_scan, segmented_exclusive_scan
+from repro.primitives.scan import exclusive_scan
 from repro.primitives.search import lower_bound, upper_bound
 from repro.primitives.segmented_sort import segmented_sort_keys
 
@@ -99,20 +99,6 @@ class TestScanProperties:
         assert total == vals.sum()
         for i in range(vals.size):
             assert scanned[i] == vals[:i].sum()
-
-    @SETTINGS
-    @given(vals=st.lists(st.integers(min_value=0, max_value=100),
-                         min_size=1, max_size=200),
-           num_segments=st.integers(min_value=1, max_value=5))
-    def test_segmented_scan_matches_per_segment_scan(self, vals, num_segments):
-        vals = np.asarray(vals, dtype=np.int64)
-        bounds = np.linspace(0, vals.size, num_segments + 1).astype(np.int64)[:-1]
-        out = segmented_exclusive_scan(vals, bounds, device=_dev())
-        ends = np.concatenate([bounds[1:], [vals.size]])
-        for s, e in zip(bounds, ends):
-            seg = vals[s:e]
-            expected = np.concatenate(([0], np.cumsum(seg)[:-1])) if seg.size else seg
-            assert np.array_equal(out[s:e], expected)
 
 
 class TestSearchProperties:

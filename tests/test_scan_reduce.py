@@ -1,14 +1,9 @@
-"""Unit tests for scans and reductions (repro.primitives.scan / reduce)."""
+"""Unit tests for the exclusive scan (repro.primitives.scan)."""
 
 import numpy as np
 import pytest
 
-from repro.primitives.reduce import device_reduce, segmented_reduce
-from repro.primitives.scan import (
-    exclusive_scan,
-    inclusive_scan,
-    segmented_exclusive_scan,
-)
+from repro.primitives.scan import exclusive_scan
 
 
 class TestExclusiveScan:
@@ -43,103 +38,3 @@ class TestExclusiveScan:
         before = device.snapshot()
         exclusive_scan(vals, device=device)
         assert device.counter.since(before).total_bytes >= vals.nbytes
-
-
-class TestInclusiveScan:
-    def test_matches_cumsum(self, device, rng):
-        vals = rng.integers(0, 50, 512)
-        assert np.array_equal(inclusive_scan(vals, device=device), np.cumsum(vals))
-
-    def test_relation_to_exclusive(self, device, rng):
-        vals = rng.integers(0, 50, 128)
-        inc = inclusive_scan(vals, device=device)
-        exc, _ = exclusive_scan(vals, device=device)
-        assert np.array_equal(inc - vals, exc)
-
-
-class TestSegmentedExclusiveScan:
-    def test_restarts_at_segments(self, device):
-        vals = np.array([1, 2, 3, 10, 20, 5])
-        offsets = np.array([0, 3, 5])
-        out = segmented_exclusive_scan(vals, offsets, device=device)
-        assert list(out) == [0, 1, 3, 0, 10, 0]
-
-    def test_single_segment_equals_exclusive(self, device, rng):
-        vals = rng.integers(0, 10, 64)
-        out = segmented_exclusive_scan(vals, np.array([0]), device=device)
-        expected, _ = exclusive_scan(vals, device=device)
-        assert np.array_equal(out, expected)
-
-    def test_empty_values(self, device):
-        out = segmented_exclusive_scan(np.zeros(0, dtype=np.int64), np.zeros(0),
-                                       device=device)
-        assert out.size == 0
-
-    def test_rejects_unsorted_offsets(self, device):
-        with pytest.raises(ValueError):
-            segmented_exclusive_scan(np.arange(4), np.array([0, 3, 2]), device=device)
-
-    def test_rejects_offsets_not_starting_at_zero(self, device):
-        with pytest.raises(ValueError):
-            segmented_exclusive_scan(np.arange(4), np.array([1, 2]), device=device)
-
-    def test_empty_middle_segment(self, device):
-        vals = np.array([4, 5, 6])
-        offsets = np.array([0, 2, 2])  # second segment empty
-        out = segmented_exclusive_scan(vals, offsets, device=device)
-        assert list(out) == [0, 4, 0]
-
-
-class TestDeviceReduce:
-    def test_sum(self, device, rng):
-        vals = rng.integers(0, 1000, 333)
-        assert device_reduce(vals, "sum", device=device) == vals.sum()
-
-    def test_max_min(self, device, rng):
-        vals = rng.integers(0, 1000, 100)
-        assert device_reduce(vals, "max", device=device) == vals.max()
-        assert device_reduce(vals, "min", device=device) == vals.min()
-
-    def test_empty_sum_is_zero(self, device):
-        assert device_reduce(np.zeros(0), "sum", device=device) == 0
-
-    def test_empty_max_raises(self, device):
-        with pytest.raises(ValueError):
-            device_reduce(np.zeros(0), "max", device=device)
-
-    def test_unknown_op_raises(self, device):
-        with pytest.raises(ValueError):
-            device_reduce(np.arange(4), "prod", device=device)
-
-
-class TestSegmentedReduce:
-    def test_segment_sums(self, device):
-        vals = np.array([1, 2, 3, 4, 5, 6])
-        offsets = np.array([0, 2, 5])
-        out = segmented_reduce(vals, offsets, "sum", device=device)
-        assert list(out) == [3, 12, 6]
-
-    def test_empty_segment_sums_to_zero(self, device):
-        vals = np.array([1, 2, 3])
-        offsets = np.array([0, 0, 3])
-        out = segmented_reduce(vals, offsets, "sum", device=device)
-        assert list(out) == [0, 6, 0]
-
-    def test_segment_max(self, device):
-        vals = np.array([5, 1, 9, 2])
-        offsets = np.array([0, 2])
-        out = segmented_reduce(vals, offsets, "max", device=device)
-        assert list(out) == [5, 9]
-
-    def test_empty_segment_max_raises(self, device):
-        with pytest.raises(ValueError):
-            segmented_reduce(np.array([1]), np.array([0, 1]), "max", device=device)
-
-    def test_matches_manual_loop(self, device, rng):
-        vals = rng.integers(0, 100, 200)
-        offsets = np.sort(rng.choice(np.arange(1, 200), 9, replace=False))
-        offsets = np.concatenate(([0], offsets))
-        out = segmented_reduce(vals, offsets, "sum", device=device)
-        ends = np.concatenate((offsets[1:], [200]))
-        expected = [vals[s:e].sum() for s, e in zip(offsets, ends)]
-        assert list(out) == expected

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.primitives.search import lower_bound, sorted_search, upper_bound
+from repro.primitives.search import lower_bound, upper_bound
 
 
 class TestLowerBound:
@@ -71,27 +71,3 @@ class TestUpperBound:
         hi = upper_bound(hay, k2, device=device)
         expected = np.count_nonzero((hay >= 20) & (hay <= 40))
         assert (hi - lo)[0] == expected
-
-
-class TestSortedSearch:
-    def test_matches_lower_bound(self, device, rng):
-        hay = np.sort(rng.integers(0, 1000, 300, dtype=np.uint32))
-        needles = np.sort(rng.integers(0, 1000, 100, dtype=np.uint32))
-        assert np.array_equal(
-            sorted_search(needles, hay, device=device),
-            np.searchsorted(hay, needles, side="left"),
-        )
-
-    def test_rejects_unsorted_needles(self, device):
-        with pytest.raises(ValueError):
-            sorted_search(np.array([5, 1], dtype=np.uint32),
-                          np.array([1, 2], dtype=np.uint32), device=device)
-
-    def test_bulk_traffic_is_coalesced(self, device):
-        hay = np.arange(1 << 12, dtype=np.uint32)
-        needles = np.arange(0, 1 << 12, 4, dtype=np.uint32)
-        before = device.snapshot()
-        sorted_search(needles, hay, device=device)
-        delta = device.counter.since(before)
-        assert delta.random_bytes == 0
-        assert delta.coalesced_bytes > 0

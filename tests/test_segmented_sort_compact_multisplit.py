@@ -3,12 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.primitives.compact import (
-    compact,
-    partition_two_way,
-    segmented_compact,
-    select_if,
-)
+from repro.primitives.compact import compact, segmented_compact
 from repro.primitives.histogram import block_histograms, digit_histogram
 from repro.primitives.multisplit import multisplit_keys, multisplit_pairs
 from repro.primitives.segmented_sort import segmented_sort_keys, segmented_sort_pairs
@@ -76,23 +71,13 @@ class TestCompact:
         with pytest.raises(ValueError):
             compact(np.arange(4), np.ones(3, dtype=bool), device=device)
 
-    def test_select_if(self, device):
-        vals = np.arange(20, dtype=np.uint32)
-        out = select_if(vals, lambda v: v > 15, device=device)
-        assert list(out) == [16, 17, 18, 19]
-
-    def test_partition_two_way(self, device):
-        vals = np.arange(10, dtype=np.uint32)
-        flags = vals % 2 == 0
-        sel, rej = partition_two_way(vals, flags, device=device)
-        assert list(sel) == [0, 2, 4, 6, 8]
-        assert list(rej) == [1, 3, 5, 7, 9]
-
     def test_segmented_compact_offsets(self, device):
         vals = np.array([1, 2, 3, 4, 5, 6], dtype=np.uint32)
         flags = np.array([True, False, True, True, False, False])
         seg_offsets = np.array([0, 3])
-        out, new_offsets = segmented_compact(vals, flags, seg_offsets, device=device)
+        out, _, new_offsets = segmented_compact(
+            vals, None, flags, seg_offsets, device=device
+        )
         assert list(out) == [1, 3, 4]
         assert list(new_offsets) == [0, 2, 3]
 
@@ -100,7 +85,9 @@ class TestCompact:
         vals = np.array([1, 2, 3, 4], dtype=np.uint32)
         flags = np.array([False, False, True, True])
         seg_offsets = np.array([0, 2])
-        out, new_offsets = segmented_compact(vals, flags, seg_offsets, device=device)
+        out, _, new_offsets = segmented_compact(
+            vals, None, flags, seg_offsets, device=device
+        )
         assert list(out) == [3, 4]
         assert list(new_offsets) == [0, 0, 2]
 
