@@ -44,10 +44,6 @@ class LSMConfig:
     validate_invariants:
         When true, the building invariants of Section III-D are re-checked
         after every update (slow; meant for tests).
-    track_stale_statistics:
-        When true, the LSM keeps counters of how many tombstones and
-        replaced elements it is carrying, which the cleanup policy helpers
-        and the benchmark harness report.
     enable_fences:
         Query-acceleration knob: keep a per-level fence pair (min/max
         resident original key) and skip any level a query — or a COUNT /
@@ -90,7 +86,6 @@ class LSMConfig:
     value_dtype: np.dtype = np.dtype(np.uint32)
     max_levels: int = 32
     validate_invariants: bool = False
-    track_stale_statistics: bool = True
     enable_fences: bool = False
     bloom_bits_per_key: int = 0
     sort_queries: bool = False

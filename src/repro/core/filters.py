@@ -34,13 +34,24 @@ dedicated ``FILTER`` kernel class (:class:`repro.gpu.cost_model.AccessPattern`)
 in L2, cheaper than full 32-byte random transactions but short of
 streaming.  Filter memory is owned by the level (and therefore counted in
 ``memory_usage_bytes``).
+
+Execution is separate from that accounting.  The modelled probe kernel
+hashes in registers and stops a query at its first unset bit; the modelled
+build kernel is one fused pass.  The host computes the same bit arrays and
+the same verdicts the cheapest way it can — the two double-hashing hashes
+once per key per batch (:meth:`BloomFilter.hash_keys`, shared by every
+level a lookup visits), all ``k`` bits of a query block tested in one
+broadcast, the build through a byte scratch packed into words — and
+derives what the early-exiting kernel would have read in closed form, so
+every record is the one the literal per-hash loops produced
+(``tests/test_accounting_golden.py`` keeps those loops as the reference).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
-from typing import Dict, Optional
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
@@ -48,6 +59,12 @@ from repro.gpu.device import Device
 
 #: Bytes touched per Bloom bit probe: one 64-bit word of the bit array.
 FILTER_PROBE_WORD_BYTES = 8
+
+#: Queries per block of :meth:`BloomFilter.maybe_contains`'s ``k × block``
+#: position matrix: a serving tick is one block, and a large batch (a
+#: final-state check, a bulk benchmark) keeps a cache-sized transient
+#: instead of one that grows with it.
+_PROBE_BLOCK = 4096
 
 #: splitmix64 finalizer constants (public-domain mixing function); the
 #: same per-key mix a real GPU filter kernel computes in registers.
@@ -57,14 +74,14 @@ _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 
 
 def _splitmix64(x: np.ndarray) -> np.ndarray:
-    """Vectorised splitmix64 finalizer over a uint64 array."""
-    with np.errstate(over="ignore"):
-        x = x + _GOLDEN
-        x ^= x >> np.uint64(30)
-        x *= _MIX_MUL_1
-        x ^= x >> np.uint64(27)
-        x *= _MIX_MUL_2
-        x ^= x >> np.uint64(31)
+    """Vectorised splitmix64 finalizer over a uint64 array (array integer
+    arithmetic wraps modulo 2**64 silently, which is the intent)."""
+    x = x + _GOLDEN
+    x ^= x >> np.uint64(30)
+    x *= _MIX_MUL_1
+    x ^= x >> np.uint64(27)
+    x *= _MIX_MUL_2
+    x ^= x >> np.uint64(31)
     return x
 
 
@@ -79,11 +96,14 @@ class BloomFilter:
     """A vectorised Bloom filter over original (decoded) keys.
 
     The bit array is stored as 64-bit words; positions are derived by
-    double hashing (``pos_i = (h1 + i·h2) mod m``), the standard
-    construction that preserves the false-positive bound with two
-    independent hashes.  Queries early-exit at the first unset bit exactly
-    like the real probe kernel, and the recorded filter traffic reflects
-    the probes actually made.
+    double hashing (``pos_i = (h1 + i·h2) mod m``), the construction that
+    preserves the false-positive bound with two hashes per key (Kirsch &
+    Mitzenmacher, "Less Hashing, Same Performance", ESA 2006).
+
+    The *device* probe kernel early-exits a query at its first unset bit,
+    and the recorded filter traffic is that many word reads; the *host*
+    tests all ``k`` bits at once and derives that count from the bit
+    matrix (see the module docstring).
     """
 
     def __init__(self, num_bits: int, num_hashes: int) -> None:
@@ -102,51 +122,78 @@ class BloomFilter:
     # ------------------------------------------------------------------ #
     # Hashing
     # ------------------------------------------------------------------ #
-    def _positions(self, keys: np.ndarray, i: int) -> np.ndarray:
-        """Bit positions of hash ``i`` for every key (double hashing)."""
-        k = np.asarray(keys).astype(np.uint64)
-        h1 = _splitmix64(k)
-        h2 = _splitmix64(k ^ _MIX_MUL_1) | np.uint64(1)
-        with np.errstate(over="ignore"):
-            pos = h1 + np.uint64(i) * h2
-        return (pos % np.uint64(self.num_bits)).astype(np.int64)
+    @staticmethod
+    def hash_keys(keys: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """The two double-hashing hashes ``(h1, h2)`` of every key.
+
+        They depend on the key alone — not on a filter's size or hash
+        count — so a lookup batch is hashed once and every level's filter
+        is handed the subset it still has pending.  ``h2`` is forced odd,
+        so the step between a key's positions is never zero.
+        """
+        k = np.asarray(keys).astype(np.uint64, copy=False)
+        return _splitmix64(k), _splitmix64(k ^ _MIX_MUL_1) | np.uint64(1)
+
+    def _reduce(self, pos: np.ndarray) -> np.ndarray:
+        """``pos mod num_bits``, written as ``pos − ⌊pos / m⌋·m`` because
+        numpy divides by a scalar several times faster than it takes a
+        remainder."""
+        m = np.uint64(self.num_bits)
+        quotient = pos // m
+        quotient *= m
+        return np.subtract(pos, quotient, out=quotient)
 
     # ------------------------------------------------------------------ #
     # Build / probe
     # ------------------------------------------------------------------ #
     def add(self, keys: np.ndarray) -> None:
         """Set the ``num_hashes`` bits of every key (no traffic recorded —
-        the caller accounts the build as one fused kernel)."""
-        for i in range(self.num_hashes):
-            pos = self._positions(keys, i)
-            np.bitwise_or.at(
-                self.words, pos >> 6, np.uint64(1) << (pos & 63).astype(np.uint64)
-            )
+        the caller accounts the build as one fused kernel).
+
+        One hash pass, then ``k`` steps of ``pos += h2`` marking a byte
+        per bit, packed into the words at the end: the transient is the
+        byte scratch plus O(n) positions, never a ``k × n`` matrix.
+        """
+        pos, h2 = self.hash_keys(keys)
+        scratch = np.zeros(self.words.size * 64, dtype=bool)
+        for _ in range(self.num_hashes):
+            # (Viewed as int64 — positions are far below 2**63 — an index
+            # spares fancy indexing a cast per element.)
+            scratch[self._reduce(pos).view(np.int64)] = True
+            pos += h2
+        self.words |= np.packbits(scratch, bitorder="little").view("<u8")
 
     def maybe_contains(
         self,
         keys: np.ndarray,
         device: Optional[Device] = None,
         kernel_name: str = "filters.bloom_probe",
+        hashes: Optional[Tuple[np.ndarray, np.ndarray]] = None,
     ) -> np.ndarray:
         """Boolean mask: False means *definitely absent*, True means maybe.
 
-        Probes early-exit at the first unset bit; the traffic recorded is
-        the number of word reads actually performed, charged as filter
-        probes.
+        ``hashes`` is :meth:`hash_keys` of ``keys`` when the caller has
+        already computed it (a lookup hashes its batch once for all
+        levels).  The traffic recorded is the number of word reads the
+        early-exiting device kernel performs — per query, up to and
+        including its first unset bit — charged as filter probes.
         """
         keys = np.asarray(keys)
         n = keys.size
-        maybe = np.ones(n, dtype=bool)
-        probes_made = 0
-        for i in range(self.num_hashes):
-            live = np.flatnonzero(maybe)
-            if live.size == 0:
-                break
-            probes_made += live.size
-            pos = self._positions(keys[live], i)
-            bits = (self.words[pos >> 6] >> (pos & 63).astype(np.uint64)) & np.uint64(1)
-            maybe[live[bits == 0]] = False
+        h1, h2 = self.hash_keys(keys) if hashes is None else hashes
+        steps = np.arange(self.num_hashes, dtype=np.uint64)[:, np.newaxis]
+        maybe = np.empty(n, dtype=bool)
+        probes_made = n
+        for lo in range(0, n, _PROBE_BLOCK):
+            block = slice(lo, lo + _PROBE_BLOCK)
+            pos = self._reduce(h1[block] + steps * h2[block])  # k × block
+            words = self.words[(pos >> np.uint64(6)).view(np.int64)]
+            bits = (words >> (pos & np.uint64(63))) & np.uint64(1)
+            # Row i holds the queries still probing after hash i: the device
+            # kernel reads hash 0 for all n and hash i + 1 only for those.
+            alive = np.logical_and.accumulate(bits.astype(bool), axis=0)
+            maybe[block] = alive[-1]
+            probes_made += int(np.count_nonzero(alive[:-1]))
         if device is not None and n:
             device.record_kernel(
                 kernel_name,

@@ -31,7 +31,7 @@ from repro.core import maintenance as maintenance_mod
 from repro.core.batch import UpdateBatch, build_update_batch
 from repro.core.config import LSMConfig
 from repro.core.encoding import KeyEncoder, STATUS_REGULAR
-from repro.core.filters import FilterStatsCounter, LevelFilters
+from repro.core.filters import BloomFilter, FilterStatsCounter, LevelFilters
 from repro.core.maintenance import MaintenanceStatsCounter
 from repro.core.level import Level
 from repro.core.run import SortedRun
@@ -643,7 +643,11 @@ class GPULSM:
         )
 
     def _prune_lookup_pending(
-        self, level: Level, query_keys: np.ndarray, pending: np.ndarray
+        self,
+        level: Level,
+        query_keys: np.ndarray,
+        pending: np.ndarray,
+        hashes: Optional[Tuple[np.ndarray, np.ndarray]],
     ) -> Tuple[np.ndarray, np.ndarray]:
         """Filter the still-unresolved queries against one level.
 
@@ -651,7 +655,9 @@ class GPULSM:
         *may* reside in the level, plus the gathered keys themselves (so
         the caller never re-gathers what this pass already read).
         Everything dropped here is guaranteed absent from the level, so
-        skipping the binary search cannot change any answer.
+        skipping the binary search cannot change any answer.  ``hashes``
+        is :meth:`BloomFilter.hash_keys` of the whole ``query_keys`` batch
+        (``None`` when no level carries a Bloom filter).
         """
         stats = self._filter_stats
         stats.lookup_pairs += int(pending.size)
@@ -677,8 +683,12 @@ class GPULSM:
             pending = pending[in_fence]
             q = q[in_fence]
         if filters.bloom is not None and pending.size:
+            h1, h2 = hashes
             maybe = filters.bloom.maybe_contains(
-                q, device=self.device, kernel_name="lsm.lookup.bloom"
+                q,
+                device=self.device,
+                kernel_name="lsm.lookup.bloom",
+                hashes=(h1[pending], h2[pending]),
             )
             stats.bloom_pruned += int(pending.size - np.count_nonzero(maybe))
             pending = pending[maybe]
@@ -747,6 +757,14 @@ class GPULSM:
             # batch once and slice per level instead of re-encoding every
             # level's pending subset.
             probes = self.encoder.lower_probe(qk)
+            # So are its two Bloom hashes: they depend on the key alone, so
+            # the batch is hashed once for every level's filter.
+            hashes = None
+            if any(
+                level.filters is not None and level.filters.bloom is not None
+                for level in levels
+            ):
+                hashes = BloomFilter.hash_keys(qk)
 
             resolved = np.zeros(nq, dtype=bool)
             out_found = np.zeros(nq, dtype=bool)
@@ -763,7 +781,9 @@ class GPULSM:
             for level in levels:
                 if unresolved.size == 0:
                     break
-                pending, q = self._prune_lookup_pending(level, qk, unresolved)
+                pending, q = self._prune_lookup_pending(
+                    level, qk, unresolved, hashes
+                )
                 if pending.size == 0:
                     continue
                 self._filter_stats.searched += int(pending.size)

@@ -9,16 +9,24 @@ Three kinds of pin:
 * merge, segmented sort, multisplit and segmented compaction against the
   keys / pairs twins each was written as before they shared one body,
   kept here as references, under the same three checks;
+* the Bloom filter against the literal build (both hashes recomputed per
+  probe index, bits set through ``np.bitwise_or.at``) and the literal
+  early-exiting probe loop it replaced, kept here as the reference:
+  byte-identical bit arrays, identical verdicts and identical records;
 * whole runs — ticks of the default update-heavy mix on ``GPULSM(4096)``
   (key-value and key-only) and ``ShardedLSM(4, 4096)``, a partial
-  compaction plus a cleanup after them, and an insert / delete sequence
-  on the sorted-array baseline: the per-kernel aggregates of every device
-  and the simulated clocks, as literals captured on the commit before the
-  code under them was rewritten (``python tests/test_accounting_golden.py``
-  prints them).
+  compaction plus a cleanup after them, an insert / delete sequence on
+  the sorted-array baseline, and ticks, a rollback, a compaction and a
+  cleanup on a fence + Bloom filtered ``GPULSM(1024)`` and
+  ``ShardedLSM(4, 1024)``: the per-kernel aggregates of every device and
+  the simulated clocks (the filtered runs also their pruning statistics
+  and a digest of every level's Bloom words), as literals captured on the
+  commit before the code under them was rewritten
+  (``python tests/test_accounting_golden.py`` prints them).
 """
 
 import dataclasses
+import hashlib
 import pprint
 
 import numpy as np
@@ -27,6 +35,8 @@ import pytest
 from repro.baselines.sorted_array import GPUSortedArray
 from repro.bench.wallclock import make_prefill
 from repro.bench.workloads import MixedOpConfig, make_mixed_batches
+from repro.core.config import LSMConfig
+from repro.core.filters import FILTER_PROBE_WORD_BYTES, BloomFilter, derive_num_hashes
 from repro.core.lsm import GPULSM
 from repro.gpu.device import Device
 from repro.gpu.spec import K40C_SPEC
@@ -490,6 +500,115 @@ def test_segmented_compact_matches_the_keys_then_values_passes(
 
 
 # ---------------------------------------------------------------------- #
+# Bloom build and probe vs the literal per-hash passes
+# ---------------------------------------------------------------------- #
+def _reference_splitmix64(x):
+    with np.errstate(over="ignore"):
+        x = x + np.uint64(0x9E3779B97F4A7C15)
+        x ^= x >> np.uint64(30)
+        x *= np.uint64(0xBF58476D1CE4E5B9)
+        x ^= x >> np.uint64(27)
+        x *= np.uint64(0x94D049BB133111EB)
+        x ^= x >> np.uint64(31)
+    return x
+
+
+def _reference_positions(bloom, keys, i):
+    """Bit positions of hash ``i`` for every key: both hashes recomputed
+    for every probe index, as the filter did before it hashed once."""
+    k = np.asarray(keys).astype(np.uint64)
+    h1 = _reference_splitmix64(k)
+    h2 = _reference_splitmix64(k ^ np.uint64(0xBF58476D1CE4E5B9)) | np.uint64(1)
+    with np.errstate(over="ignore"):
+        pos = h1 + np.uint64(i) * h2
+    return (pos % np.uint64(bloom.num_bits)).astype(np.int64)
+
+
+def reference_bloom_add(bloom, keys):
+    """One unbuffered read-modify-write pass over the words per hash."""
+    for i in range(bloom.num_hashes):
+        pos = _reference_positions(bloom, keys, i)
+        np.bitwise_or.at(
+            bloom.words, pos >> 6, np.uint64(1) << (pos & 63).astype(np.uint64)
+        )
+
+
+def reference_bloom_probe(bloom, keys, device, kernel_name):
+    """The device kernel executed literally: hash by hash over the queries
+    still alive, counting the word reads made before each early exit."""
+    keys = np.asarray(keys)
+    n = keys.size
+    maybe = np.ones(n, dtype=bool)
+    probes_made = 0
+    for i in range(bloom.num_hashes):
+        live = np.flatnonzero(maybe)
+        if live.size == 0:
+            break
+        probes_made += live.size
+        pos = _reference_positions(bloom, keys[live], i)
+        bits = (bloom.words[pos >> 6] >> (pos & 63).astype(np.uint64)) & np.uint64(1)
+        maybe[live[bits == 0]] = False
+    if n:
+        device.record_kernel(
+            kernel_name,
+            coalesced_read_bytes=keys.nbytes,
+            coalesced_write_bytes=n,
+            filter_read_bytes=probes_made * FILTER_PROBE_WORD_BYTES,
+            work_items=n,
+        )
+    return maybe
+
+
+def bloom_probe_set(kind, keys, rng):
+    """``keys.size`` queries of one kind against a filter built on ``keys``
+    (drawn below ``2**30``; ``2**30`` and up is absent by construction)."""
+    n = keys.size
+    absent = (rng.integers(0, 1 << 30, n) + (1 << 30)).astype(keys.dtype)
+    if kind == "present":
+        return keys.copy()
+    if kind == "absent":
+        return absent
+    if kind == "mixed":
+        return np.where(np.arange(n) % 2 == 0, keys, absent)
+    return np.repeat(keys[:1], n)  # all-equal
+
+
+@pytest.mark.parametrize("n", [0, 1, 63, 64, 65, 4096, 4097])
+@pytest.mark.parametrize("bits_per_key", [1, 10, 64])  # k = 1, 7, 44
+@pytest.mark.parametrize("dtype", [np.uint32, np.uint64, np.int64])
+@pytest.mark.parametrize("kind", ["present", "absent", "mixed", "all-equal"])
+def test_bloom_matches_the_literal_build_and_probe(
+    recording_device, kind, dtype, bits_per_key, n
+):
+    rng = np.random.default_rng(n * 67 + bits_per_key)
+    keys = rng.integers(0, 1 << 30, n).astype(dtype)
+    queries = bloom_probe_set(kind, keys, rng)
+
+    def make_bloom():
+        return BloomFilter(
+            num_bits=max(64, n * bits_per_key),
+            num_hashes=derive_num_hashes(bits_per_key),
+        )
+
+    def word_bytes(bloom):
+        return np.frombuffer(bloom.words.tobytes(), dtype=np.uint8)
+
+    def reference(device):
+        bloom = make_bloom()
+        reference_bloom_add(bloom, keys)
+        return word_bytes(bloom), reference_bloom_probe(bloom, queries, device, "b")
+
+    def current(device):
+        bloom = make_bloom()
+        bloom.add(keys)
+        return word_bytes(bloom), bloom.maybe_contains(
+            queries, device=device, kernel_name="b"
+        )
+
+    assert_same_run(recording_device, reference, current)
+
+
+# ---------------------------------------------------------------------- #
 # Whole-run goldens
 # ---------------------------------------------------------------------- #
 TICK = 4096
@@ -514,6 +633,14 @@ def accounting(devices):
     )
 
 
+def devices_of(backend):
+    """The store's device, or the router's followed by every shard's."""
+    shards = getattr(backend, "shards", None)
+    if shards is None:
+        return [backend.device]
+    return [backend.router_device] + [s.device for s in shards]
+
+
 def run_ticks(backend):
     """Seven prefill batches, then 16 default-mix ticks through the inline
     engine; returns the devices' aggregates and clocks."""
@@ -527,11 +654,7 @@ def run_ticks(backend):
     for batch in batches:
         engine.apply(batch)
     engine.close()
-    shards = getattr(backend, "shards", None)
-    return accounting(
-        [backend.device] if shards is None
-        else [backend.router_device] + [s.device for s in shards]
-    )
+    return accounting(devices_of(backend))
 
 
 def make_gpulsm():
@@ -589,6 +712,66 @@ MORE_RUNS = (
     run_sorted_array_key_only,
     run_sorted_array_key_value,
 )
+
+
+FILTERED_TICK = 1024
+FILTERS = dict(enable_fences=True, bloom_bits_per_key=10)
+
+
+def make_filtered_gpulsm():
+    return GPULSM(
+        config=LSMConfig(batch_size=FILTERED_TICK, **FILTERS),
+        device=Device(K40C_SPEC, seed=1),
+    )
+
+
+def make_filtered_sharded4():
+    return ShardedLSM(4, batch_size=FILTERED_TICK, seed=1, **FILTERS)
+
+
+def run_filtered(backend):
+    """Every path that builds or probes a filter, on a fence + Bloom store:
+    the cascade and filtered lookups of twelve ticks (uniform keys, so
+    nearly all misses), a tick rolled back (``restore_state`` rebuilds the
+    filters from the captured keys), a partial compaction, a cleanup, and
+    one lookup of every third prefilled key (hits, at every depth).
+    Returns the pruning statistics, the devices' aggregates and clocks,
+    and a digest of every level's words."""
+    prefill = make_prefill(FILTERED_TICK, PREFILL_BATCHES)
+    for keys, values in prefill:
+        backend.insert(keys, values)
+    engine = Engine(backend)
+    batches = make_mixed_batches(
+        MixedOpConfig(num_ops=13 * FILTERED_TICK, tick_size=FILTERED_TICK, seed=SEED,
+                      expected_range_width=8)
+    )
+    for batch in batches[:4]:
+        engine.apply(batch)
+    state = backend.snapshot_state()
+    engine.apply(batches[4])
+    backend.rollback_to(state)
+    for batch in batches[5:9]:
+        engine.apply(batch)
+    backend.compact_levels(2)
+    for batch in batches[9:11]:
+        engine.apply(batch)
+    backend.cleanup()
+    for batch in batches[11:]:
+        engine.apply(batch)
+    engine.close()
+    backend.lookup(np.concatenate([keys for keys, _ in prefill])[::3])
+    return (
+        backend.filter_stats(),
+        accounting(devices_of(backend)),
+        [
+            [hashlib.sha256(level.filters.bloom.words.tobytes()).hexdigest()
+             for level in shard.occupied_levels()]
+            for shard in getattr(backend, "shards", None) or [backend]
+        ],
+    )
+
+
+FILTERED_MAKES = (make_filtered_gpulsm, make_filtered_sharded4)
 
 
 #: Captured on the parent commit (see the module docstring).
@@ -765,6 +948,249 @@ MORE_GOLDEN = {'run_key_only_ticks': ([{'api.plan.multisplit.histogram': (524288
                                 ['0x1.2e9bfbacadf60p-12'])}
 
 
+#: Filter statistics, accounting and Bloom-word digests of the filtered
+#: runs, captured on the commit before the filter layer hashed once.
+FILTERED_GOLDEN = {'make_filtered_gpulsm': ({'bloom_false_positive_rate': 0.014026402640264026,
+                           'bloom_false_positives': 34,
+                           'bloom_prune_rate': 0.6904551089073845,
+                           'bloom_pruned': 11697,
+                           'fence_prune_rate': 0.16646006729236762,
+                           'fence_pruned': 2820,
+                           'filter_memory_bytes': 17312,
+                           'lookup_pairs': 16941,
+                           'lookup_prune_rate': 0.8569151761997521,
+                           'range_fence_pruned': 628,
+                           'range_pairs': 5181,
+                           'range_prune_rate': 0.12121212121212122,
+                           'searched': 2424,
+                           'searched_fraction': 0.14308482380024792},
+                          ([{'api.plan.multisplit.histogram': (106496, 6656, 0, 0, 0, 0, 13312, 13),
+                             'api.plan.multisplit.scan': (416, 416, 0, 0, 0, 0, 52, 13),
+                             'api.plan.multisplit.scatter': (113152, 106496, 0, 0, 0, 0, 13312, 13),
+                             'api.update.canonicalise': (233440, 233440, 0, 0, 0, 0, 7295, 13),
+                             'compact.scan_flags': (117704, 117704, 0, 0, 0, 0, 14713, 13),
+                             'compact.segment_offsets': (7928, 8032, 0, 0, 0, 0, 991, 13),
+                             'histogram.block_digit': (327680, 163840, 0, 0, 0, 0, 81920, 80),
+                             'lsm.count.segmented_sort': (116744, 58372, 0, 0, 0, 0, 14593, 52),
+                             'lsm.distribute_levels': (98304, 98304, 0, 0, 0, 0, 12288, 1),
+                             'lsm.filters.build': (329668, 0, 0, 0, 0, 4615352, 82417, 26),
+                             'lsm.lookup.bloom': (112968, 14121, 0, 0, 287696, 0, 14121, 37),
+                             'lsm.lookup.fence': (135528, 16941, 0, 0, 0, 0, 16941, 0),
+                             'lsm.lookup.lower_bound': (9696, 19392, 903584, 0, 0, 0, 2424, 20),
+                             'lsm.maintenance.distribute': (16384, 16384, 0, 0, 0, 0, 2048, 1),
+                             'lsm.maintenance.mark': (77824, 19456, 0, 0, 0, 0, 19456, 2),
+                             'lsm.maintenance.merge': (61440, 61440, 0, 0, 0, 0, 3072, 2),
+                             'lsm.maintenance.multisplit.histogram': (155648, 4864, 0, 0, 0, 0,
+                                                                      19456, 2),
+                             'lsm.maintenance.multisplit.scan': (32, 32, 0, 0, 0, 0, 4, 2),
+                             'lsm.maintenance.multisplit.scatter': (160512, 155648, 0, 0, 0, 0,
+                                                                    19456, 2),
+                             'lsm.maintenance.pad': (0, 7048, 0, 0, 0, 0, 881, 2),
+                             'lsm.merge_level': (1474560, 1474560, 0, 0, 0, 0, 73728, 36),
+                             'lsm.query.count_valid': (14593, 7920, 0, 0, 0, 0, 14593, 13),
+                             'lsm.query.fence': (82896, 5181, 0, 0, 0, 0, 5181, 0),
+                             'lsm.query.gather': (176076, 176076, 0, 0, 0, 0, 29306, 26),
+                             'lsm.query.lower_bound': (18212, 36424, 1567232, 0, 0, 0, 4553, 68),
+                             'lsm.query.scan': (41448, 41448, 0, 0, 0, 0, 5181, 26),
+                             'lsm.query.upper_bound': (18212, 36424, 1567232, 0, 0, 0, 4553, 68),
+                             'lsm.query.validate': (117224, 29306, 0, 0, 0, 0, 29306, 26),
+                             'lsm.range.compact': (73565, 50944, 0, 0, 0, 0, 14713, 13),
+                             'lsm.range.compact.values': (73565, 50944, 0, 0, 0, 0, 14713, 13),
+                             'lsm.range.segmented_sort': (235408, 117704, 0, 0, 0, 0, 14713, 52),
+                             'lsm.restore_levels': (90112, 90112, 0, 0, 0, 0, 11264, 1),
+                             'lsm.store_level': (0, 458752, 0, 0, 0, 0, 57344, 20),
+                             'radix_sort.scan': (163840, 163840, 0, 0, 0, 0, 20480, 80),
+                             'radix_sort.scatter': (655360, 0, 0, 655360, 0, 0, 81920, 80)}],
+                           ['0x1.1e20b7e63aae0p-8']),
+                          [['4f0122f68e85c585144fcafa40103db856c14f113a302bf32289101992c06913',
+                            '73fd70a629d2d0993f036e39e737ce76c65cf43e85acf69a82eace37134a6c64',
+                            '1e942ce74545db6d7f0f0a036bf27a8190a35d4f290c1c5060efb44e9e503134']]),
+ 'make_filtered_sharded4': ({'bloom_false_positive_rate': 0.011579818031430935,
+                             'bloom_false_positives': 28,
+                             'bloom_prune_rate': 0.6998250437390653,
+                             'bloom_pruned': 11200,
+                             'fence_prune_rate': 0.149087728067983,
+                             'fence_pruned': 2386,
+                             'filter_memory_bytes': 17464,
+                             'lookup_pairs': 16004,
+                             'lookup_prune_rate': 0.8489127718070483,
+                             'range_fence_pruned': 384,
+                             'range_pairs': 4688,
+                             'range_prune_rate': 0.08191126279863481,
+                             'searched': 2418,
+                             'searched_fraction': 0.15108722819295176},
+                            ([{'api.plan.multisplit.histogram': (106496, 6656, 0, 0, 0, 0, 13312,
+                                                                 13),
+                               'api.plan.multisplit.scan': (416, 416, 0, 0, 0, 0, 52, 13),
+                               'api.plan.multisplit.scatter': (113152, 106496, 0, 0, 0, 0, 13312,
+                                                               13),
+                               'api.update.canonicalise': (233440, 233440, 0, 0, 0, 0, 7295, 13),
+                               'histogram.block_digit': (231408, 163840, 0, 0, 0, 0, 57852, 80),
+                               'radix_sort.scan': (163840, 163840, 0, 0, 0, 0, 20480, 80),
+                               'radix_sort.scatter': (462816, 0, 0, 462816, 0, 0, 57852, 80),
+                               'sharded.lookup_route.multisplit.histogram': (102816, 3280, 0, 0, 0,
+                                                                             0, 6426, 14),
+                               'sharded.lookup_route.multisplit.scan': (448, 448, 0, 0, 0, 0, 56,
+                                                                        14),
+                               'sharded.lookup_route.multisplit.scatter': (106096, 102816, 0, 0, 0,
+                                                                           0, 6426, 14),
+                               'sharded.query.clip': (31696, 126784, 0, 0, 0, 0, 7924, 26),
+                               'sharded.range.merge': (152832, 152832, 0, 0, 0, 0, 12736, 52),
+                               'sharded.route.dedup': (130167, 115704, 0, 0, 0, 0, 14463, 20),
+                               'sharded.route.multisplit.histogram': (115704, 7360, 0, 0, 0, 0,
+                                                                      14463, 20),
+                               'sharded.route.multisplit.scan': (640, 640, 0, 0, 0, 0, 80, 20),
+                               'sharded.route.multisplit.scatter': (123064, 115704, 0, 0, 0, 0,
+                                                                    14463, 20)},
+                              {'compact.scan_flags': (26128, 26128, 0, 0, 0, 0, 3266, 13),
+                               'compact.segment_offsets': (1736, 1840, 0, 0, 0, 0, 217, 13),
+                               'histogram.block_digit': (86016, 172032, 0, 0, 0, 0, 21504, 84),
+                               'lsm.count.segmented_sort': (35240, 17620, 0, 0, 0, 0, 4405, 52),
+                               'lsm.distribute_levels': (24576, 24576, 0, 0, 0, 0, 3072, 1),
+                               'lsm.filters.build': (96788, 0, 0, 0, 0, 1355032, 24197, 26),
+                               'lsm.lookup.bloom': (27640, 3455, 0, 0, 70336, 0, 3455, 33),
+                               'lsm.lookup.fence': (32240, 4030, 0, 0, 0, 0, 4030, 0),
+                               'lsm.lookup.lower_bound': (2420, 4840, 186848, 0, 0, 0, 605, 9),
+                               'lsm.maintenance.distribute': (32768, 32768, 0, 0, 0, 0, 4096, 1),
+                               'lsm.maintenance.mark': (34816, 8704, 0, 0, 0, 0, 8704, 2),
+                               'lsm.maintenance.merge': (92160, 92160, 0, 0, 0, 0, 4608, 2),
+                               'lsm.maintenance.multisplit.histogram': (69632, 2176, 0, 0, 0, 0,
+                                                                        8704, 2),
+                               'lsm.maintenance.multisplit.scan': (32, 32, 0, 0, 0, 0, 4, 2),
+                               'lsm.maintenance.multisplit.scatter': (71808, 69632, 0, 0, 0, 0,
+                                                                      8704, 2),
+                               'lsm.maintenance.pad': (0, 12048, 0, 0, 0, 0, 1506, 2),
+                               'lsm.merge_level': (348160, 348160, 0, 0, 0, 0, 17408, 34),
+                               'lsm.query.count_valid': (4405, 2008, 0, 0, 0, 0, 4405, 13),
+                               'lsm.query.fence': (16864, 1054, 0, 0, 0, 0, 1054, 0),
+                               'lsm.query.gather': (43748, 43748, 0, 0, 0, 0, 7671, 26),
+                               'lsm.query.lower_bound': (3904, 7808, 280832, 0, 0, 0, 976, 60),
+                               'lsm.query.scan': (8432, 8432, 0, 0, 0, 0, 1054, 26),
+                               'lsm.query.upper_bound': (3904, 7808, 280832, 0, 0, 0, 976, 60),
+                               'lsm.query.validate': (30684, 7671, 0, 0, 0, 0, 7671, 26),
+                               'lsm.range.compact': (16330, 11228, 0, 0, 0, 0, 3266, 13),
+                               'lsm.range.compact.values': (16330, 11228, 0, 0, 0, 0, 3266, 13),
+                               'lsm.range.segmented_sort': (52256, 26128, 0, 0, 0, 0, 3266, 52),
+                               'lsm.restore_levels': (24576, 24576, 0, 0, 0, 0, 3072, 1),
+                               'lsm.store_level': (0, 112640, 0, 0, 0, 0, 14080, 21),
+                               'radix_sort.scan': (172032, 172032, 0, 0, 0, 0, 21504, 84),
+                               'radix_sort.scatter': (172032, 0, 0, 172032, 0, 0, 21504, 84)},
+                              {'compact.scan_flags': (36384, 36384, 0, 0, 0, 0, 4548, 13),
+                               'compact.segment_offsets': (2224, 2328, 0, 0, 0, 0, 278, 13),
+                               'histogram.block_digit': (86016, 172032, 0, 0, 0, 0, 21504, 84),
+                               'lsm.count.segmented_sort': (35184, 17592, 0, 0, 0, 0, 4398, 52),
+                               'lsm.distribute_levels': (24576, 24576, 0, 0, 0, 0, 3072, 1),
+                               'lsm.filters.build': (96664, 0, 0, 0, 0, 1353296, 24166, 26),
+                               'lsm.lookup.bloom': (25896, 3237, 0, 0, 67144, 0, 3237, 33),
+                               'lsm.lookup.fence': (30176, 3772, 0, 0, 0, 0, 3772, 0),
+                               'lsm.lookup.lower_bound': (2412, 4824, 185984, 0, 0, 0, 603, 7),
+                               'lsm.maintenance.distribute': (32768, 32768, 0, 0, 0, 0, 4096, 1),
+                               'lsm.maintenance.mark': (34816, 8704, 0, 0, 0, 0, 8704, 2),
+                               'lsm.maintenance.merge': (92160, 92160, 0, 0, 0, 0, 4608, 2),
+                               'lsm.maintenance.multisplit.histogram': (69632, 2176, 0, 0, 0, 0,
+                                                                        8704, 2),
+                               'lsm.maintenance.multisplit.scan': (32, 32, 0, 0, 0, 0, 4, 2),
+                               'lsm.maintenance.multisplit.scatter': (71808, 69632, 0, 0, 0, 0,
+                                                                      8704, 2),
+                               'lsm.maintenance.pad': (0, 12304, 0, 0, 0, 0, 1538, 2),
+                               'lsm.merge_level': (348160, 348160, 0, 0, 0, 0, 17408, 34),
+                               'lsm.query.count_valid': (4398, 2032, 0, 0, 0, 0, 4398, 13),
+                               'lsm.query.fence': (19552, 1222, 0, 0, 0, 0, 1222, 0),
+                               'lsm.query.gather': (53976, 53976, 0, 0, 0, 0, 8946, 26),
+                               'lsm.query.lower_bound': (4548, 9096, 325376, 0, 0, 0, 1137, 60),
+                               'lsm.query.scan': (9776, 9776, 0, 0, 0, 0, 1222, 26),
+                               'lsm.query.upper_bound': (4548, 9096, 325376, 0, 0, 0, 1137, 60),
+                               'lsm.query.validate': (35784, 8946, 0, 0, 0, 0, 8946, 26),
+                               'lsm.range.compact': (22740, 14416, 0, 0, 0, 0, 4548, 13),
+                               'lsm.range.compact.values': (22740, 14416, 0, 0, 0, 0, 4548, 13),
+                               'lsm.range.segmented_sort': (72768, 36384, 0, 0, 0, 0, 4548, 52),
+                               'lsm.restore_levels': (24576, 24576, 0, 0, 0, 0, 3072, 1),
+                               'lsm.store_level': (0, 112640, 0, 0, 0, 0, 14080, 21),
+                               'radix_sort.scan': (172032, 172032, 0, 0, 0, 0, 21504, 84),
+                               'radix_sort.scatter': (172032, 0, 0, 172032, 0, 0, 21504, 84)},
+                              {'compact.scan_flags': (33560, 33560, 0, 0, 0, 0, 4195, 13),
+                               'compact.segment_offsets': (2072, 2176, 0, 0, 0, 0, 259, 13),
+                               'histogram.block_digit': (86016, 172032, 0, 0, 0, 0, 21504, 84),
+                               'lsm.count.segmented_sort': (35416, 17708, 0, 0, 0, 0, 4427, 52),
+                               'lsm.distribute_levels': (24576, 24576, 0, 0, 0, 0, 3072, 1),
+                               'lsm.filters.build': (96812, 0, 0, 0, 0, 1355368, 24203, 26),
+                               'lsm.lookup.bloom': (26552, 3319, 0, 0, 68312, 0, 3319, 33),
+                               'lsm.lookup.fence': (30976, 3872, 0, 0, 0, 0, 3872, 0),
+                               'lsm.lookup.lower_bound': (2412, 4824, 186176, 0, 0, 0, 603, 7),
+                               'lsm.maintenance.distribute': (32768, 32768, 0, 0, 0, 0, 4096, 1),
+                               'lsm.maintenance.mark': (34816, 8704, 0, 0, 0, 0, 8704, 2),
+                               'lsm.maintenance.merge': (92160, 92160, 0, 0, 0, 0, 4608, 2),
+                               'lsm.maintenance.multisplit.histogram': (69632, 2176, 0, 0, 0, 0,
+                                                                        8704, 2),
+                               'lsm.maintenance.multisplit.scan': (32, 32, 0, 0, 0, 0, 4, 2),
+                               'lsm.maintenance.multisplit.scatter': (71808, 69632, 0, 0, 0, 0,
+                                                                      8704, 2),
+                               'lsm.maintenance.pad': (0, 11976, 0, 0, 0, 0, 1497, 2),
+                               'lsm.merge_level': (348160, 348160, 0, 0, 0, 0, 17408, 34),
+                               'lsm.query.count_valid': (4427, 1992, 0, 0, 0, 0, 4427, 13),
+                               'lsm.query.fence': (18720, 1170, 0, 0, 0, 0, 1170, 0),
+                               'lsm.query.gather': (51268, 51268, 0, 0, 0, 0, 8622, 26),
+                               'lsm.query.lower_bound': (4344, 8688, 310880, 0, 0, 0, 1086, 60),
+                               'lsm.query.scan': (9360, 9360, 0, 0, 0, 0, 1170, 26),
+                               'lsm.query.upper_bound': (4344, 8688, 310880, 0, 0, 0, 1086, 60),
+                               'lsm.query.validate': (34488, 8622, 0, 0, 0, 0, 8622, 26),
+                               'lsm.range.compact': (20975, 13368, 0, 0, 0, 0, 4195, 13),
+                               'lsm.range.compact.values': (20975, 13368, 0, 0, 0, 0, 4195, 13),
+                               'lsm.range.segmented_sort': (67120, 33560, 0, 0, 0, 0, 4195, 52),
+                               'lsm.restore_levels': (24576, 24576, 0, 0, 0, 0, 3072, 1),
+                               'lsm.store_level': (0, 112640, 0, 0, 0, 0, 14080, 21),
+                               'radix_sort.scan': (172032, 172032, 0, 0, 0, 0, 21504, 84),
+                               'radix_sort.scatter': (172032, 0, 0, 172032, 0, 0, 21504, 84)},
+                              {'compact.scan_flags': (27792, 27792, 0, 0, 0, 0, 3474, 13),
+                               'compact.segment_offsets': (1912, 2016, 0, 0, 0, 0, 239, 13),
+                               'histogram.block_digit': (81920, 163840, 0, 0, 0, 0, 20480, 80),
+                               'lsm.count.segmented_sort': (28376, 14188, 0, 0, 0, 0, 3547, 52),
+                               'lsm.distribute_levels': (24576, 24576, 0, 0, 0, 0, 3072, 1),
+                               'lsm.filters.build': (82412, 0, 0, 0, 0, 1153768, 20603, 26),
+                               'lsm.lookup.bloom': (28856, 3607, 0, 0, 73288, 0, 3607, 37),
+                               'lsm.lookup.fence': (34640, 4330, 0, 0, 0, 0, 4330, 0),
+                               'lsm.lookup.lower_bound': (2428, 4856, 187552, 0, 0, 0, 607, 10),
+                               'lsm.maintenance.distribute': (4096, 4096, 0, 0, 0, 0, 512, 1),
+                               'lsm.maintenance.mark': (19456, 4864, 0, 0, 0, 0, 4864, 2),
+                               'lsm.maintenance.merge': (15360, 15360, 0, 0, 0, 0, 768, 2),
+                               'lsm.maintenance.multisplit.histogram': (38912, 1216, 0, 0, 0, 0,
+                                                                        4864, 2),
+                               'lsm.maintenance.multisplit.scan': (32, 32, 0, 0, 0, 0, 4, 2),
+                               'lsm.maintenance.multisplit.scatter': (40128, 38912, 0, 0, 0, 0,
+                                                                      4864, 2),
+                               'lsm.maintenance.pad': (0, 1840, 0, 0, 0, 0, 230, 2),
+                               'lsm.merge_level': (368640, 368640, 0, 0, 0, 0, 18432, 36),
+                               'lsm.query.count_valid': (3547, 1928, 0, 0, 0, 0, 3547, 13),
+                               'lsm.query.fence': (19872, 1242, 0, 0, 0, 0, 1242, 0),
+                               'lsm.query.gather': (41980, 41980, 0, 0, 0, 0, 7021, 26),
+                               'lsm.query.lower_bound': (4420, 8840, 309568, 0, 0, 0, 1105, 68),
+                               'lsm.query.scan': (9936, 9936, 0, 0, 0, 0, 1242, 26),
+                               'lsm.query.upper_bound': (4420, 8840, 309568, 0, 0, 0, 1105, 68),
+                               'lsm.query.validate': (28084, 7021, 0, 0, 0, 0, 7021, 26),
+                               'lsm.range.compact': (17370, 11932, 0, 0, 0, 0, 3474, 13),
+                               'lsm.range.compact.values': (17370, 11932, 0, 0, 0, 0, 3474, 13),
+                               'lsm.range.segmented_sort': (55584, 27792, 0, 0, 0, 0, 3474, 52),
+                               'lsm.restore_levels': (22528, 22528, 0, 0, 0, 0, 2816, 1),
+                               'lsm.store_level': (0, 114688, 0, 0, 0, 0, 14336, 20),
+                               'radix_sort.scan': (163840, 163840, 0, 0, 0, 0, 20480, 80),
+                               'radix_sort.scatter': (163840, 0, 0, 163840, 0, 0, 20480, 80)}],
+                             ['0x1.46542c8c6a5c0p-9', '0x1.f6f584320e902p-9',
+                              '0x1.f609130fb5e8cp-9', '0x1.f5ea1eb088dc7p-9',
+                              '0x1.fd4005457e736p-9']),
+                            [['2301723e2996e45090ebb4d0f7fc8ae22ee9d5c8706c3019a185af5a756ca565',
+                              '41f5b73e69718f641ec7e8c43c9d50f96982767a1eeb01234f5fe222a535ecad',
+                              'e531beabb67f91706bb8750429f227cd387344a0b4c919c0919d56769512661c'],
+                             ['e7596cbfc788beb7a9a3285355ceb27e8bcb95af5de478784198aa8f9b3bf062',
+                              '1b409abad72532b20267c25cdb4749c905260746b564abd4d7f5e9a0aa69e4af',
+                              '88bbf2422b856585c39e671ffad7f5fe13c05c2e31527c928d48c4d226b27a1f'],
+                             ['5d18494ae89aee74f170980dbe3697c7e54d163a31d31c2b72bc81e22f628808',
+                              'd1ca2cce8459852a128dc0cbad6fab32debd0c049527ed0f1918c48d5665aac7',
+                              '353146d907fb18761fa09e5ebec47af8961e08d204682b34f971fd12e45bd3e8'],
+                             ['214df8c42ea204d5727826a49dc913b1bbb05f854948367e704e4587b1952528',
+                              '99ff9bd69bb7b135b0d157cddabc3ee11324603429f547e9b16b9c0d401a8005',
+                              'a2291ff45900aefefc0a9b234d1d39bab6d8b2104e790cbd09b7a45640b6735b']])}
+
+
 @pytest.mark.parametrize("make", [make_gpulsm, make_sharded4])
 def test_whole_tick_accounting_is_golden(make):
     per_kernel, clocks = run_ticks(make())
@@ -778,9 +1204,18 @@ def test_whole_run_accounting_is_golden(run):
     assert run() == MORE_GOLDEN[run.__name__]
 
 
+@pytest.mark.parametrize("make", FILTERED_MAKES)
+def test_filtered_run_is_golden(make):
+    assert run_filtered(make()) == FILTERED_GOLDEN[make.__name__]
+
+
 if __name__ == "__main__":
     pprint.pprint(
         {make.__name__: run_ticks(make()) for make in (make_gpulsm, make_sharded4)},
         width=100, compact=True,
     )
     pprint.pprint({run.__name__: run() for run in MORE_RUNS}, width=100, compact=True)
+    pprint.pprint(
+        {make.__name__: run_filtered(make()) for make in FILTERED_MAKES},
+        width=100, compact=True,
+    )

@@ -4,13 +4,19 @@ Covers the building blocks of :mod:`repro.core.filters` (Bloom filter
 guarantees, fence pairs, the FILTER traffic class of the cost model), the
 GPU LSM integration (pruned lookup / fence-skipped count and range /
 sorted-probe mode, all answer-invariant), the filter statistics and the
-memory accounting, and the stack above: ShardedLSM propagation, the
-mixed-op planner under both consistency knobs, and the serving engine's
-filter telemetry.
+memory accounting, the properties the hash-once host execution rests on
+(a pre-hashed subset probes like a self-hashed one, no false negatives,
+every lookup pair pruned or searched, a linear build transient, no
+hashing without Bloom filters), and the stack above: ShardedLSM
+propagation, the mixed-op planner under both consistency knobs, and the
+serving engine's filter telemetry.
 """
+
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.api.kvstore import KVStore
 from repro.api.ops import OpBatch
@@ -266,6 +272,130 @@ class TestLSMFilterIntegration:
         assert all(lvl.filters is None for lvl in lsm.occupied_levels())
         assert lsm.filter_memory_bytes == 0
         assert lsm.filter_stats()["lookup_prune_rate"] == 0.0
+
+
+# --------------------------------------------------------------------- #
+# Hash once, probe once: properties and bounds of the host execution
+# --------------------------------------------------------------------- #
+key_lists = st.lists(st.integers(min_value=0, max_value=(1 << 31) - 1), max_size=64)
+
+
+def _sized_bloom(num_keys, bits_per_key):
+    """An empty filter sized as ``LevelFilters.build`` sizes a level's."""
+    return BloomFilter(
+        num_bits=max(64, num_keys * bits_per_key),
+        num_hashes=derive_num_hashes(bits_per_key),
+    )
+
+
+class TestHashOnce:
+    """The batch is hashed once; every level probes a subset of it."""
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        built=key_lists,
+        batch=key_lists,
+        subset=st.lists(st.integers(min_value=0, max_value=63), max_size=80),
+        bits_per_key=st.sampled_from([1, 10, 64]),
+    )
+    def test_prehashed_subset_equals_self_hashed(
+        self, built, batch, subset, bits_per_key
+    ):
+        bloom = _sized_bloom(len(built), bits_per_key)
+        bloom.add(np.array(built, dtype=np.uint32))
+        q = np.array(batch, dtype=np.uint64)
+        h1, h2 = BloomFilter.hash_keys(q)
+        # Any subset, in any order, with repeats — as a level's pending
+        # set is of the batch.
+        s = np.array([i for i in subset if i < q.size], dtype=np.int64)
+        devices = Device(K40C_SPEC, seed=1), Device(K40C_SPEC, seed=1)
+        self_hashed = bloom.maybe_contains(q[s], device=devices[0])
+        prehashed = bloom.maybe_contains(
+            q[s], device=devices[1], hashes=(h1[s], h2[s])
+        )
+        assert np.array_equal(prehashed, self_hashed)
+        assert devices[1].counter.per_kernel == devices[0].counter.per_kernel
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        keys=key_lists,
+        bits_per_key=st.integers(min_value=1, max_value=64),  # k up to 44
+        dtype=st.sampled_from([np.uint32, np.uint64, np.int64]),
+    )
+    def test_no_false_negatives_for_any_hash_count(self, keys, bits_per_key, dtype):
+        keys = np.array(keys, dtype=dtype)
+        bloom = _sized_bloom(keys.size, bits_per_key)
+        bloom.add(keys)
+        assert bool(np.all(bloom.maybe_contains(keys)))
+        flipped = keys[::-1]
+        assert bool(
+            np.all(bloom.maybe_contains(flipped, hashes=bloom.hash_keys(flipped)))
+        )
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        trace=st.lists(
+            st.tuples(key_lists, key_lists, st.booleans()), min_size=1, max_size=5
+        ),
+        accel=st.sampled_from(ACCEL_MODES),
+    )
+    def test_every_lookup_pair_is_pruned_or_searched(self, trace, accel):
+        lsm = GPULSM(
+            config=LSMConfig(batch_size=16, **accel), device=Device(K40C_SPEC, seed=2)
+        )
+        for inserts, queries, cleanup in trace:
+            keys = np.array(inserts[:16], dtype=np.uint32)
+            if keys.size:
+                lsm.update(insert_keys=keys, insert_values=keys)
+            if cleanup:
+                lsm.cleanup()
+            lsm.lookup(np.array(queries, dtype=np.uint32))
+            stats = lsm.filter_stats()
+            assert stats["lookup_pairs"] == (
+                stats["fence_pruned"] + stats["bloom_pruned"] + stats["searched"]
+            )
+
+    def test_build_transient_is_linear_not_k_times_n(self):
+        # Two hashes, one reduced position vector and the byte scratch:
+        # 35 B/key at 10 bits/key (57 when every probe index re-hashed).
+        # A k × n position matrix and its reduction alone would be 112.
+        keys = np.arange(1 << 19, dtype=np.uint32) * np.uint32(2654435761)
+        tracemalloc.start()
+        try:
+            LevelFilters.build(keys, enable_fences=True, bloom_bits_per_key=10)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak / keys.size <= 48
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda accel: GPULSM(config=LSMConfig(batch_size=16, **accel)),
+            lambda accel: ShardedLSM(
+                num_shards=4, batch_size=16, key_domain=1 << 10, **accel
+            ),
+        ],
+        ids=["gpulsm", "sharded4"],
+    )
+    @pytest.mark.parametrize(
+        "accel", [dict(), dict(enable_fences=True, sort_queries=True)],
+        ids=["plain", "fences+sorted"],
+    )
+    def test_store_without_bloom_never_hashes(self, monkeypatch, rng, make, accel):
+        def hash_keys(keys):
+            raise AssertionError("a store without Bloom filters hashed its keys")
+
+        monkeypatch.setattr(BloomFilter, "hash_keys", staticmethod(hash_keys))
+        store = make(accel)
+        for _ in range(5):
+            keys = rng.integers(0, 1 << 10, 16, dtype=np.uint32)
+            store.update(insert_keys=keys[:12], insert_values=keys[:12],
+                         delete_keys=keys[12:])
+            store.lookup(rng.integers(0, 1 << 10, 64, dtype=np.uint32))
+        store.cleanup()
+        store.rollback_to(store.snapshot_state())
+        assert store.lookup(keys[:12]).found.any()
 
 
 # --------------------------------------------------------------------- #
