@@ -53,6 +53,7 @@ from repro.api.ops import (
 )
 from repro.gpu.device import Device, get_default_device
 from repro.primitives.multisplit import multisplit_keys, record_multisplit
+from repro.primitives.radix_sort import stable_order
 from repro.primitives.scan import exclusive_scan
 from repro.scale.protocol import (
     UnsupportedOperationError,
@@ -354,26 +355,35 @@ def _canonical_updates(
     result has distinct keys, so it can be applied in backend-sized chunks
     in any order.
 
-    Returns ``(is_delete, keys, values)`` columns of the survivors, in
-    segment arrival order.
+    Returns ``(is_delete, keys, values)`` columns of the survivors: in
+    segment arrival order in arrival mode; in paper mode the deleted keys
+    ascending, then the surviving insertions in arrival order.
     """
     codes = batch.opcodes[indices]
     keys = batch.keys[indices]
     values = batch.values[indices]
     is_delete = codes == OpCode.DELETE
 
+    # One stable sort by key (arrival order kept within a key); a mask over
+    # the boundaries of the equal-key runs picks the survivors.
+    boundary = np.ones(keys.size, dtype=bool)
     if arrival_order:
-        # Last occurrence per key: first occurrence in the reversed column.
-        _, first_in_reversed = np.unique(keys[::-1], return_index=True)
-        survivors = np.sort(keys.size - 1 - first_in_reversed)
+        order = stable_order(keys)
+        sorted_keys = keys[order]
+        boundary[:-1] = sorted_keys[1:] != sorted_keys[:-1]  # each run's last
+        survivors = np.sort(order[boundary])
         return is_delete[survivors], keys[survivors], values[survivors]
 
-    deleted = np.unique(keys[is_delete])
-    # First insertion per key, minus the keys the segment deletes.
-    ins_pos = np.flatnonzero(~is_delete)
-    _, first_idx = np.unique(keys[ins_pos], return_index=True)
-    ins_pos = ins_pos[np.sort(first_idx)]
-    ins_pos = ins_pos[~np.isin(keys[ins_pos], deleted)]
+    # With the deletions placed ahead of the insertions it is a sort by (key,
+    # insert bit): a run opens with its key's deletion, else first insertion.
+    order = np.concatenate((np.flatnonzero(is_delete), np.flatnonzero(~is_delete)))
+    order = order[stable_order(keys[order])]
+    sorted_keys = keys[order]
+    boundary[1:] = sorted_keys[1:] != sorted_keys[:-1]
+    survivors = order[boundary]
+    deleting = is_delete[survivors]
+    deleted = keys[survivors[deleting]]
+    ins_pos = np.sort(survivors[~deleting])
     out_is_delete = np.concatenate(
         (np.ones(deleted.size, dtype=bool), np.zeros(ins_pos.size, dtype=bool))
     )

@@ -317,18 +317,21 @@ class GPULSM:
 
             # Merge cascade: while level i is full, merge (buffer, level i)
             # with a comparator that ignores the status bit, keeping the
-            # buffer's (newer) elements first among equal keys.
+            # buffer's (newer) elements first among equal keys.  The carry
+            # chain (buffer, level 0, level 1, … newest first) is merged in
+            # one call, which records one ``lsm.merge_level`` per level.
             i = 0
             while self._level(i).is_full:
-                level = self.levels[i]
-                buf = buf.merge(
-                    level.run,
-                    key=self.encoder.strip_status,
-                    device=self.device,
-                    kernel_name="lsm.merge_level",
-                )
-                level.clear()
                 i += 1
+            carried = self.levels[:i]
+            buf = buf.merge(
+                *(level.run for level in carried),
+                key=self.encoder.strip_status,
+                device=self.device,
+                kernel_name="lsm.merge_level",
+            )
+            for level in carried:
+                level.clear()
 
             # Copy the buffer into the first empty level (Fig. 3 line 20).
             target = self._level(i)
@@ -923,16 +926,15 @@ class GPULSM:
         # estimates.  A level whose fence range does not overlap a query's
         # ``[k1, k2]`` cannot contribute candidates, so the binary searches
         # run only for the overlapping (query, level) pairs; the pruned
-        # pairs keep ``lows == ups == 0`` (an empty candidate chunk).
+        # pairs keep lower == upper == 0 (an empty candidate chunk).
         #
         # Host execution order: as in :meth:`lookup`, every level is probed
         # in ascending ``k1`` order (uncharged, visible in no counter), so
-        # the rows of ``lows`` / ``ups`` are in probe order until they are
-        # scattered back to request order below.
+        # ``bounds`` — lower / upper positions, one row per level — has its
+        # columns in probe order until they are scattered back below.
         order = np.argsort(k1)
         k1, k2 = k1[order], k2[order]
-        lows = np.zeros((nq, num_levels), dtype=np.int64)
-        ups = np.zeros((nq, num_levels), dtype=np.int64)
+        bounds = np.zeros((2, num_levels, nq), dtype=np.int64)
         lower_probes = self.encoder.lower_probe(k1)
         upper_probes = self.encoder.upper_probe(k2)
         for j, level in enumerate(levels):
@@ -960,31 +962,28 @@ class GPULSM:
                 self._filter_stats.range_fence_pruned += nq - searched
                 if searched == 0:
                     continue
-            lows[idx, j] = lower_bound(
+            bounds[0, j, idx] = lower_bound(
                 level.keys,
                 lower_probes[idx],
                 device=self.device,
                 kernel_name="lsm.query.lower_bound",
             )
-            ups[idx, j] = upper_bound(
+            bounds[1, j, idx] = upper_bound(
                 level.keys,
                 upper_probes[idx],
                 device=self.device,
                 kernel_name="lsm.query.upper_bound",
             )
-        flat_lows = np.empty_like(lows)
-        flat_lows[order] = lows
-        flat_lows = flat_lows.reshape(-1)
-        # Candidates per (query, level), query-major in request order.
-        flat_counts = np.empty_like(ups)
-        flat_counts[order] = ups - lows
-        flat_counts = flat_counts.reshape(-1)
+        by_request = np.empty_like(bounds)
+        by_request[:, :, order] = bounds
+        lows = by_request[0]
+        counts = by_request[1] - lows  # per (level, query), in request order
 
         # Stage 2: device-wide exclusive scan gives each (query, level)
         # chunk its output offset; query-major order keeps each query's
         # candidates contiguous.
         flat_offsets, total = exclusive_scan(
-            flat_counts, device=self.device, kernel_name="lsm.query.scan"
+            counts.T.reshape(-1), device=self.device, kernel_name="lsm.query.scan"
         )
 
         # Per-query segment offsets (+ total sentinel).
@@ -992,30 +991,30 @@ class GPULSM:
         query_offsets[:-1] = flat_offsets[::num_levels]
         query_offsets[-1] = total
 
-        # Stage 3: the ragged gather.  The chunks are laid out in exactly
-        # the order the exclusive scan assigned output offsets in, so
-        # candidate ``i`` lands at output position ``i`` and only its
-        # *source* needs computing: its chunk's lower-bound position plus
-        # its rank within the chunk, read straight from the resident
-        # buffer of the level the chunk belongs to — one small gather per
-        # contributing level, as the device kernel indexes through its
-        # array of per-level base pointers.
-        src = np.arange(total) + np.repeat(flat_lows - flat_offsets, flat_counts)
-        level_of = np.repeat(
-            np.tile(np.arange(num_levels, dtype=np.int8), nq), flat_counts
+        # Stage 3: the ragged gather, one level at a time as the device
+        # kernel indexes through its per-level base pointers.  With the
+        # chunks laid end to end level-major, element ``i`` is read from its
+        # level at ``src[i]`` and lands at output position ``dst[i]``: its
+        # chunk's lower bound / scanned offset, plus its rank in the chunk.
+        counts = counts.reshape(-1)
+        chunk_ends = np.cumsum(counts)
+        chunk_bases = np.stack(
+            (lows.reshape(-1), flat_offsets.reshape(nq, num_levels).T.reshape(-1))
         )
+        chunk_bases -= chunk_ends - counts
+        index = np.repeat(chunk_bases, counts, axis=1)
+        index += np.arange(total)
+        src, dst = index
         cand_keys = np.empty(total, dtype=self.config.key_dtype)
         cand_values = (
             np.zeros(total, dtype=self.config.value_dtype) if with_values else None
         )
-        for j, level in enumerate(levels):
-            dst = np.flatnonzero(level_of == j)
-            if dst.size == 0:
-                continue
-            from_level = src[dst]
-            cand_keys[dst] = level.keys[from_level]
+        lo = 0
+        for level, hi in zip(levels, chunk_ends[nq - 1 :: nq].tolist()):
+            cand_keys[dst[lo:hi]] = level.keys[src[lo:hi]]
             if cand_values is not None and level.values is not None:
-                cand_values[dst] = level.values[from_level]
+                cand_values[dst[lo:hi]] = level.values[src[lo:hi]]
+            lo = hi
         per_item = self.config.key_dtype.itemsize + (
             self.config.value_dtype.itemsize if cand_values is not None else 0
         )

@@ -106,15 +106,12 @@ def merge_levels(lsm: "GPULSM", levels: List["Level"]) -> SortedRun:
     status-blind merges keep equal keys ordered most-recent-first, which
     is what :func:`mark_valid` relies on.
     """
-    merged = levels[0].run
-    for level in levels[1:]:
-        merged = merged.merge(
-            level.run,
-            key=lsm.encoder.strip_status,
-            device=lsm.device,
-            kernel_name="lsm.maintenance.merge",
-        )
-    return merged
+    return levels[0].run.merge(
+        *(level.run for level in levels[1:]),
+        key=lsm.encoder.strip_status,
+        device=lsm.device,
+        kernel_name="lsm.maintenance.merge",
+    )
 
 
 def mark_valid(

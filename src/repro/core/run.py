@@ -25,7 +25,7 @@ import numpy as np
 
 from repro.gpu.device import Device, get_default_device
 from repro.primitives.compact import segmented_compact
-from repro.primitives.merge import KeyFunc, merge
+from repro.primitives.merge import KeyFunc, merge_runs
 from repro.primitives.multisplit import multisplit
 from repro.primitives.radix_sort import RadixSortConfig, radix_sort
 from repro.primitives.segmented_sort import segmented_sort
@@ -129,18 +129,20 @@ class SortedRun:
 
     def merge(
         self,
-        other: "SortedRun",
+        *older: "SortedRun",
         key: KeyFunc = None,
         device: Optional[Device] = None,
         kernel_name: str = "run.merge",
     ) -> "SortedRun":
-        """Stable merge with ``other``; among equal keys this run's (newer)
-        elements come first — the cascade ordering of Fig. 3 line 14."""
-        keys, values = merge(
-            self.keys,
-            self.values,
-            other.keys,
-            other.values,
+        """Stable merge with the ``older`` runs (newest first): among equal
+        keys this run's elements come first, then each older run's in turn —
+        the cascade ordering of Fig. 3 line 14, a whole carry chain at once."""
+        if not older:
+            return self
+        runs = (self,) + older
+        keys, values = merge_runs(
+            [run.keys for run in runs],
+            [run.values for run in runs] if any(run.has_values for run in runs) else None,
             key=key,
             device=device,
             kernel_name=kernel_name,

@@ -11,20 +11,19 @@ moderngpu implements this with merge-path partitioning: the diagonal of the
 (|A|, |B|) merge matrix is cut into equal-sized tiles, each thread block
 merges one tile from shared memory, and the output is written coalesced.
 :func:`merge_path_partitions` reproduces that partitioning (and is tested
-against the actual merge), while :func:`merge` — which :func:`merge_keys`
-and :func:`merge_pairs` spell for one and two columns — produces the merged
-output with a vectorised rank computation:
-
-* element ``A[i]`` lands at ``i + searchsorted(B, A[i], side='left')``
-* element ``B[j]`` lands at ``j + searchsorted(A, B[j], side='right')``
-
-which is exactly the stable "A wins ties" merge the paper requires when A is
-the more recent side.
+against the actual merge), while :func:`merge_runs` produces the merged
+output of a whole chain of runs — :func:`merge` is its two-run spelling,
+which :func:`merge_keys` and :func:`merge_pairs` spell for one and two
+columns — by concatenating the runs newest first and taking one stable sort
+of the comparison key.  A stable sort keeps equal keys in input order, which
+is exactly the stable "A wins ties" merge the paper requires when A is the
+more recent side, and NumPy's stable integer sort (a timsort) merges the
+already sorted runs instead of sorting from scratch.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Optional, Tuple
+from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -101,17 +100,57 @@ def merge_path_partitions(
     return partitions
 
 
-def _merge_ranks(
-    a_cmp: np.ndarray, b_cmp: np.ndarray
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Output positions of A's and B's elements for a stable A-before-B merge."""
-    a_pos = np.arange(a_cmp.size, dtype=np.int64) + np.searchsorted(
-        b_cmp, a_cmp, side="left"
-    )
-    b_pos = np.arange(b_cmp.size, dtype=np.int64) + np.searchsorted(
-        a_cmp, b_cmp, side="right"
-    )
-    return a_pos, b_pos
+def merge_runs(
+    run_keys: Sequence[np.ndarray],
+    run_values: Optional[Sequence[np.ndarray]],
+    key: KeyFunc = None,
+    device: Optional[Device] = None,
+    kernel_name: str = "merge",
+) -> Tuple[np.ndarray, Optional[np.ndarray]]:
+    """Stable merge of a chain of column sets — per run a key column plus an
+    optional aligned value column — given **newest first**, each sorted
+    under ``key``.
+
+    The result is that of merging the chain pairwise from the front (the
+    accumulated newer side ahead of the next older run among equal keys):
+    the insertion cascade of Fig. 3, the first stage of cleanup.  The host
+    concatenates the runs and takes one stable sort of the comparison key,
+    whose run merging does the whole chain in one pass; the device's
+    pairwise merges are recorded one per link, from the running sizes.
+    A run that is not sorted under ``key`` is undefined input: the output
+    is sorted regardless, the disorder is not carried through.
+    """
+    device = device or get_default_device()
+    run_keys = [_check_sorted_input(keys, "run keys") for keys in run_keys]
+    if any(keys.dtype != run_keys[0].dtype for keys in run_keys):
+        raise TypeError("merge requires matching key dtypes")
+    if run_values is not None:
+        if any(values is None for values in run_values):
+            raise ValueError("cannot merge a key-only run with a key-value run")
+        run_values = [np.asarray(values) for values in run_values]
+        if [v.shape for v in run_values] != [k.shape for k in run_keys]:
+            raise ValueError("values must match their keys in shape")
+        if any(values.dtype != run_values[0].dtype for values in run_values):
+            raise TypeError("merge requires matching value dtypes")
+
+    out_keys = np.concatenate(run_keys)
+    order = np.argsort(_apply_keyfunc(out_keys, key), kind="stable")
+    out_keys = out_keys[order]
+    out_values = None if run_values is None else np.concatenate(run_values)[order]
+
+    itemsize = out_keys.itemsize + (0 if out_values is None else out_values.itemsize)
+    merged = run_keys[0].size
+    for keys in run_keys[1:]:
+        merged += keys.size
+        moved = int(merged * itemsize / MERGE_BANDWIDTH_EFFICIENCY)
+        device.record_kernel(
+            kernel_name,
+            coalesced_read_bytes=moved,
+            coalesced_write_bytes=moved,
+            work_items=merged,
+            launches=2,  # partition kernel + merge kernel
+        )
+    return out_keys, out_values
 
 
 def merge(
@@ -123,54 +162,18 @@ def merge(
     device: Optional[Device] = None,
     kernel_name: str = "merge",
 ) -> Tuple[np.ndarray, Optional[np.ndarray]]:
-    """Stable merge of two column sets — keys plus an optional aligned value
-    column each — whose keys are sorted under ``key``.
-
-    Ties are broken in favour of the A side (its elements appear first in
-    the output), which is the ordering the insertion cascade needs: A is
-    the buffer holding the newer elements, B the older resident level.  The
-    ranks are computed once, from the keys; every present column is
-    scattered through them, and the one recorded kernel moves all of them.
+    """:func:`merge_runs` of two column sets: ties go to the A side (its
+    elements come first in the output), A being the buffer holding the
+    newer elements and B the older resident level.  Input that is not
+    sorted under ``key`` is undefined, not propagated.
     """
-    device = device or get_default_device()
-    a_keys = _check_sorted_input(a_keys, "a_keys")
-    b_keys = _check_sorted_input(b_keys, "b_keys")
-    if a_keys.dtype != b_keys.dtype:
-        raise TypeError("merge requires matching key dtypes")
-    if (a_values is None) != (b_values is None):
-        raise ValueError("cannot merge a key-only run with a key-value run")
-    if a_values is not None:
-        a_values = np.asarray(a_values)
-        b_values = np.asarray(b_values)
-        if a_values.shape != a_keys.shape or b_values.shape != b_keys.shape:
-            raise ValueError("values must match their keys in shape")
-        if a_values.dtype != b_values.dtype:
-            raise TypeError("merge requires matching value dtypes")
-
-    a_pos, b_pos = _merge_ranks(_apply_keyfunc(a_keys, key), _apply_keyfunc(b_keys, key))
-
-    def interleave(a_column: np.ndarray, b_column: np.ndarray) -> np.ndarray:
-        out = np.empty(a_pos.size + b_pos.size, dtype=a_column.dtype)
-        out[a_pos] = a_column
-        out[b_pos] = b_column
-        return out
-
-    out_keys = interleave(a_keys, b_keys)
-    payload_bytes = a_keys.nbytes + b_keys.nbytes
-    out_values = None
-    if a_values is not None:
-        out_values = interleave(a_values, b_values)
-        payload_bytes += a_values.nbytes + b_values.nbytes
-
-    moved = int(payload_bytes / MERGE_BANDWIDTH_EFFICIENCY)
-    device.record_kernel(
-        kernel_name,
-        coalesced_read_bytes=moved,
-        coalesced_write_bytes=moved,
-        work_items=out_keys.size,
-        launches=2,  # partition kernel + merge kernel
+    return merge_runs(
+        (a_keys, b_keys),
+        None if a_values is None and b_values is None else (a_values, b_values),
+        key=key,
+        device=device,
+        kernel_name=kernel_name,
     )
-    return out_keys, out_values
 
 
 def merge_keys(

@@ -8,7 +8,7 @@ preserved inside each bucket.
 
 The real implementation computes warp-level histograms with ballots, scans
 them hierarchically and scatters; here the functional result is produced by
-a stable ``argsort`` of the bucket ids and the traffic model charges the
+a stable ``argsort`` of the (byte-wide) bucket ids and the traffic model charges the
 warp-histogram + scan + scatter passes of the "WMS" (warp-level multisplit)
 variant from the paper, which is bandwidth-bound for small bucket counts.
 """
@@ -112,7 +112,8 @@ def multisplit(
     # argsort is skipped outright.  The traffic accounting below is
     # unchanged — the real kernel still runs its passes.
     identity = ids.size and not np.any(ids != ids[0])
-    order = None if identity else np.argsort(ids, kind="stable")
+    # At most 32 buckets: the ids fit a byte, which NumPy radix-sorts.
+    order = None if identity else np.argsort(ids.astype(np.uint8), kind="stable")
 
     def reorder(column: np.ndarray) -> np.ndarray:
         return column.copy() if order is None else column[order]

@@ -11,8 +11,8 @@ launches (1) a per-block digit histogram, (2) an exclusive scan of the
 histograms, and (3) a stable scatter — the same three kernels CUB launches.
 Those kernels are *recorded*, pass by pass, from the sizes alone
 (:func:`record_radix_sort`); the result itself is computed once, by a single
-stable ``numpy`` ``argsort`` over the selected bit range, which orders the
-input element for element as the stable digit passes would.
+stable sort over the selected bit range (:func:`stable_order`), which orders
+the input element for element as the stable digit passes would.
 
 Traffic model per pass: read keys (+ values), write keys (+ values), plus the
 histogram/scan traffic — giving the familiar ``passes × 2 × payload`` DRAM
@@ -126,6 +126,37 @@ def record_radix_sort(
         )
 
 
+def fits_32_bits(field: np.ndarray) -> bool:
+    """True when ``field`` holds unsigned integers all below ``2**32`` (by
+    dtype where that decides it, by one maximum pass where it does not), so
+    that another 32 bits can be packed beside each."""
+    return field.dtype.kind == "u" and (
+        field.dtype.itemsize <= 4 or not field.size or not int(field.max()) >> 32
+    )
+
+
+def stable_order(field: np.ndarray) -> np.ndarray:
+    """``np.argsort(field, kind="stable")`` of *unordered* unsigned integers.
+
+    A field that fits 32 bits is packed above its element's index,
+    ``(field << 32) | index``, and the words sorted in place by NumPy's
+    default (SIMD) sort: they are distinct, so the unstable sort is stable
+    on the field, and their low halves are the order (30 vs 240 us at 4096
+    ``uint32``).  Fields NumPy radix-sorts (16 bits or fewer) and fields
+    with a bit above the 32nd keep the stable ``argsort``.  Concatenated
+    *presorted* runs belong to :func:`repro.primitives.merge.merge_runs`,
+    whose run-merging sort does those in under half the time.
+    """
+    if field.dtype.itemsize < 4 or not fits_32_bits(field):
+        return np.argsort(field, kind="stable")
+    packed = field.astype(np.uint64)
+    packed <<= np.uint64(32)
+    packed |= np.arange(field.size, dtype=np.uint64)
+    packed.sort()
+    packed &= np.uint64(0xFFFFFFFF)
+    return packed.view(np.int64)
+
+
 def radix_sort(
     keys: np.ndarray,
     values: Optional[np.ndarray],
@@ -154,7 +185,7 @@ def radix_sort(
         field = field & keys.dtype.type((1 << end_bit) - 1)
     if begin_bit:
         field = field >> keys.dtype.type(begin_bit)
-    order = np.argsort(field, kind="stable")
+    order = stable_order(field)
     record_radix_sort(
         device,
         keys.size,

@@ -38,12 +38,13 @@ def exclusive_scan(
     values = np.asarray(values)
     if values.ndim != 1:
         raise ValueError("values must be one-dimensional")
-    acc = np.cumsum(values, dtype=np.int64)
-    total = int(acc[-1]) if values.size else 0
-    result = np.empty(values.size, dtype=np.int64)
-    if values.size:
-        result[0] = initial
-        result[1:] = acc[:-1] + initial
+    # Inclusive sums one slot to the right: the exclusive scan, then the total.
+    sums = np.empty(values.size + 1, dtype=np.int64)
+    sums[0] = initial
+    np.cumsum(values, out=sums[1:])
+    if initial:
+        sums[1:] += initial
+    result = sums[:-1]
 
     device.record_kernel(
         kernel_name,
@@ -51,4 +52,4 @@ def exclusive_scan(
         coalesced_write_bytes=result.nbytes,
         work_items=values.size,
     )
-    return result, total + initial if values.size else initial
+    return result, int(sums[-1])

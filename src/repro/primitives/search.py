@@ -57,7 +57,7 @@ def _search(
     if sorted_keys.ndim != 1 or queries.ndim != 1:
         raise ValueError("binary search expects one-dimensional arrays")
 
-    result = np.searchsorted(sorted_keys, queries, side=side).astype(np.int64)
+    result = sorted_keys.searchsorted(queries, side=side).astype(np.int64, copy=False)
     probes = max(0, _probe_count(sorted_keys.size) - cached_probes)
     device.record_kernel(
         kernel_name,

@@ -9,10 +9,11 @@ segments sorted, the first element of every run of equal keys within a
 segment is the most recent version, so validity can be decided with a single
 neighbouring comparison.
 
-The functional implementation sorts ``(segment_id, compare_key)`` pairs with
-a stable ``lexsort``, which is exactly the "join the segment id into the
-most significant bits and do one big stable sort" trick real GPU segsort
-implementations use for large segment counts.
+The functional implementation joins the segment id into the most significant
+bits of the comparison key and does one big stable sort — the trick real GPU
+segsort implementations use for large segment counts; comparison keys wider
+than 32 bits sort the ``(segment_id, compare_key)`` pairs with a stable
+``lexsort`` instead.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ import numpy as np
 
 from repro.gpu.device import Device, get_default_device
 from repro.primitives.merge import KeyFunc
+from repro.primitives.radix_sort import fits_32_bits
 
 
 def _segment_ids_from_offsets(offsets: np.ndarray, total: int) -> np.ndarray:
@@ -30,16 +32,14 @@ def _segment_ids_from_offsets(offsets: np.ndarray, total: int) -> np.ndarray:
     offsets = np.asarray(offsets, dtype=np.int64)
     if offsets.ndim != 1:
         raise ValueError("segment offsets must be one-dimensional")
-    if offsets.size and (offsets[0] != 0 or np.any(np.diff(offsets) < 0)):
+    if not offsets.size:
+        return np.zeros(total, dtype=np.uint64)
+    if offsets[0] != 0 or np.any(np.diff(offsets) < 0):
         raise ValueError("segment offsets must start at zero and be non-decreasing")
-    if offsets.size and offsets[-1] > total:
+    if offsets[-1] > total:
         raise ValueError("segment offsets exceed the data length")
-    ids = np.zeros(total, dtype=np.int64)
-    if total:
-        starts = offsets[(offsets > 0) & (offsets < total)]
-        np.add.at(ids, starts, 1)
-        ids = np.cumsum(ids)
-    return ids
+    ids = np.arange(offsets.size, dtype=np.uint64)
+    return np.repeat(ids, np.diff(offsets, append=total))
 
 
 def segmented_sort(
@@ -69,10 +69,16 @@ def segmented_sort(
 
     seg_ids = _segment_ids_from_offsets(segment_offsets, keys.size)
     cmp = keys if key is None else key(keys)
-    # lexsort's last key is the primary one: by segment, then by cmp within
-    # it.  np.lexsort is stable, so equal (seg, cmp) pairs keep their input
-    # order, which is what preserves the temporal ordering of duplicate keys.
-    order = np.lexsort((cmp, seg_ids)) if keys.size else np.empty(0, dtype=np.int64)
+    if fits_32_bits(cmp):
+        # Segment id above comparison key: one sortable word.  A stable sort
+        # keeps equal words in input order (the temporal order of duplicate
+        # keys) and merges the sorted per-level chunks candidates arrive as.
+        packed = seg_ids << np.uint64(32)
+        packed |= cmp
+        order = np.argsort(packed, kind="stable")
+    else:
+        # Wider keys: a stable two-key sort, by segment then by cmp.
+        order = np.lexsort((cmp, seg_ids))
 
     payload = keys.nbytes + (0 if values is None else values.nbytes)
     device.record_kernel(

@@ -1,6 +1,6 @@
 """Golden accounting: execution may change, the recorded kernels may not.
 
-Three kinds of pin:
+The kinds of pin:
 
 * the radix sort against the *literal-pass* LSD sort it replaced, kept
   here as the reference: identical outputs, identical ordered records
@@ -9,6 +9,14 @@ Three kinds of pin:
 * merge, segmented sort, multisplit and segmented compaction against the
   keys / pairs twins each was written as before they shared one body,
   kept here as references, under the same three checks;
+* the ordering rules against what they replaced, kept here as references:
+  the chain merge (the whole cascade as one run-merging sort) against the
+  sequential two-rank merges, parametrised and as a Hypothesis property;
+  the index-packed radix order and the packed segmented sort at both key
+  widths, with keys on both sides of the 32 bits the packing needs; the
+  sort-once update canonicalisation against its ``np.unique`` passes; and
+  a same-process speed ratio of the merge and the segmented sort against
+  those references (not a wall-clock floor);
 * the Bloom filter against the literal build (both hashes recomputed per
   probe index, bits set through ``np.bitwise_or.at``) and the literal
   early-exiting probe loop it replaced, kept here as the reference:
@@ -28,21 +36,26 @@ Three kinds of pin:
 import dataclasses
 import hashlib
 import pprint
+import time
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
+from repro.api.ops import OpBatch, OpCode
+from repro.api.planner import Consistency, _canonical_updates, execute
 from repro.baselines.sorted_array import GPUSortedArray
 from repro.bench.wallclock import make_prefill
 from repro.bench.workloads import MixedOpConfig, make_mixed_batches
 from repro.core.config import LSMConfig
 from repro.core.filters import FILTER_PROBE_WORD_BYTES, BloomFilter, derive_num_hashes
 from repro.core.lsm import GPULSM
+from repro.core.run import SortedRun
 from repro.gpu.device import Device
 from repro.gpu.spec import K40C_SPEC
 from repro.primitives.compact import segmented_compact
 from repro.primitives.histogram import block_histograms
-from repro.primitives.merge import merge_keys, merge_pairs
+from repro.primitives.merge import merge_keys, merge_pairs, merge_runs
 from repro.primitives.multisplit import multisplit_keys, multisplit_pairs
 from repro.primitives.radix_sort import (
     RadixSortConfig,
@@ -497,6 +510,270 @@ def test_segmented_compact_matches_the_keys_then_values_passes(
         lambda d: reference_segmented_compact(keys, values, mask, offsets, d, "c"),
         lambda d: segmented_compact(keys, values, mask, offsets, device=d, kernel_name="c"),
     )
+
+
+# ---------------------------------------------------------------------- #
+# The ordering rules vs what they replaced: the cascade as one run-merging
+# sort vs the sequential two-rank merges, the index-packed sort vs the
+# literal passes at both key widths, the packed segmented sort vs lexsort
+# where the packing decision is made from the values, and the sort-once
+# update canonicalisation vs the ``np.unique`` passes
+# ---------------------------------------------------------------------- #
+def reference_cascade(runs, key, device, kernel_name):
+    """The cascade as it ran before it was one sort: the buffer merged into
+    each older run in turn (``runs`` newest first), every link a two-rank
+    merge that records itself."""
+    keys, values = runs[0]
+    for older_keys, older_values in runs[1:]:
+        if values is None:
+            keys = reference_merge_keys(keys, older_keys, key, device, kernel_name)
+        else:
+            keys, values = reference_merge_pairs(
+                keys, values, older_keys, older_values, key, device, kernel_name
+            )
+    return keys, values
+
+
+def chain_of_runs(rng, sizes, dtype, pairs, key_domain):
+    """One run per size, newest first: encoded words (key, status bit) over
+    a small key domain — the same keys recur across runs and within one,
+    tombstones among them — each sorted under ``strip_status`` only."""
+    runs = []
+    for i, size in enumerate(sizes):
+        words = (
+            rng.integers(0, key_domain, size) * 2 + rng.integers(0, 2, size)
+        ).astype(dtype)
+        words = words[np.argsort(strip_status(words), kind="stable")]
+        runs.append((words, np.arange(size, dtype=np.uint32) + 1000 * i if pairs else None))
+    return runs
+
+
+def assert_chain_merges_like_the_cascade(recording_device, runs, key):
+    def current(device):
+        return merge_runs(
+            [keys for keys, _ in runs],
+            None if runs[0][1] is None else [values for _, values in runs],
+            key=key, device=device, kernel_name="c",
+        )
+
+    def through_sorted_run(device):
+        newest, *older = (SortedRun(keys, values) for keys, values in runs)
+        merged = newest.merge(*older, key=key, device=device, kernel_name="c")
+        return merged.keys, merged.values
+
+    for chain in (current, through_sorted_run):
+        assert_same_run(
+            recording_device, lambda d: reference_cascade(runs, key, d, "c"), chain
+        )
+
+
+@pytest.mark.parametrize("depth", [0, 1, 2, 3, 5, 7])
+@key_cases
+@columns_cases
+def test_chain_merge_matches_the_sequential_cascade(
+    recording_device, pairs, dtype, key, depth
+):
+    """A carry chain of ``depth`` full levels under the buffer, the sizes
+    the cascade meets: b, b, 2b, 4b, …"""
+    rng = np.random.default_rng(depth + 5)
+    sizes = [32] + [32 << i for i in range(depth)]
+    runs = chain_of_runs(rng, sizes, dtype, pairs, key_domain=200)
+    if key is None:  # full-word order: each run sorted under the raw word
+        runs = [(np.sort(keys), values) for keys, values in runs]
+    assert_chain_merges_like_the_cascade(recording_device, runs, key)
+
+
+@settings(
+    max_examples=60, deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(
+    sizes=st.lists(st.integers(min_value=0, max_value=40), min_size=1, max_size=7),
+    key_domain=st.integers(min_value=1, max_value=50),
+    wide=st.booleans(),
+    pairs=st.booleans(),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_any_chain_equals_the_sequential_merges(
+    recording_device, sizes, key_domain, wide, pairs, seed
+):
+    """1–7 runs of any sizes, duplicates across and within runs, tombstones:
+    bit for bit the sequential merges, records included."""
+    runs = chain_of_runs(
+        np.random.default_rng(seed), sizes, np.uint64 if wide else np.uint32,
+        pairs, key_domain,
+    )
+    assert_chain_merges_like_the_cascade(recording_device, runs, strip_status)
+
+
+@pytest.mark.parametrize("n", [0, 1, 255, 4096])
+@pytest.mark.parametrize("top_bit", [16, 31, 32, 33, 63])
+@columns_cases
+def test_radix_sort_matches_literal_passes_at_both_widths(
+    recording_device, pairs, dtype, top_bit, n
+):
+    """Unordered keys below and above the width the index packing needs
+    (``top_bit`` is the highest bit a key may have set): packed or stable
+    ``argsort``, the order is that of the stable digit passes."""
+    rng = np.random.default_rng(n + top_bit)
+    bits = min(top_bit + 1, np.dtype(dtype).itemsize * 8)
+    keys = rng.integers(0, 1 << min(bits, 63), n, dtype=np.uint64).astype(dtype)
+    if n:
+        keys[0] = np.dtype(dtype).type((1 << bits) - 1)
+    keys[: n // 2] >>= np.dtype(dtype).type(bits // 2)  # duplicates among the low words
+    for config in (RadixSortConfig(), RadixSortConfig(digit_bits=11, begin_bit=1)):
+        assert_sorts_like_the_literal_passes(
+            recording_device, keys, np.arange(n, dtype=np.uint32) if pairs else None, config
+        )
+
+
+@pytest.mark.parametrize("top_bit", [31, 32, 33, 63])
+@pytest.mark.parametrize("pairs", [False, True], ids=["keys", "pairs"])
+def test_segmented_sort_of_wide_words_matches_lexsort(recording_device, pairs, top_bit):
+    """64-bit words whose comparison keys do and do not fit the 32 bits
+    beside the segment id: packed or ``lexsort``, the same order."""
+    rng = np.random.default_rng(top_bit)
+    n = 4096
+    keys = rng.integers(0, 1 << 12, n, dtype=np.uint64) << np.uint64(top_bit - 11)
+    values = np.arange(n, dtype=np.uint32)
+    offsets = segment_starts(rng, n)
+    for key in (None, strip_status):
+        if pairs:
+            assert_same_run(
+                recording_device,
+                lambda d: reference_segmented_sort_pairs(keys, values, offsets, key, d, "s"),
+                lambda d: segmented_sort_pairs(
+                    keys, values, offsets, key=key, device=d, kernel_name="s"
+                ),
+            )
+        else:
+            assert_same_run(
+                recording_device,
+                lambda d: (reference_segmented_sort_keys(keys, offsets, key, d, "s"),),
+                lambda d: (
+                    segmented_sort_keys(keys, offsets, key=key, device=d, kernel_name="s"),
+                ),
+            )
+
+
+def reference_canonical_updates(batch, indices, arrival_order):
+    """The update canonicalisation as it ran before it sorted once: the
+    last occurrence per key through ``np.unique`` of the reversed column,
+    or the deleted keys and the first insertion per key through two
+    ``np.unique`` and an ``np.isin``."""
+    codes = batch.opcodes[indices]
+    keys = batch.keys[indices]
+    values = batch.values[indices]
+    is_delete = codes == OpCode.DELETE
+
+    if arrival_order:
+        _, first_in_reversed = np.unique(keys[::-1], return_index=True)
+        survivors = np.sort(keys.size - 1 - first_in_reversed)
+        return is_delete[survivors], keys[survivors], values[survivors]
+
+    deleted = np.unique(keys[is_delete])
+    ins_pos = np.flatnonzero(~is_delete)
+    _, first_idx = np.unique(keys[ins_pos], return_index=True)
+    ins_pos = ins_pos[np.sort(first_idx)]
+    ins_pos = ins_pos[~np.isin(keys[ins_pos], deleted)]
+    out_is_delete = np.concatenate(
+        (np.ones(deleted.size, dtype=bool), np.zeros(ins_pos.size, dtype=bool))
+    )
+    out_keys = np.concatenate((deleted, keys[ins_pos]))
+    out_values = np.concatenate(
+        (np.zeros(deleted.size, dtype=values.dtype), values[ins_pos])
+    )
+    return out_is_delete, out_keys, out_values
+
+
+def update_segment(rng, n, key_domain, delete_share, big_keys=()):
+    """A mixed batch whose update rows (returned as ``indices``) draw keys
+    from a small domain — every key several times, deleted and inserted —
+    with ``big_keys`` planted among them."""
+    opcodes = rng.choice(
+        [OpCode.INSERT, OpCode.DELETE, OpCode.LOOKUP],
+        size=n, p=[0.8 - delete_share, delete_share, 0.2],
+    ).astype(np.uint8)
+    keys = rng.integers(0, key_domain, n).astype(np.uint64)
+    indices = np.flatnonzero(opcodes != OpCode.LOOKUP)
+    for big in big_keys:
+        keys[rng.choice(indices, size=min(3, indices.size), replace=False)] = big
+    values = rng.integers(1, 1 << 20, n).astype(np.uint64)
+    return OpBatch(opcodes, keys, values, np.zeros(n, dtype=np.uint64)), indices
+
+
+@pytest.mark.parametrize("arrival_order", [False, True], ids=["paper", "arrival"])
+@pytest.mark.parametrize(
+    "big_keys",
+    [(), ((1 << 31) - 1,), (1 << 31, (1 << 32) - 1), (1 << 32, 1 << 40), ((1 << 64) - 1, 1 << 63)],
+    ids=["small", "max-key", "over-31-bits", "over-32-bits", "top-bits"],
+)
+@pytest.mark.parametrize("n,key_domain", [(1, 4), (64, 8), (4096, 600), (4096, 1 << 31)])
+@pytest.mark.parametrize("delete_share", [0.0, 0.3, 0.8])
+def test_canonical_updates_match_the_unique_passes(
+    delete_share, n, key_domain, big_keys, arrival_order
+):
+    """Both modes, with keys at and beyond every width the one-sort
+    canonicalisation packs by: the same survivors in the same order."""
+    rng = np.random.default_rng(n + key_domain % 97 + len(big_keys))
+    batch, indices = update_segment(rng, n, key_domain, delete_share, big_keys)
+    want = reference_canonical_updates(batch, indices, arrival_order)
+    got = _canonical_updates(batch, indices, arrival_order)
+    for got_column, want_column in zip(got, want):
+        assert np.array_equal(got_column, want_column)
+        assert got_column.dtype == want_column.dtype
+
+
+@pytest.mark.parametrize("consistency", list(Consistency))
+def test_out_of_domain_update_keys_still_fail_typed(consistency):
+    """A key of 2**31 or more reaches the canonicalisation (which must
+    order it like any other) and is rejected where it always was: by the
+    backend's encoder, as a ``ValueError`` naming the domain."""
+    rng = np.random.default_rng(3)
+    batch, _ = update_segment(rng, 256, 100, 0.3, big_keys=(1 << 31, 1 << 40))
+    lsm = GPULSM(batch_size=256, device=Device(K40C_SPEC, seed=1))
+    with pytest.raises(ValueError, match="31-bit original-key domain"):
+        execute(batch, lsm, consistency=consistency)
+
+
+def best_of(repeats, call):
+    best = float("inf")
+    for _ in range(repeats):
+        started = time.perf_counter()
+        call()
+        best = min(best, time.perf_counter() - started)
+    return best
+
+
+def test_sorts_stay_on_their_fast_paths():
+    """A same-process ratio, not a wall-clock floor: the merge and the
+    segmented sort against the references above on the benchmark's own
+    micro-pass inputs, best of 5 each.  Measured 3.6x and 8.5x; a silent
+    fall back to the slow path (a dtype that misses the packed branch, a
+    sort that stops merging runs) reads about 1x whatever the box."""
+    rng = np.random.default_rng(11)
+    device = Device(K40C_SPEC, seed=1)
+
+    def sorted_run(size):
+        return np.sort(rng.integers(0, 1 << 31, size, dtype=np.uint64).astype(np.uint32))
+
+    run_a, run_b = sorted_run(1 << 16), sorted_run(1 << 16)
+    run_values = np.arange(1 << 16, dtype=np.uint32)
+    seg_keys = rng.integers(0, 1 << 31, 4096 * 8, dtype=np.uint64).astype(np.uint32)
+    seg_values = np.arange(4096 * 8, dtype=np.uint32)
+    seg_offsets = np.arange(0, 4096 * 8 + 1, 8, dtype=np.int64)
+
+    merge_ratio = best_of(
+        5, lambda: reference_merge_pairs(run_a, run_values, run_b, run_values, None, device, "m")
+    ) / best_of(5, lambda: merge_pairs(run_a, run_values, run_b, run_values, device=device))
+    segsort_ratio = best_of(
+        5, lambda: reference_segmented_sort_pairs(
+            seg_keys, seg_values, seg_offsets, None, device, "s")
+    ) / best_of(
+        5, lambda: segmented_sort_pairs(seg_keys, seg_values, seg_offsets, device=device)
+    )
+    assert merge_ratio >= 1.5, f"merge only {merge_ratio:.2f}x the two-rank reference"
+    assert segsort_ratio >= 3.0, f"segmented sort only {segsort_ratio:.2f}x the lexsort reference"
 
 
 # ---------------------------------------------------------------------- #

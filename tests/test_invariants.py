@@ -91,14 +91,20 @@ class TestLSMInvariants:
 
     def test_validate_invariants_flag_runs_checker(self, device, rng):
         # With validation enabled a corrupted structure is detected on the
-        # next update rather than silently propagating.
+        # next update.  The corrupted level must be one that update does
+        # not consume: a sort-based merge *repairs* an unsorted level on the
+        # way through (unsorted merge input is undefined, not propagated).
+        # After two batches level 1 is full and level 0 empty, so the third
+        # insert only stores into level 0 and the checker must flag level 1.
         lsm = GPULSM(config=LSMConfig(batch_size=8, validate_invariants=True),
                      device=device)
-        lsm.insert(rng.integers(0, 1000, 8, dtype=np.uint32),
-                   rng.integers(0, 100, 8, dtype=np.uint32))
-        lsm.levels[0].run = SortedRun(
-            lsm.levels[0].keys[::-1].copy(), lsm.levels[0].values
+        for _ in range(2):
+            lsm.insert(rng.integers(0, 1000, 8, dtype=np.uint32),
+                       rng.integers(0, 100, 8, dtype=np.uint32))
+        assert lsm.levels[0].is_empty and lsm.levels[1].is_full
+        lsm.levels[1].run = SortedRun(
+            lsm.levels[1].keys[::-1].copy(), lsm.levels[1].values
         )
-        with pytest.raises(InvariantViolation):
+        with pytest.raises(InvariantViolation, match="level 1 is not sorted"):
             lsm.insert(rng.integers(0, 1000, 8, dtype=np.uint32),
                        rng.integers(0, 100, 8, dtype=np.uint32))
