@@ -5,6 +5,9 @@ Public surface:
 * :class:`repro.core.lsm.GPULSM` — the dynamic dictionary itself
   (``bulk_build`` / ``insert`` / ``delete`` / ``update`` / ``lookup`` /
   ``count`` / ``range_query`` / ``cleanup``).
+* :mod:`repro.core.ranges` — the COUNT/RANGE pipeline, written once over
+  groups of (store, slice of the batch); ``GPULSM`` is its one-group
+  spelling, the sharded front-end runs all its shards through one call.
 * :class:`repro.core.config.LSMConfig` — batch size and tuning parameters.
 * :class:`repro.core.batch.UpdateBatch` — a mixed batch of insertions and
   tombstoned deletions, with the padding rules of Section IV-A.

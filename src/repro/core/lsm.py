@@ -28,17 +28,17 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from repro.core import maintenance as maintenance_mod
-from repro.core.batch import UpdateBatch, build_update_batch
+from repro.core.batch import build_update_batch
 from repro.core.config import LSMConfig
 from repro.core.encoding import KeyEncoder, STATUS_REGULAR
 from repro.core.filters import BloomFilter, FilterStatsCounter, LevelFilters
 from repro.core.maintenance import MaintenanceStatsCounter
 from repro.core.level import Level
+from repro.core.ranges import query_ranges
 from repro.core.run import SortedRun
 from repro.gpu.device import Device, get_default_device
 from repro.primitives.radix_sort import record_radix_sort
-from repro.primitives.scan import exclusive_scan
-from repro.primitives.search import DEFAULT_CACHED_PROBES, lower_bound, upper_bound
+from repro.primitives.search import DEFAULT_CACHED_PROBES, record_search
 
 
 @dataclass
@@ -85,6 +85,53 @@ class RangeResult:
 
     def __len__(self) -> int:
         return int(self.offsets.size - 1)
+
+
+def lookup_in_key_order(
+    config: LSMConfig, key_only: bool, query_keys: np.ndarray, lookup_sorted
+) -> LookupResult:
+    """The front door of LOOKUP, shared by :class:`GPULSM` and the sharded
+    front-end: validate the batch, order it by key once, let
+    ``lookup_sorted(sorted_keys) -> (found, values)`` answer in that order,
+    and scatter the answers back to request order.
+
+    Probing in ascending key order is what makes the searches cache-friendly
+    on the host; the order is uncharged and leaks into no counter.
+    """
+    query_keys = np.asarray(query_keys)
+    if query_keys.ndim != 1:
+        raise ValueError("lookup expects a one-dimensional query array")
+    nq = query_keys.size
+    found = np.zeros(nq, dtype=bool)
+    values = None if key_only else np.zeros(nq, dtype=config.value_dtype)
+    if nq:
+        config.encoder.check_query_keys(query_keys)
+        order = query_keys.argsort()
+        sorted_found, sorted_values = lookup_sorted(query_keys[order])
+        found[order] = sorted_found
+        if values is not None:
+            values[order] = sorted_values
+    return LookupResult(found=found, values=values)
+
+
+def answer_ranges(
+    config: LSMConfig, key_only: bool, k1: np.ndarray, k2: np.ndarray, op: str, run
+):
+    """The front door of COUNT (``op="count"``: per-query counts) and RANGE
+    (``op="range"``: a :class:`RangeResult`), shared likewise: validate the
+    bounds and shape what ``run(k1, k2, op) -> (offsets, words, values)``
+    — a :func:`repro.core.ranges.query_ranges` pass, one segment per query —
+    returns.  An empty batch reaches no device."""
+    k1, k2 = config.encoder.check_range_args(k1, k2)
+    if k1.size:
+        offsets, words, values = run(k1, k2, op)
+    else:
+        offsets, words = np.zeros(1, dtype=np.int64), np.zeros(0, dtype=config.key_dtype)
+        values = None if key_only else np.zeros(0, dtype=config.value_dtype)
+    if op == "count":
+        return offsets[1:] - offsets[:-1]
+    keys = config.encoder.decode_key(words).astype(np.uint64)
+    return RangeResult(offsets=offsets, keys=keys, values=values)
 
 
 class GPULSM:
@@ -272,20 +319,11 @@ class GPULSM:
         padded per Section IV-A.  ``values`` is required unless the
         dictionary is key-only.
         """
-        batch = build_update_batch(
-            self.config,
-            insert_keys=keys,
-            insert_values=values,
-            key_only=self.key_only,
-        )
-        self._push_batch(batch)
+        self.update(insert_keys=keys, insert_values=values)
 
     def delete(self, keys: np.ndarray) -> None:
         """Delete a batch of keys by inserting tombstones (Section III-C)."""
-        batch = build_update_batch(
-            self.config, delete_keys=keys, key_only=self.key_only
-        )
-        self._push_batch(batch)
+        self.update(delete_keys=keys)
 
     def update(
         self,
@@ -301,18 +339,33 @@ class GPULSM:
             delete_keys=delete_keys,
             key_only=self.key_only,
         )
-        self._push_batch(batch)
+        self._push_run(
+            batch.as_run(), batch.num_insertions, batch.num_deletions, is_sorted=False
+        )
 
-    def _push_batch(self, batch: UpdateBatch) -> None:
-        """Sort the batch and run the merge cascade (Fig. 2a / Fig. 3)."""
+    def _push_run(
+        self, buf: SortedRun, num_insertions: int, num_deletions: int, is_sorted: bool
+    ) -> None:
+        """Sort one padded batch — exactly ``batch_size`` encoded elements,
+        ``num_insertions`` / ``num_deletions`` of them real — and run the
+        merge cascade (Fig. 2a / Fig. 3).  A run that arrives in full-word
+        order (``is_sorted``: the sharded router's canonical slices) is not
+        sorted again; the device's sort of the batch is recorded from its
+        size either way."""
         if self.num_batches >= self.config.max_resident_batches:
             raise OverflowError("GPU LSM is full: maximum resident batches reached")
 
-        with self.device.timed_region("lsm.insert_batch", items=batch.size):
+        with self.device.timed_region("lsm.insert_batch", items=buf.size):
             # Sort the new batch over the *full* encoded word — status bit
             # included — so tombstones precede regular elements of the same
             # key within the batch (Fig. 3 line 9).
-            buf = batch.as_run().sort(device=self.device)
+            if is_sorted:
+                record_radix_sort(
+                    self.device, buf.size, buf.keys.dtype,
+                    None if buf.values is None else buf.values.dtype,
+                )
+            else:
+                buf = buf.sort(device=self.device)
             self._live_keys_upper_bound += self._distinct_regular_keys(buf.keys)
 
             # Merge cascade: while level i is full, merge (buffer, level i)
@@ -344,8 +397,8 @@ class GPULSM:
             )
             self._attach_filters(target)
             self.num_batches += 1
-            self.total_insertions += batch.num_insertions
-            self.total_deletions += batch.num_deletions
+            self.total_insertions += num_insertions
+            self.total_deletions += num_deletions
             self.epoch += 1
             if self._trailing_placebos and i >= self._placebo_level:
                 # The cascade merged the padded level: its placebos are now
@@ -720,30 +773,20 @@ class GPULSM:
         execution detail no counter sees; ``sort_queries`` decides what
         the device is charged for.)
         """
-        query_keys = np.asarray(query_keys)
-        if query_keys.ndim != 1:
-            raise ValueError("lookup expects a one-dimensional query array")
-        nq = query_keys.size
-        if nq == 0:
-            return LookupResult(
-                found=np.zeros(0, dtype=bool),
-                values=(
-                    None
-                    if self.key_only
-                    else np.zeros(0, dtype=self.config.value_dtype)
-                ),
-            )
-        self.encoder.check_query_keys(query_keys)
+        return lookup_in_key_order(
+            self.config, self.key_only, query_keys, self._lookup_sorted
+        )
 
+    def _lookup_sorted(
+        self, qk: np.ndarray
+    ) -> Tuple[np.ndarray, Optional[np.ndarray]]:
+        """:meth:`lookup` of a validated, non-empty batch already in
+        ascending key order: ``(found, values)`` in that same order.  A
+        subset of a sorted batch stays sorted, so the shrinking unresolved
+        set keeps the order for free."""
+        nq = qk.size
         levels = self.occupied_levels()
         with self.device.timed_region("lsm.lookup", items=nq):
-            # Host execution order: every level is probed in ascending key
-            # order, which is what makes the searches cache-friendly on the
-            # host.  The order is uncharged and leaks into no counter — a
-            # subset of a sorted batch stays sorted, so the shrinking
-            # unresolved set keeps it for free.
-            order = np.argsort(query_keys)
-            qk = query_keys[order]
             sort_queries = self.config.sort_queries and nq > 1 and bool(levels)
             cached_probes = DEFAULT_CACHED_PROBES
             if sort_queries:
@@ -790,14 +833,15 @@ class GPULSM:
                 if pending.size == 0:
                     continue
                 self._filter_stats.searched += int(pending.size)
-                pos = lower_bound(
-                    level.keys, probes[pending], device=self.device,
-                    kernel_name="lsm.lookup.lower_bound",
-                    cached_probes=cached_probes,
+                level_keys = level.keys
+                pos = level_keys.searchsorted(probes[pending])
+                record_search(
+                    self.device, "lsm.lookup.lower_bound", pending.size,
+                    probes.dtype.itemsize, level_keys.size, cached_probes,
                 )
-                in_range = pos < level.size
-                pos_c = np.minimum(pos, level.size - 1)
-                words = level.keys[pos_c]
+                in_range = pos < level_keys.size
+                pos_c = np.minimum(pos, level_keys.size - 1)
+                words = level_keys[pos_c]
                 match = in_range & (
                     self.encoder.decode_key(words)
                     == q.astype(self.config.key_dtype)
@@ -818,47 +862,27 @@ class GPULSM:
                     resolved[matched] = True
                     unresolved = unresolved[~resolved[unresolved]]
 
-            # Scatter the answers back to request order.
-            found = np.empty(nq, dtype=bool)
-            found[order] = out_found
-            values = None
-            if out_values is not None:
-                values = np.empty(nq, dtype=out_values.dtype)
-                values[order] = out_values
             if sort_queries:
+                # The answers leave in request order: one scatter of them.
+                answer_bytes = out_found.nbytes + (
+                    out_values.nbytes if out_values is not None else 0
+                )
                 self.device.record_kernel(
                     "lsm.lookup.scatter_results",
-                    coalesced_read_bytes=out_found.nbytes
-                    + (out_values.nbytes if out_values is not None else 0),
-                    random_write_bytes=found.nbytes
-                    + (values.nbytes if values is not None else 0),
+                    coalesced_read_bytes=answer_bytes,
+                    random_write_bytes=answer_bytes,
                     work_items=nq,
                 )
-
-        return LookupResult(found=found, values=values)
+        return out_found, out_values
 
     # ------------------------------------------------------------------ #
     # Count and range queries
     # ------------------------------------------------------------------ #
     def count(self, k1: np.ndarray, k2: np.ndarray) -> np.ndarray:
         """Batch COUNT: number of live keys in ``[k1, k2]`` per query."""
-        k1, k2 = self.encoder.check_range_args(k1, k2)
-        nq = k1.size
-        if nq == 0:
-            return np.zeros(0, dtype=np.int64)
-        with self.device.timed_region("lsm.count", items=nq):
-            candidates, query_offsets = self._gather_candidates(
-                k1, k2, with_values=False
-            )
-            sorted_run = candidates.segmented_sort(
-                query_offsets[:-1],
-                key=self.encoder.strip_status,
-                device=self.device,
-                kernel_name="lsm.count.segmented_sort",
-            )
-            valid = self._validate_candidates(sorted_run.keys, query_offsets)
-            counts = self._per_query_counts(valid, query_offsets)
-        return counts
+        return answer_ranges(
+            self.config, self.key_only, k1, k2, "count", self._query_ranges
+        )
 
     def range_query(self, k1: np.ndarray, k2: np.ndarray) -> RangeResult:
         """Batch RANGE: all live ``(key, value)`` pairs in ``[k1, k2]``.
@@ -867,218 +891,22 @@ class GPULSM:
         into one buffer of keys (and values) sorted by key within each
         query.
         """
-        k1, k2 = self.encoder.check_range_args(k1, k2)
-        nq = k1.size
-        if nq == 0:
-            empty_vals = None if self.key_only else np.zeros(0, self.config.value_dtype)
-            return RangeResult(
-                offsets=np.zeros(1, dtype=np.int64),
-                keys=np.zeros(0, dtype=np.uint64),
-                values=empty_vals,
-            )
-        with self.device.timed_region("lsm.range", items=nq):
-            candidates, query_offsets = self._gather_candidates(
-                k1, k2, with_values=not self.key_only
-            )
-            sorted_run = candidates.segmented_sort(
-                query_offsets[:-1],
-                key=self.encoder.strip_status,
-                device=self.device,
-                kernel_name="lsm.range.segmented_sort",
-            )
-            valid = self._validate_candidates(sorted_run.keys, query_offsets)
-            out_run, new_offsets = sorted_run.segmented_compact(
-                valid,
-                query_offsets[:-1],
-                device=self.device,
-                kernel_name="lsm.range.compact",
-            )
-
-        return RangeResult(
-            offsets=new_offsets,
-            keys=self.encoder.decode_key(out_run.keys).astype(np.uint64),
-            values=out_run.values,
+        return answer_ranges(
+            self.config, self.key_only, k1, k2, "range", self._query_ranges
         )
 
-    def _gather_candidates(
-        self, k1: np.ndarray, k2: np.ndarray, with_values: bool
-    ) -> Tuple[SortedRun, np.ndarray]:
-        """Stages 1–3 of COUNT/RANGE (Fig. 2c lines 4–14).
-
-        Returns the concatenated candidate run plus per-query offsets of
-        length ``num_queries + 1``.  Candidates of one query are contiguous,
-        ordered from the most recent level to the oldest, each level's
-        contribution key-sorted — the order the segmented sort needs to
-        preserve recency among equal keys.
-        """
-        levels = self.occupied_levels()
-        nq = k1.size
-        num_levels = len(levels)
-
-        if num_levels == 0:
-            offsets = np.zeros(nq + 1, dtype=np.int64)
-            empty_vals = (
-                np.zeros(0, dtype=self.config.value_dtype) if with_values else None
-            )
-            return SortedRun(np.zeros(0, dtype=self.config.key_dtype), empty_vals), offsets
-
-        # Stage 1: per-(query, level) lower/upper bounds and count
-        # estimates.  A level whose fence range does not overlap a query's
-        # ``[k1, k2]`` cannot contribute candidates, so the binary searches
-        # run only for the overlapping (query, level) pairs; the pruned
-        # pairs keep lower == upper == 0 (an empty candidate chunk).
-        #
-        # Host execution order: as in :meth:`lookup`, every level is probed
-        # in ascending ``k1`` order (uncharged, visible in no counter), so
-        # ``bounds`` — lower / upper positions, one row per level — has its
-        # columns in probe order until they are scattered back below.
+    def _query_ranges(
+        self, k1: np.ndarray, k2: np.ndarray, op: str
+    ) -> Tuple[np.ndarray, Optional[np.ndarray], Optional[np.ndarray]]:
+        """The COUNT/RANGE pipeline of :mod:`repro.core.ranges` with this
+        store as its one group and the query as the segment.  Every level
+        is probed in ascending ``k1`` order — uncharged host execution
+        order, as in :meth:`lookup`."""
         order = np.argsort(k1)
-        k1, k2 = k1[order], k2[order]
-        bounds = np.zeros((2, num_levels, nq), dtype=np.int64)
-        lower_probes = self.encoder.lower_probe(k1)
-        upper_probes = self.encoder.upper_probe(k2)
-        for j, level in enumerate(levels):
-            self._filter_stats.range_pairs += nq
-            overlap = (
-                level.filters.fence_overlap(k1, k2)
-                if level.filters is not None
-                else None
-            )
-            if overlap is None:
-                idx = slice(None)
-                searched = nq
-            else:
-                # Fence-overlap test fused into the bound-search prologue
-                # (two register compares per query; no separate launch).
-                self.device.record_kernel(
-                    "lsm.query.fence",
-                    coalesced_read_bytes=k1.nbytes + k2.nbytes,
-                    coalesced_write_bytes=nq,
-                    work_items=nq,
-                    launches=0,
-                )
-                idx = np.flatnonzero(overlap)
-                searched = int(idx.size)
-                self._filter_stats.range_fence_pruned += nq - searched
-                if searched == 0:
-                    continue
-            bounds[0, j, idx] = lower_bound(
-                level.keys,
-                lower_probes[idx],
-                device=self.device,
-                kernel_name="lsm.query.lower_bound",
-            )
-            bounds[1, j, idx] = upper_bound(
-                level.keys,
-                upper_probes[idx],
-                device=self.device,
-                kernel_name="lsm.query.upper_bound",
-            )
-        by_request = np.empty_like(bounds)
-        by_request[:, :, order] = bounds
-        lows = by_request[0]
-        counts = by_request[1] - lows  # per (level, query), in request order
-
-        # Stage 2: device-wide exclusive scan gives each (query, level)
-        # chunk its output offset; query-major order keeps each query's
-        # candidates contiguous.
-        flat_offsets, total = exclusive_scan(
-            counts.T.reshape(-1), device=self.device, kernel_name="lsm.query.scan"
+        return query_ranges(
+            self.config, [(self, 0, k1.size)], k1[order], k2[order], order, op,
+            with_values=op == "range" and not self.key_only,
         )
-
-        # Per-query segment offsets (+ total sentinel).
-        query_offsets = np.empty(nq + 1, dtype=np.int64)
-        query_offsets[:-1] = flat_offsets[::num_levels]
-        query_offsets[-1] = total
-
-        # Stage 3: the ragged gather, one level at a time as the device
-        # kernel indexes through its per-level base pointers.  With the
-        # chunks laid end to end level-major, element ``i`` is read from its
-        # level at ``src[i]`` and lands at output position ``dst[i]``: its
-        # chunk's lower bound / scanned offset, plus its rank in the chunk.
-        counts = counts.reshape(-1)
-        chunk_ends = np.cumsum(counts)
-        chunk_bases = np.stack(
-            (lows.reshape(-1), flat_offsets.reshape(nq, num_levels).T.reshape(-1))
-        )
-        chunk_bases -= chunk_ends - counts
-        index = np.repeat(chunk_bases, counts, axis=1)
-        index += np.arange(total)
-        src, dst = index
-        cand_keys = np.empty(total, dtype=self.config.key_dtype)
-        cand_values = (
-            np.zeros(total, dtype=self.config.value_dtype) if with_values else None
-        )
-        lo = 0
-        for level, hi in zip(levels, chunk_ends[nq - 1 :: nq].tolist()):
-            cand_keys[dst[lo:hi]] = level.keys[src[lo:hi]]
-            if cand_values is not None and level.values is not None:
-                cand_values[dst[lo:hi]] = level.values[src[lo:hi]]
-            lo = hi
-        per_item = self.config.key_dtype.itemsize + (
-            self.config.value_dtype.itemsize if cand_values is not None else 0
-        )
-        gathered_bytes = int(total) * per_item
-
-        self.device.record_kernel(
-            "lsm.query.gather",
-            coalesced_read_bytes=gathered_bytes,
-            coalesced_write_bytes=gathered_bytes,
-            work_items=int(total),
-            launches=1,
-        )
-        return SortedRun(cand_keys, cand_values), query_offsets
-
-    def _validate_candidates(
-        self, sorted_words: np.ndarray, query_offsets: np.ndarray
-    ) -> np.ndarray:
-        """Stage 5 of COUNT/RANGE: mark the valid candidates.
-
-        After the segmented sort, all copies of an original key within a
-        query's segment are adjacent and ordered most-recent-first.  An
-        element is a *valid* result iff it is the first of its equal-key run
-        and is not a tombstone.  On the device this is a warp-ballot
-        neighbourhood comparison; here it is one vectorised pass.
-        """
-        n = sorted_words.size
-        valid = np.zeros(n, dtype=bool)
-        if n == 0:
-            return valid
-        orig = self.encoder.decode_key(sorted_words)
-        run_start = np.ones(n, dtype=bool)
-        run_start[1:] = orig[1:] != orig[:-1]
-        # Segment boundaries also start runs (a key may span two queries'
-        # segments without being the same logical run).
-        starts = query_offsets[:-1]
-        starts = starts[(starts > 0) & (starts < n)]
-        run_start[starts] = True
-        valid = run_start & self.encoder.is_regular(sorted_words)
-
-        self.device.record_kernel(
-            "lsm.query.validate",
-            coalesced_read_bytes=sorted_words.nbytes,
-            coalesced_write_bytes=n,  # one flag byte per candidate
-            work_items=n,
-        )
-        return valid
-
-    def _per_query_counts(
-        self, valid: np.ndarray, query_offsets: np.ndarray
-    ) -> np.ndarray:
-        """Sum the validity flags of each query's segment (warp ballots +
-        popc on the device, a reduceat here)."""
-        nq = query_offsets.size - 1
-        counts = np.zeros(nq, dtype=np.int64)
-        if valid.size:
-            prefix = np.concatenate(([0], np.cumsum(valid.astype(np.int64))))
-            counts = prefix[query_offsets[1:]] - prefix[query_offsets[:-1]]
-        self.device.record_kernel(
-            "lsm.query.count_valid",
-            coalesced_read_bytes=valid.size,
-            coalesced_write_bytes=counts.nbytes,
-            work_items=int(valid.size),
-        )
-        return counts
 
     # ------------------------------------------------------------------ #
     # Maintenance (cleanup, incremental compaction, policies)

@@ -1,7 +1,7 @@
 """The sorted-run column set the whole LSM data path is expressed over.
 
-The paper phrases every GPU LSM operation — the insertion cascade, bulk
-build, cleanup, and the count/range post-processing — as bulk primitives
+The paper phrases the GPU LSM's structural operations — the insertion
+cascade, bulk build and cleanup — as bulk primitives
 over *sorted runs*: contiguous arrays of encoded key words with an optional
 aligned value column (Sections III–V).  :class:`SortedRun` is that concept
 as a first-class object.  Each method calls the corresponding primitive of
@@ -24,11 +24,9 @@ from typing import Callable, Optional, Tuple
 import numpy as np
 
 from repro.gpu.device import Device, get_default_device
-from repro.primitives.compact import segmented_compact
 from repro.primitives.merge import KeyFunc, merge_runs
 from repro.primitives.multisplit import multisplit
 from repro.primitives.radix_sort import RadixSortConfig, radix_sort
-from repro.primitives.segmented_sort import segmented_sort
 
 
 @dataclass(frozen=True)
@@ -167,43 +165,6 @@ class SortedRun:
             kernel_name=kernel_name,
         )
         return self._like(keys, values), offsets
-
-    def segmented_sort(
-        self,
-        segment_offsets: np.ndarray,
-        key: KeyFunc = None,
-        device: Optional[Device] = None,
-        kernel_name: str = "run.segmented_sort",
-    ) -> "SortedRun":
-        """Sort each segment independently and stably (count/range stage 4)."""
-        keys, values = segmented_sort(
-            self.keys,
-            self.values,
-            segment_offsets,
-            key=key,
-            device=device,
-            kernel_name=kernel_name,
-        )
-        return self._like(keys, values)
-
-    def segmented_compact(
-        self,
-        mask: np.ndarray,
-        segment_offsets: np.ndarray,
-        device: Optional[Device] = None,
-        kernel_name: str = "run.segmented_compact",
-    ) -> Tuple["SortedRun", np.ndarray]:
-        """Keep the masked elements, tracking per-segment offsets (range
-        queries' final compaction)."""
-        keys, values, new_offsets = segmented_compact(
-            self.keys,
-            self.values,
-            mask,
-            segment_offsets,
-            device=device,
-            kernel_name=kernel_name,
-        )
-        return self._like(keys, values), new_offsets
 
     def compact(
         self,

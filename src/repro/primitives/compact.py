@@ -14,7 +14,44 @@ from typing import Optional, Tuple
 import numpy as np
 
 from repro.gpu.device import Device, get_default_device
-from repro.primitives.scan import exclusive_scan
+from repro.primitives.scan import record_exclusive_scan
+
+
+def record_segmented_compact(
+    device: Device,
+    num_items: int,
+    key_itemsize: int,
+    num_kept: int,
+    value_itemsize: Optional[int],
+    num_segments: Optional[int],
+    kernel_name: str,
+) -> None:
+    """Record, from the sizes alone, the kernels that compact ``num_items``
+    flagged elements down to ``num_kept``: the scan of the flags, the key
+    gather, the per-segment offsets (``num_segments`` of them, ``None`` for
+    a flat compaction) and the value column's gather when there is one."""
+    int64 = np.dtype(np.int64).itemsize
+    record_exclusive_scan(device, num_items, num_items * int64, "compact.scan_flags")
+    device.record_kernel(
+        kernel_name,
+        coalesced_read_bytes=num_items * key_itemsize + num_items,  # flags are 1 byte each
+        coalesced_write_bytes=num_kept * key_itemsize,
+        work_items=num_items,
+    )
+    if num_segments is not None:
+        device.record_kernel(
+            "compact.segment_offsets",
+            coalesced_read_bytes=num_segments * int64,
+            coalesced_write_bytes=(num_segments + 1) * int64,
+            work_items=num_segments,
+        )
+    if value_itemsize is not None:
+        device.record_kernel(
+            f"{kernel_name}.values",
+            coalesced_read_bytes=num_items * value_itemsize + num_items,
+            coalesced_write_bytes=num_kept * value_itemsize,
+            work_items=num_items,
+        )
 
 
 def segmented_compact(
@@ -62,39 +99,26 @@ def segmented_compact(
         if segment_offsets.ndim != 1:
             raise ValueError("segment offsets must be one-dimensional")
 
-    scanned, total = exclusive_scan(
-        flags.astype(np.int64), device=device, kernel_name="compact.scan_flags"
-    )
+    prefix = np.zeros(keys.size + 1, dtype=np.int64)
+    np.cumsum(flags, out=prefix[1:])
     out_keys = keys[flags]
-    device.record_kernel(
-        kernel_name,
-        coalesced_read_bytes=keys.nbytes + flags.size,  # flags are 1 byte each
-        coalesced_write_bytes=out_keys.nbytes,
-        work_items=keys.size,
-    )
-
+    out_values = None if values is None else values[flags]
     new_offsets = None
     if segment_offsets is not None:
         # Valid-per-segment counts -> new offsets: the flag prefix sum read
         # at the segment boundaries.
-        prefix = np.append(scanned, total)
-        new_offsets = np.append(prefix[np.minimum(segment_offsets, keys.size)], total)
-        device.record_kernel(
-            "compact.segment_offsets",
-            coalesced_read_bytes=segment_offsets.nbytes,
-            coalesced_write_bytes=new_offsets.nbytes,
-            work_items=segment_offsets.size,
+        new_offsets = np.append(
+            prefix[np.minimum(segment_offsets, keys.size)], prefix[-1]
         )
-
-    out_values = None
-    if values is not None:
-        out_values = values[flags]
-        device.record_kernel(
-            f"{kernel_name}.values",
-            coalesced_read_bytes=values.nbytes + flags.size,
-            coalesced_write_bytes=out_values.nbytes,
-            work_items=values.size,
-        )
+    record_segmented_compact(
+        device,
+        keys.size,
+        keys.dtype.itemsize,
+        out_keys.size,
+        None if values is None else values.dtype.itemsize,
+        None if segment_offsets is None else segment_offsets.size,
+        kernel_name,
+    )
     return out_keys, out_values, new_offsets
 
 

@@ -19,6 +19,19 @@ import numpy as np
 from repro.gpu.device import Device, get_default_device
 
 
+def record_exclusive_scan(
+    device: Device, num_items: int, input_bytes: int, kernel_name: str
+) -> None:
+    """Record a single-pass scan of ``num_items`` elements (``input_bytes``
+    as they are read; one ``int64`` written per element) from the sizes."""
+    device.record_kernel(
+        kernel_name,
+        coalesced_read_bytes=input_bytes,
+        coalesced_write_bytes=num_items * np.dtype(np.int64).itemsize,
+        work_items=num_items,
+    )
+
+
 def exclusive_scan(
     values: np.ndarray,
     device: Optional[Device] = None,
@@ -46,10 +59,5 @@ def exclusive_scan(
         sums[1:] += initial
     result = sums[:-1]
 
-    device.record_kernel(
-        kernel_name,
-        coalesced_read_bytes=values.nbytes,
-        coalesced_write_bytes=result.nbytes,
-        work_items=values.size,
-    )
+    record_exclusive_scan(device, values.size, values.nbytes, kernel_name)
     return result, int(sums[-1])

@@ -41,6 +41,28 @@ def _probe_count(level_size: int) -> int:
     return int(math.ceil(math.log2(level_size))) + 1
 
 
+def record_search(
+    device: Device,
+    kernel_name: str,
+    num_queries: int,
+    query_itemsize: int,
+    haystack_size: int,
+    cached_probes: int = DEFAULT_CACHED_PROBES,
+) -> None:
+    """Record one binary search per query over ``haystack_size`` sorted
+    elements, from the sizes alone: the probes past the cached ones as
+    random transactions, the queries read and the ``int64`` positions
+    written coalesced."""
+    probes = max(0, _probe_count(haystack_size) - cached_probes)
+    device.record_kernel(
+        kernel_name,
+        random_read_bytes=num_queries * probes * TRANSACTION_BYTES,
+        coalesced_read_bytes=num_queries * query_itemsize,
+        coalesced_write_bytes=num_queries * np.dtype(np.int64).itemsize,
+        work_items=num_queries,
+    )
+
+
 def _search(
     sorted_keys: np.ndarray,
     queries: np.ndarray,
@@ -58,13 +80,9 @@ def _search(
         raise ValueError("binary search expects one-dimensional arrays")
 
     result = sorted_keys.searchsorted(queries, side=side).astype(np.int64, copy=False)
-    probes = max(0, _probe_count(sorted_keys.size) - cached_probes)
-    device.record_kernel(
-        kernel_name,
-        random_read_bytes=queries.size * probes * TRANSACTION_BYTES,
-        coalesced_read_bytes=queries.size * queries.dtype.itemsize,
-        coalesced_write_bytes=queries.size * np.dtype(np.int64).itemsize,
-        work_items=queries.size,
+    record_search(
+        device, kernel_name, queries.size, queries.dtype.itemsize,
+        sorted_keys.size, cached_probes,
     )
     return result
 

@@ -42,6 +42,38 @@ def _segment_ids_from_offsets(offsets: np.ndarray, total: int) -> np.ndarray:
     return np.repeat(ids, np.diff(offsets, append=total))
 
 
+def segmented_order(
+    keys: np.ndarray, segment_ids: np.ndarray, key: KeyFunc = None
+) -> np.ndarray:
+    """The stable permutation that orders ``keys`` by (segment id, comparison
+    key) — the sort itself, nothing recorded.  The elements of a segment
+    need not be contiguous: equal (segment, key) pairs keep input order."""
+    cmp = keys if key is None else key(keys)
+    if fits_32_bits(cmp):
+        # Segment id above comparison key: one sortable word.  A stable sort
+        # keeps equal words in input order (the temporal order of duplicate
+        # keys) and merges the sorted per-level chunks candidates arrive as.
+        packed = segment_ids.astype(np.uint64, copy=False) << np.uint64(32)
+        packed |= cmp
+        return np.argsort(packed, kind="stable")
+    # Wider keys: a stable two-key sort, by segment then by cmp.
+    return np.lexsort((cmp, segment_ids))
+
+
+def record_segmented_sort(
+    device: Device, payload_bytes: int, num_items: int, kernel_name: str
+) -> None:
+    """Record the segmented sort of ``num_items`` elements (``payload_bytes``
+    in all their columns) from the sizes alone."""
+    device.record_kernel(
+        kernel_name,
+        coalesced_read_bytes=2 * payload_bytes,
+        coalesced_write_bytes=payload_bytes,
+        work_items=num_items,
+        launches=4,  # real segsort does multiple merge passes
+    )
+
+
 def segmented_sort(
     keys: np.ndarray,
     values: Optional[np.ndarray],
@@ -67,27 +99,11 @@ def segmented_sort(
         if values.shape != keys.shape:
             raise ValueError("values must match the keys in shape")
 
-    seg_ids = _segment_ids_from_offsets(segment_offsets, keys.size)
-    cmp = keys if key is None else key(keys)
-    if fits_32_bits(cmp):
-        # Segment id above comparison key: one sortable word.  A stable sort
-        # keeps equal words in input order (the temporal order of duplicate
-        # keys) and merges the sorted per-level chunks candidates arrive as.
-        packed = seg_ids << np.uint64(32)
-        packed |= cmp
-        order = np.argsort(packed, kind="stable")
-    else:
-        # Wider keys: a stable two-key sort, by segment then by cmp.
-        order = np.lexsort((cmp, seg_ids))
-
-    payload = keys.nbytes + (0 if values is None else values.nbytes)
-    device.record_kernel(
-        kernel_name,
-        coalesced_read_bytes=2 * payload,
-        coalesced_write_bytes=payload,
-        work_items=keys.size,
-        launches=4,  # real segsort does multiple merge passes
+    order = segmented_order(
+        keys, _segment_ids_from_offsets(segment_offsets, keys.size), key
     )
+    payload = keys.nbytes + (0 if values is None else values.nbytes)
+    record_segmented_sort(device, payload, keys.size, kernel_name)
     return keys[order], None if values is None else values[order]
 
 

@@ -23,6 +23,17 @@ batch-oriented end to end:
   flat output layout, ascending shard order keeping each query's results
   key-sorted.
 
+That is what the devices are *charged* for.  The host makes **one
+key-ordered pass per operation**: shards are contiguous key ranges, so a
+batch ordered by key is already grouped by shard — one ``argsort`` and one
+search of the boundaries replace the multisplit's host side, every shard
+receives a sorted slice through an internal entry point that neither
+re-validates nor re-orders it (``GPULSM._lookup_sorted`` / ``_push_run``),
+and COUNT/RANGE run :func:`repro.core.ranges.query_ranges` once over all
+(query, shard) pairs.  Every device still receives the records of its own
+share, from the per-shard sizes (``docs/architecture.md``, "One pass over
+the shards").
+
 Every shard owns a private :class:`~repro.gpu.Device`, and the routing work
 runs on a dedicated router device, so the profiler can report both the
 *serial* cost (sum over devices — total work) and the *parallel* cost
@@ -54,12 +65,20 @@ import numpy as np
 from repro.core.config import LSMConfig
 from repro.core.encoding import STATUS_REGULAR, STATUS_TOMBSTONE
 from repro.core.filters import FilterStatsCounter
-from repro.core.lsm import GPULSM, LookupResult, RangeResult
+from repro.core.lsm import (
+    GPULSM,
+    LookupResult,
+    RangeResult,
+    answer_ranges,
+    lookup_in_key_order,
+)
 from repro.core.maintenance import MaintenancePolicy, MaintenanceStatsCounter
+from repro.core.ranges import query_ranges
 from repro.core.run import SortedRun
 from repro.gpu.device import Device
 from repro.gpu.spec import GPUSpec, K40C_SPEC
-from repro.primitives.multisplit import MAX_WARP_BUCKETS
+from repro.primitives.multisplit import MAX_WARP_BUCKETS, record_multisplit
+from repro.primitives.scan import record_exclusive_scan
 
 #: Smoothing factor of the per-shard traffic EWMA: each routed front-end
 #: call contributes this fraction of the new signal, so the estimate
@@ -362,13 +381,14 @@ class ShardedLSM:
         self._traffic_ewma *= 1.0 - TRAFFIC_EWMA_ALPHA
         self._traffic_ewma += TRAFFIC_EWMA_ALPHA * counts
 
-    def _note_traffic_keys(self, sids: np.ndarray, keys: np.ndarray) -> None:
-        """Key-addressed traffic: totals/EWMA plus the per-shard in-range
+    def _note_traffic_keys(self, counts: np.ndarray, keys: np.ndarray) -> None:
+        """Key-addressed traffic of a batch grouped by shard (``counts[s]``
+        consecutive keys each): totals/EWMA plus the per-shard in-range
         histogram the split planner samples its split key from."""
-        if sids.size == 0:
+        if keys.size == 0:
             return
-        counts = np.bincount(sids, minlength=self.num_shards).astype(np.int64)
         self._note_traffic(counts)
+        sids = np.arange(self.num_shards).repeat(counts)
         keys = np.asarray(keys).astype(np.int64)
         lo = self._bounds[sids]
         width = np.maximum(self._bounds[sids + 1] - lo, 1)
@@ -384,13 +404,6 @@ class ShardedLSM:
         self._traffic_hist *= 1.0 - TRAFFIC_EWMA_ALPHA
         self._traffic_hist += TRAFFIC_EWMA_ALPHA * flat.reshape(
             self.num_shards, TRAFFIC_HIST_BUCKETS
-        )
-
-    def _sids_from_offsets(self, offsets: np.ndarray) -> np.ndarray:
-        """Per-element shard ids of a multisplit-routed batch."""
-        return np.repeat(
-            np.arange(self.num_shards, dtype=np.int64),
-            np.diff(np.asarray(offsets, dtype=np.int64)),
         )
 
     def traffic_stats(self) -> dict:
@@ -491,38 +504,53 @@ class ShardedLSM:
                 first, device=self.router_device, kernel_name="sharded.route.dedup"
             )
 
-            # Route with one stable multisplit keyed on the shard id.
-            routed, offsets = batch.multisplit(
-                lambda ws: self._shard_ids(self.encoder.decode_key(ws)),
-                num_buckets=self.num_shards,
-                device=self.router_device,
-                kernel_name="sharded.route.multisplit",
-            )
+            # Route: the canonical run ascends in key, so it is already
+            # grouped by shard and one search of the boundaries finds every
+            # shard's slice.  The device's stable multisplit keyed on the
+            # shard id is recorded from the sizes.
+            keys = self.encoder.decode_key(batch.keys)
+            offsets = keys.searchsorted(self._bounds).tolist()
+            self._record_route(batch.nbytes, batch.size, "sharded.route.multisplit")
 
-        self._note_traffic_keys(
-            self._sids_from_offsets(offsets),
-            self.encoder.decode_key(routed.keys),
-        )
+        self._note_traffic_keys(np.diff(offsets), keys)
 
-        for s, shard in enumerate(self.shards):
-            lo, hi = int(offsets[s]), int(offsets[s + 1])
-            # Canonicalisation left one operation per key, so applying a
-            # large segment as several shard batches cannot change the
-            # outcome (distinct keys commute).
+        # Every shard's slice is pushed as the sorted batch its own update
+        # path would have built: canonicalisation left one operation per
+        # key, so a slice larger than the shard batch goes in as several
+        # (distinct keys commute), and a partial batch is padded with
+        # copies of its last deletion — else its last insertion — which sort
+        # next to the original (Section IV-A).
+        regular = self.encoder.is_regular(batch.keys)
+        for shard, lo, hi in zip(self.shards, offsets, offsets[1:]):
             for start in range(lo, hi, self.shard_batch_size):
                 stop = min(start + self.shard_batch_size, hi)
-                chunk = routed.slice(start, stop)
-                regular = self.encoder.is_regular(chunk.keys)
-                chunk_ins = self.encoder.decode_key(chunk.keys[regular])
-                chunk_dels = self.encoder.decode_key(chunk.keys[~regular])
-                chunk_vals = (
-                    None if chunk.values is None else chunk.values[regular]
+                tombstones = np.flatnonzero(~regular[start:stop])
+                copies = np.ones(stop - start, dtype=np.int64)
+                copies[tombstones[-1] if tombstones.size else -1] += (
+                    self.shard_batch_size - copies.size
                 )
-                shard.update(
-                    insert_keys=chunk_ins if chunk_ins.size else None,
-                    insert_values=chunk_vals if chunk_ins.size else None,
-                    delete_keys=chunk_dels if chunk_dels.size else None,
+                shard._push_run(
+                    SortedRun(
+                        batch.keys[start:stop].repeat(copies),
+                        None
+                        if batch.values is None
+                        else batch.values[start:stop].repeat(copies),
+                    ),
+                    copies.size - tombstones.size,
+                    tombstones.size,
+                    is_sorted=True,
                 )
+
+    def _record_route(self, payload_bytes: int, n: int, kernel_name: str) -> None:
+        """The router's stable multisplit of ``n`` elements by shard id, from
+        the sizes: the scan of the bucket counts, then histogram and scatter."""
+        record_exclusive_scan(
+            self.router_device, self.num_shards, self.num_shards * 8,
+            f"{kernel_name}.scan",
+        )
+        record_multisplit(
+            self.router_device, payload_bytes, n, self.num_shards, kernel_name
+        )
 
     def bulk_build(
         self, keys: np.ndarray, values: Optional[np.ndarray] = None
@@ -561,149 +589,115 @@ class ShardedLSM:
     # ------------------------------------------------------------------ #
     def lookup(self, query_keys: np.ndarray) -> LookupResult:
         """Batch LOOKUP routed by shard and scattered back to query order."""
-        query_keys = np.asarray(query_keys)
-        if query_keys.ndim != 1:
-            raise ValueError("lookup expects a one-dimensional query array")
-        nq = query_keys.size
-        found = np.zeros(nq, dtype=bool)
-        values = (
-            None
-            if self.key_only
-            else np.zeros(nq, dtype=self.shard_config.value_dtype)
+        return lookup_in_key_order(
+            self.shard_config, self.key_only, query_keys, self._lookup_sorted
         )
-        if nq == 0:
-            return LookupResult(found=found, values=values)
-        self.encoder.check_query_keys(query_keys)
 
+    def _lookup_sorted(
+        self, qk: np.ndarray
+    ) -> Tuple[np.ndarray, Optional[np.ndarray]]:
+        """LOOKUP of a validated, non-empty batch in ascending key order.
+        One ordering serves the routing and every shard's probes: the
+        sorted batch is grouped by shard, so each shard answers its slice."""
+        nq = qk.size
+        offsets = [0, *qk.astype(np.int64).searchsorted(self._bounds[1:-1]), nq]
         with self.router_device.timed_region("sharded.lookup_route", items=nq):
-            # The query's original position rides along as the multisplit
-            # value, so results scatter straight back into caller order.
-            routed, offsets = SortedRun(
-                query_keys, np.arange(nq, dtype=np.int64)
-            ).multisplit(
-                self._shard_ids,
-                num_buckets=self.num_shards,
-                device=self.router_device,
-                kernel_name="sharded.lookup_route.multisplit",
-            )
+            # The device routes with a stable multisplit, the query's
+            # position riding along as the (int64) value.
+            self._record_route(qk.nbytes + nq * 8, nq, "sharded.lookup_route.multisplit")
+        self._note_traffic_keys(np.diff(offsets), qk)
 
-        self._note_traffic_keys(self._sids_from_offsets(offsets), routed.keys)
-
-        for s, shard in enumerate(self.shards):
-            lo, hi = int(offsets[s]), int(offsets[s + 1])
+        found = np.zeros(nq, dtype=bool)
+        values = None if self.key_only else np.zeros(nq, self.shard_config.value_dtype)
+        for shard, lo, hi in zip(self.shards, offsets, offsets[1:]):
             if hi == lo:
                 continue
-            res = shard.lookup(routed.keys[lo:hi])
-            positions = routed.values[lo:hi]
-            found[positions] = res.found
-            if values is not None and res.values is not None:
-                values[positions] = res.values
-        return LookupResult(found=found, values=values)
+            found[lo:hi], shard_values = shard._lookup_sorted(qk[lo:hi])
+            if values is not None:
+                values[lo:hi] = shard_values
+        return found, values
 
-    def _clip_ranges(
-        self, k1: np.ndarray, k2: np.ndarray
-    ) -> List[Tuple[np.ndarray, np.ndarray, np.ndarray]]:
-        """Per shard: (query indices intersecting the shard, clipped k1,
-        clipped k2)."""
-        per_shard = []
-        for s in range(self.num_shards):
-            lo, hi = self.shard_range(s)
-            c1 = np.maximum(k1.astype(np.int64), lo)
-            c2 = np.minimum(k2.astype(np.int64), hi)
-            idx = np.flatnonzero(c1 <= c2)
-            per_shard.append(
-                (idx, c1[idx].astype(np.uint64), c2[idx].astype(np.uint64))
-            )
+    def _query_ranges(
+        self, k1: np.ndarray, k2: np.ndarray, op: str
+    ) -> Tuple[np.ndarray, Optional[np.ndarray], Optional[np.ndarray]]:
+        """COUNT/RANGE of a validated, non-empty batch in one pass of
+        :func:`repro.core.ranges.query_ranges` over all shards.
+
+        The batch is expanded into (query, shard) pairs — a query meets the
+        consecutive shards from the one owning ``k1`` to the one owning
+        ``k2`` — each clipped to its shard's range.  Shards own disjoint
+        keys, so the pair is the pipeline's segment: a query's count is the
+        sum over its pairs and its rows are its pairs' rows in shard order,
+        which is the order the pairs are expanded in.  Ordering the pairs
+        by clipped ``k1`` groups them by shard with ascending probes.
+        Returns the per-query ``offsets`` (``nq + 1``) and the rows
+        (encoded words, values).
+        """
+        nq = k1.size
+        lo, hi = k1.astype(np.int64), k2.astype(np.int64)
+        # Shards with an empty range take no pair; the others tile the domain.
+        live = np.flatnonzero(np.diff(self._bounds) > 0)
+        inner = self._bounds[live[1:]]
+        first = inner.searchsorted(lo, side="right")
+        span = inner.searchsorted(hi, side="right") - first + 1
+        span[lo >= self.key_domain] = 0
+        pair_starts = np.zeros(nq + 1, dtype=np.int64)
+        span.cumsum(out=pair_starts[1:])
+        pair_query = np.arange(nq).repeat(span)
+        pair_shard = live[
+            first[pair_query] + np.arange(pair_query.size) - pair_starts[pair_query]
+        ]
+        c1 = np.maximum(lo[pair_query], self._bounds[pair_shard])
+        c2 = np.minimum(hi[pair_query], self._bounds[pair_shard + 1] - 1)
         self.router_device.record_kernel(
             "sharded.query.clip",
             coalesced_read_bytes=k1.nbytes + k2.nbytes,
             coalesced_write_bytes=(k1.nbytes + k2.nbytes) * self.num_shards,
-            work_items=int(k1.size) * self.num_shards,
+            work_items=nq * self.num_shards,
         )
-        self._note_traffic(
-            np.array([idx.size for idx, _, _ in per_shard], dtype=np.int64)
+        per_shard = np.bincount(pair_shard, minlength=self.num_shards)
+        self._note_traffic(per_shard)
+
+        order = c1.argsort()
+        ends = per_shard.cumsum().tolist()
+        groups = [
+            (self.shards[s], ends[s] - int(per_shard[s]), ends[s])
+            for s in np.flatnonzero(per_shard).tolist()
+        ]
+        offsets, words, values = query_ranges(
+            self.shard_config, groups, c1[order], c2[order], order, op,
+            with_values=op == "range" and not self.key_only,
         )
-        return per_shard
+        if op == "range":
+            # On the devices every shard answers into its own buffer;
+            # gathering the rows (decoded to 8-byte keys) into the flat
+            # layout is the router's one more pass.
+            merged_bytes = words.size * 8 + (0 if values is None else values.nbytes)
+            self.router_device.record_kernel(
+                "sharded.range.merge",
+                coalesced_read_bytes=merged_bytes,
+                coalesced_write_bytes=merged_bytes,
+                work_items=words.size,
+                launches=max(1, len(groups)),
+            )
+        return offsets[pair_starts], words, values
 
     def count(self, k1: np.ndarray, k2: np.ndarray) -> np.ndarray:
-        """Batch COUNT: per-shard counts of the clipped ranges, summed."""
-        k1, k2 = self.encoder.check_range_args(k1, k2)
-        nq = k1.size
-        counts = np.zeros(nq, dtype=np.int64)
-        if nq == 0:
-            return counts
-        for s, (idx, c1, c2) in enumerate(self._clip_ranges(k1, k2)):
-            if idx.size == 0:
-                continue
-            counts[idx] += self.shards[s].count(c1, c2)
-        return counts
+        """Batch COUNT: per query, its clipped ranges' counts summed."""
+        return answer_ranges(
+            self.shard_config, self.key_only, k1, k2, "count", self._query_ranges
+        )
 
     def range_query(self, k1: np.ndarray, k2: np.ndarray) -> RangeResult:
-        """Batch RANGE: per-shard results merged into the flat layout.
+        """Batch RANGE in the paper's flat layout.
 
-        Ascending shard order concatenates each query's per-shard slices in
-        ascending key order, so the merged buffer keeps the paper's
-        "sorted by key within each query" guarantee.
+        Ascending shard order concatenates each query's per-shard rows in
+        ascending key order, so the buffer keeps the paper's "sorted by key
+        within each query" guarantee.
         """
-        k1, k2 = self.encoder.check_range_args(k1, k2)
-        nq = k1.size
-        empty_vals = (
-            None if self.key_only else np.zeros(0, self.shard_config.value_dtype)
+        return answer_ranges(
+            self.shard_config, self.key_only, k1, k2, "range", self._query_ranges
         )
-        if nq == 0:
-            return RangeResult(
-                offsets=np.zeros(1, dtype=np.int64),
-                keys=np.zeros(0, dtype=np.uint64),
-                values=empty_vals,
-            )
-
-        counts = np.zeros((nq, self.num_shards), dtype=np.int64)
-        shard_results: Dict[int, Tuple[np.ndarray, RangeResult]] = {}
-        for s, (idx, c1, c2) in enumerate(self._clip_ranges(k1, k2)):
-            if idx.size == 0:
-                continue
-            rr = self.shards[s].range_query(c1, c2)
-            counts[idx, s] = rr.counts
-            shard_results[s] = (idx, rr)
-
-        per_query = counts.sum(axis=1)
-        offsets = np.zeros(nq + 1, dtype=np.int64)
-        np.cumsum(per_query, out=offsets[1:])
-        total = int(offsets[-1])
-        before = np.cumsum(counts, axis=1) - counts  # within-query offsets
-
-        out_keys = np.empty(total, dtype=np.uint64)
-        out_values = (
-            None
-            if self.key_only
-            else np.empty(total, dtype=self.shard_config.value_dtype)
-        )
-        merged_bytes = 0
-        for s, (idx, rr) in shard_results.items():
-            lengths = counts[idx, s]
-            chunk_total = int(lengths.sum())
-            if chunk_total == 0:
-                continue
-            dest_start = offsets[idx] + before[idx, s]
-            within = np.arange(chunk_total) - np.repeat(
-                np.cumsum(lengths) - lengths, lengths
-            )
-            dest = np.repeat(dest_start, lengths) + within
-            out_keys[dest] = rr.keys
-            if out_values is not None and rr.values is not None:
-                out_values[dest] = rr.values
-            merged_bytes += chunk_total * (
-                out_keys.dtype.itemsize
-                + (out_values.dtype.itemsize if out_values is not None else 0)
-            )
-        self.router_device.record_kernel(
-            "sharded.range.merge",
-            coalesced_read_bytes=merged_bytes,
-            coalesced_write_bytes=merged_bytes,
-            work_items=total,
-            launches=max(1, len(shard_results)),
-        )
-        return RangeResult(offsets=offsets, keys=out_keys, values=out_values)
 
     # ------------------------------------------------------------------ #
     # Online shard rebalancing (split / merge primitives)

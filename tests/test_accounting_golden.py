@@ -21,6 +21,12 @@ The kinds of pin:
   probe index, bits set through ``np.bitwise_or.at``) and the literal
   early-exiting probe loop it replaced, kept here as the reference:
   byte-identical bit arrays, identical verdicts and identical records;
+* ``ShardedLSM``'s one key-ordered pass per operation against the per-shard
+  loops it replaced (clip or multisplit, then every shard's public entry
+  point), kept here as references: a Hypothesis property over uneven and
+  empty shard ranges, straddling and out-of-domain queries, chunked and
+  all-deletion pushes — answers, level contents, every device's
+  aggregates, clock and profiler sums, pruning and traffic statistics;
 * whole runs — ticks of the default update-heavy mix on ``GPULSM(4096)``
   (key-value and key-only) and ``ShardedLSM(4, 4096)``, a partial
   compaction plus a cleanup after them, an insert / delete sequence on
@@ -47,6 +53,7 @@ from repro.api.planner import Consistency, _canonical_updates, execute
 from repro.baselines.sorted_array import GPUSortedArray
 from repro.bench.wallclock import make_prefill
 from repro.bench.workloads import MixedOpConfig, make_mixed_batches
+from repro.core import ranges
 from repro.core.config import LSMConfig
 from repro.core.filters import FILTER_PROBE_WORD_BYTES, BloomFilter, derive_num_hashes
 from repro.core.lsm import GPULSM
@@ -68,12 +75,8 @@ from repro.scale import ShardedLSM
 from repro.serve.engine import Engine
 
 
-def assert_same_run(recording_device, reference, current):
-    """``reference(device)`` and ``current(device)`` return the same arrays
-    (``None`` where a column is absent), dtypes included, make the same
-    ``record_kernel`` calls in the same order and leave the same clock."""
-    ref_device, device = recording_device(), recording_device()
-    want, got = reference(ref_device), current(device)
+def assert_same_columns(got, want):
+    """The same arrays (``None`` where a column is absent), dtypes included."""
     assert len(got) == len(want)
     for got_column, want_column in zip(got, want):
         if want_column is None:
@@ -81,6 +84,15 @@ def assert_same_run(recording_device, reference, current):
         else:
             assert np.array_equal(got_column, want_column)
             assert got_column.dtype == want_column.dtype
+
+
+def assert_same_run(recording_device, reference, current):
+    """``reference(device)`` and ``current(device)`` return the same columns,
+    make the same ``record_kernel`` calls in the same order and leave the
+    same clock."""
+    ref_device, device = recording_device(), recording_device()
+    want, got = reference(ref_device), current(device)
+    assert_same_columns(got, want)
     assert device.launches == ref_device.launches
     assert device.simulated_seconds.hex() == ref_device.simulated_seconds.hex()
 
@@ -883,6 +895,292 @@ def test_bloom_matches_the_literal_build_and_probe(
         )
 
     assert_same_run(recording_device, reference, current)
+
+
+# ---------------------------------------------------------------------- #
+# One pass over the shards vs the per-shard loops it replaced
+# ---------------------------------------------------------------------- #
+def _reference_clip_ranges(sharded, k1, k2):
+    """Per shard: (query indices intersecting the shard, clipped k1,
+    clipped k2) — one clip pass per shard, plus the router's record."""
+    per_shard = []
+    for s in range(sharded.num_shards):
+        lo, hi = sharded.shard_range(s)
+        c1 = np.maximum(k1.astype(np.int64), lo)
+        c2 = np.minimum(k2.astype(np.int64), hi)
+        idx = np.flatnonzero(c1 <= c2)
+        per_shard.append((idx, c1[idx].astype(np.uint64), c2[idx].astype(np.uint64)))
+    sharded.router_device.record_kernel(
+        "sharded.query.clip",
+        coalesced_read_bytes=k1.nbytes + k2.nbytes,
+        coalesced_write_bytes=(k1.nbytes + k2.nbytes) * sharded.num_shards,
+        work_items=int(k1.size) * sharded.num_shards,
+    )
+    sharded._note_traffic(np.array([idx.size for idx, _, _ in per_shard], dtype=np.int64))
+    return per_shard
+
+
+def reference_sharded_count(sharded, k1, k2):
+    """COUNT as the front-end ran it before it made one pass: every shard's
+    public ``count`` on its clipped sub-batch, the counts summed."""
+    k1, k2 = sharded.encoder.check_range_args(k1, k2)
+    counts = np.zeros(k1.size, dtype=np.int64)
+    if k1.size == 0:
+        return counts
+    for s, (idx, c1, c2) in enumerate(_reference_clip_ranges(sharded, k1, k2)):
+        if idx.size:
+            counts[idx] += sharded.shards[s].count(c1, c2)
+    return counts
+
+
+def reference_sharded_range_query(sharded, k1, k2):
+    """RANGE as it ran before: every shard's public ``range_query``, the
+    per-shard results scattered into the flat layout shard by shard."""
+    k1, k2 = sharded.encoder.check_range_args(k1, k2)
+    nq = k1.size
+    value_dtype = sharded.shard_config.value_dtype
+    if nq == 0:
+        return (np.zeros(1, dtype=np.int64), np.zeros(0, dtype=np.uint64),
+                None if sharded.key_only else np.zeros(0, value_dtype))
+    counts = np.zeros((nq, sharded.num_shards), dtype=np.int64)
+    shard_results = {}
+    for s, (idx, c1, c2) in enumerate(_reference_clip_ranges(sharded, k1, k2)):
+        if idx.size == 0:
+            continue
+        rr = sharded.shards[s].range_query(c1, c2)
+        counts[idx, s] = rr.counts
+        shard_results[s] = (idx, rr)
+
+    offsets = np.zeros(nq + 1, dtype=np.int64)
+    np.cumsum(counts.sum(axis=1), out=offsets[1:])
+    total = int(offsets[-1])
+    before = np.cumsum(counts, axis=1) - counts  # within-query offsets
+    out_keys = np.empty(total, dtype=np.uint64)
+    out_values = None if sharded.key_only else np.empty(total, dtype=value_dtype)
+    merged_bytes = 0
+    for s, (idx, rr) in shard_results.items():
+        lengths = counts[idx, s]
+        chunk_total = int(lengths.sum())
+        if chunk_total == 0:
+            continue
+        within = np.arange(chunk_total) - np.repeat(np.cumsum(lengths) - lengths, lengths)
+        dest = np.repeat(offsets[idx] + before[idx, s], lengths) + within
+        out_keys[dest] = rr.keys
+        if out_values is not None:
+            out_values[dest] = rr.values
+        merged_bytes += chunk_total * (
+            8 + (out_values.dtype.itemsize if out_values is not None else 0)
+        )
+    sharded.router_device.record_kernel(
+        "sharded.range.merge",
+        coalesced_read_bytes=merged_bytes,
+        coalesced_write_bytes=merged_bytes,
+        work_items=total,
+        launches=max(1, len(shard_results)),
+    )
+    return offsets, out_keys, out_values
+
+
+def reference_sharded_lookup(sharded, query_keys):
+    """LOOKUP as it ran before: a real multisplit by shard id with the
+    query's position as its value, every shard's public ``lookup``."""
+    query_keys = np.asarray(query_keys)
+    nq = query_keys.size
+    found = np.zeros(nq, dtype=bool)
+    values = None if sharded.key_only else np.zeros(nq, sharded.shard_config.value_dtype)
+    if nq == 0:
+        return found, values
+    sharded.encoder.check_query_keys(query_keys)
+    with sharded.router_device.timed_region("sharded.lookup_route", items=nq):
+        routed, offsets = SortedRun(query_keys, np.arange(nq, dtype=np.int64)).multisplit(
+            sharded._shard_ids,
+            num_buckets=sharded.num_shards,
+            device=sharded.router_device,
+            kernel_name="sharded.lookup_route.multisplit",
+        )
+    sharded._note_traffic_keys(np.diff(offsets), routed.keys)
+    for s, shard in enumerate(sharded.shards):
+        lo, hi = int(offsets[s]), int(offsets[s + 1])
+        if hi == lo:
+            continue
+        res = shard.lookup(routed.keys[lo:hi])
+        found[routed.values[lo:hi]] = res.found
+        if values is not None:
+            values[routed.values[lo:hi]] = res.values
+    return found, values
+
+
+def reference_sharded_update(sharded, insert_keys=None, insert_values=None, delete_keys=None):
+    """UPDATE as it ran before: canonicalise, a real multisplit by shard
+    id, then per chunk decode → the shard's public ``update`` (which
+    re-encodes, pads and sorts the chunk again)."""
+    config, encoder = sharded.shard_config, sharded.encoder
+    ins = np.asarray(insert_keys if insert_keys is not None else np.zeros(0, np.uint64))
+    dels = np.asarray(delete_keys if delete_keys is not None else np.zeros(0, np.uint64))
+    real = int(ins.size + dels.size)
+    vals = None
+    if not sharded.key_only:
+        vals = np.zeros(real, dtype=config.value_dtype)
+        vals[: ins.size] = insert_values if ins.size else 0
+    words = np.empty(real, dtype=config.key_dtype)
+    words[: ins.size] = encoder.encode(ins, 1)
+    words[ins.size :] = encoder.encode(dels, 0)
+
+    with sharded.router_device.timed_region("sharded.route", items=real):
+        batch = SortedRun(words, vals).sort(device=sharded.router_device)
+        batch = batch.compact(
+            batch.first_per_key(encoder.strip_status),
+            device=sharded.router_device, kernel_name="sharded.route.dedup",
+        )
+        routed, offsets = batch.multisplit(
+            lambda ws: sharded._shard_ids(encoder.decode_key(ws)),
+            num_buckets=sharded.num_shards,
+            device=sharded.router_device,
+            kernel_name="sharded.route.multisplit",
+        )
+    sharded._note_traffic_keys(np.diff(offsets), encoder.decode_key(routed.keys))
+    for s, shard in enumerate(sharded.shards):
+        lo, hi = int(offsets[s]), int(offsets[s + 1])
+        for start in range(lo, hi, sharded.shard_batch_size):
+            chunk = routed.slice(start, min(start + sharded.shard_batch_size, hi))
+            regular = encoder.is_regular(chunk.keys)
+            chunk_ins = encoder.decode_key(chunk.keys[regular])
+            chunk_dels = encoder.decode_key(chunk.keys[~regular])
+            chunk_vals = None if chunk.values is None else chunk.values[regular]
+            shard.update(
+                insert_keys=chunk_ins if chunk_ins.size else None,
+                insert_values=chunk_vals if chunk_ins.size else None,
+                delete_keys=chunk_dels if chunk_dels.size else None,
+            )
+
+
+def observable(sharded):
+    """Everything a sharded store shows of its history: level contents,
+    lifetime counters, every device's per-kernel aggregates, clock and
+    profiler ``(calls, items, launches, bytes)``, pruning statistics,
+    routed-traffic accounting and the split-point histogram."""
+    devices = devices_of(sharded) + list(sharded._spare_devices)
+    return (
+        [[(level.index, level.keys.tobytes(),
+           None if level.values is None else level.values.tobytes())
+          for level in shard.occupied_levels()] for shard in sharded.shards],
+        [(shard.total_insertions, shard.total_deletions, shard._live_keys_upper_bound,
+          shard.num_batches, shard.epoch) for shard in sharded.shards],
+        accounting(devices),
+        [{name: (r.calls, r.items, r.launches, r.coalesced_bytes, r.random_bytes,
+                 r.filter_bytes) for name, r in d.profiler.by_name().items()}
+         for d in devices],
+        sharded.filter_stats(),
+        sharded.traffic_stats(),
+        sharded._traffic_hist.tobytes(),
+    )
+
+
+@st.composite
+def sharded_scripts(draw):
+    """A store shape, boundaries (uneven; an empty range among them when
+    two cuts coincide) and a script of routed operations and re-partitions
+    over a shrunk key domain."""
+    key_domain = draw(st.integers(min_value=8, max_value=600))
+    cuts = sorted(draw(st.lists(st.integers(0, key_domain), max_size=4)))
+    shape = dict(
+        batch_size=32,
+        shard_batch_size=draw(st.sampled_from([2, 8])),
+        key_only=draw(st.booleans()),
+        key_domain=key_domain,
+        sort_queries=draw(st.booleans()),
+        max_shards=8,
+        **(FILTERS if draw(st.booleans()) else {}),
+    )
+    seeds = st.integers(0, 2**32 - 1)
+    update = st.tuples(
+        st.just("update"), seeds, st.sampled_from(["mixed", "deletes", "one-shard"])
+    )
+    step = st.one_of(
+        update,
+        st.tuples(st.sampled_from(["lookup", "count", "range"]), seeds,
+                  st.sampled_from(["narrow", "wide", "beyond"])),
+        st.tuples(st.just("split"), st.integers(0, 7), st.integers(0, key_domain)),
+        st.tuples(st.just("merge"), st.integers(0, 7), st.just(0)),
+    )
+    steps = draw(st.lists(update, max_size=3)) + draw(st.lists(step, min_size=1, max_size=12))
+    return shape, [0] + cuts + [key_domain], steps
+
+
+def run_sharded_script(shape, bounds, steps, reference):
+    """Run ``steps`` on a fresh store through the reference loops or the
+    store's own methods; returns every answer and the final observable."""
+    sharded = ShardedLSM(1, seed=1, **shape)
+    sharded.restore_boundaries(bounds)
+    key_domain, answers = shape["key_domain"], []
+    for kind, seed, arg in steps:
+        rng = np.random.default_rng(seed)
+        if kind == "update":
+            # Up to a full front-end batch: more than one shard batch per
+            # shard, so segments go in as several chunks, the last partial.
+            hi = max(1, key_domain // 8) if arg == "one-shard" else key_domain
+            keys = rng.integers(0, hi, rng.integers(1, 33)).astype(np.uint32)
+            cut = 0 if arg == "deletes" else rng.integers(0, keys.size + 1)
+            ins, dels = keys[:cut], keys[cut:]
+            call = dict(
+                insert_keys=ins if ins.size else None,
+                insert_values=None if sharded.key_only or not ins.size else ins * np.uint32(3) + 1,
+                delete_keys=dels if dels.size else None,
+            )
+            if reference:
+                reference_sharded_update(sharded, **call)
+            else:
+                sharded.update(**call)
+        elif kind == "split":
+            lo, hi = sharded.shard_range(seed % sharded.num_shards)
+            if lo < hi and sharded.num_shards < 8:
+                sharded.split_shard(seed % sharded.num_shards, lo + 1 + arg % (hi - lo))
+        elif kind == "merge":
+            if sharded.num_shards > 1:
+                sharded.merge_shards(seed % (sharded.num_shards - 1))
+        else:
+            n = int(rng.integers(1, 24))
+            top = 2 * key_domain if arg == "beyond" else key_domain
+            k1 = rng.integers(0, top, n).astype(np.uint64 if seed % 2 else np.uint32)
+            if kind == "lookup":
+                res = reference_sharded_lookup(sharded, k1) if reference else sharded.lookup(k1)
+                answers.append(res if reference else (res.found, res.values))
+                continue
+            width = rng.integers(0, 4 if arg == "narrow" else top, n)
+            k2 = (k1 + width.astype(k1.dtype)).astype(k1.dtype)
+            if kind == "count":
+                answers.append(
+                    (reference_sharded_count(sharded, k1, k2) if reference
+                     else sharded.count(k1, k2),)
+                )
+            elif reference:
+                answers.append(reference_sharded_range_query(sharded, k1, k2))
+            else:
+                rr = sharded.range_query(k1, k2)
+                answers.append((rr.offsets, rr.keys, rr.values))
+    return answers, observable(sharded)
+
+
+@settings(max_examples=150, deadline=None)
+@given(script=sharded_scripts(), block=st.sampled_from([ranges.SEGMENT_BLOCK_CANDIDATES, 1, 7]))
+def test_one_pass_over_the_shards_equals_the_per_shard_loops(script, block):
+    """Plain and filtered, ``sort_queries`` on and off, key-value and
+    key-only, over boundaries ``split_shard`` / ``merge_shards`` /
+    coinciding cuts leave uneven (empty ranges, shards with no occupied
+    level), with queries straddling any number of boundaries or reaching
+    past ``key_domain``, shards a batch finds no candidate in, segments
+    larger than the shard batch and all-deletion batches: the answers and
+    everything the store shows of its history equal the per-shard loops' —
+    also when the pass post-processes its segments ``block`` candidates at a
+    time (the loops run every shard's sub-batch as one block)."""
+    want_answers, want = run_sharded_script(*script, reference=True)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ranges, "SEGMENT_BLOCK_CANDIDATES", block)
+        got_answers, got = run_sharded_script(*script, reference=False)
+    assert len(got_answers) == len(want_answers)
+    for got_columns, want_columns in zip(got_answers, want_answers):
+        assert_same_columns(got_columns, want_columns)
+    assert got == want
 
 
 # ---------------------------------------------------------------------- #

@@ -94,24 +94,6 @@ class TestBulkOperations:
         with pytest.raises(ValueError, match="mask"):
             make_run([1, 2]).compact(np.array([True]), device=device)
 
-    def test_segmented_sort_sorts_per_segment(self, device):
-        run = make_run([3, 1, 2, 9, 5], [30, 10, 20, 90, 50])
-        offsets = np.array([0, 3], dtype=np.int64)
-        out = run.segmented_sort(offsets, device=device)
-        assert list(out.keys) == [1, 2, 3, 5, 9]
-        assert list(out.values) == [10, 20, 30, 50, 90]
-
-    def test_segmented_compact_tracks_offsets(self, device):
-        run = make_run([1, 2, 3, 4], [10, 20, 30, 40])
-        out, offsets = run.segmented_compact(
-            np.array([True, False, False, True]),
-            np.array([0, 2], dtype=np.int64),
-            device=device,
-        )
-        assert list(out.keys) == [1, 4]
-        assert list(out.values) == [10, 40]
-        assert list(offsets) == [0, 1, 2]
-
 
 class TestSliceAndPad:
     def test_slice_copies(self, device):
