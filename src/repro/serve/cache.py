@@ -14,16 +14,18 @@ the planner's SNAPSHOT/STRICT epoch pinning unchanged (the proxy forwards
 :func:`repro.api.planner.execute_plan` pins and verifies the same values
 it would see without the cache).
 
-Only ``lookup`` is intercepted; ordered queries (``count`` /
-``range_query``) and every mutation forward straight to the inner
-backend.  The store is a flat open-addressing hash table (multiplicative
-hashing, linear probing) over append-only answer columns, so the whole
-hit path is a handful of vectorized gathers with no per-key Python work —
-a binary-search probe was measured ~5x slower, and the cache must beat
-the backend's own vectorized probe to be worth having.  Recency is
+Only ``lookup`` is intercepted; ordered queries, every mutation and a
+LOOKUP batch the cache cannot key exactly (anything but a 1-D array of
+non-negative integers) forward straight to the inner backend, which
+validates them.  The store is a flat open-addressing hash table
+(Fibonacci hashing, linear probing) over append-only answer columns, so
+the hit path is a handful of vectorized gathers.  Every fill lays the
+table out in one pass: the entries, sorted by home slot, each take the
+first slot at or after their home that no earlier one took.  The
+``capacity`` overflow slots after the home slots mean nothing wraps and
+the last slot stays empty, so every probe ends.  Recency is
 batch-granular: every key touched by one ``lookup`` call shares one LRU
-stamp, and eviction drops the oldest-stamped entries first (rebuilding
-the table, so probes never cross tombstones).
+stamp, and eviction drops the oldest-stamped entries first.
 
 Backends without an ``epoch`` / ``shard_epochs`` surface cannot signal
 mutations, so the proxy degrades to a counting pass-through for them
@@ -37,6 +39,7 @@ from typing import Dict, Optional, Tuple
 import numpy as np
 
 from repro.core.lsm import LookupResult
+from repro.primitives.radix_sort import stable_order
 
 __all__ = ["ReadCachedBackend", "DEFAULT_CACHE_CAPACITY"]
 
@@ -78,15 +81,15 @@ class ReadCachedBackend:
         self._has_values: Optional[bool] = None
         self._values_dtype = np.dtype(np.uint64)
         self._clock = 0
-        # Table at least 4x capacity keeps the load factor <= 0.25, so
-        # linear-probe clusters stay short and the probe loop converges
-        # in one or two vectorized rounds.
-        table_size = 8
-        while table_size < 4 * max(self._capacity, 1):
-            table_size *= 2
-        self._mask = np.int64(table_size - 1)
-        self._shift = np.uint64(64 - int(table_size).bit_length() + 1)
-        self._table_slot = np.full(table_size, -1, dtype=np.int64)
+        # At least 4x capacity home slots keep the load factor <= 0.25, so
+        # probe runs stay short.  A run can spill past the last home slot
+        # by at most capacity - 1 entries: the capacity overflow slots
+        # hold it without wrapping and leave the final slot empty.
+        home_slots = 8
+        while home_slots < 4 * max(self._capacity, 1):
+            home_slots *= 2
+        self._shift = np.uint64(64 - home_slots.bit_length() + 1)
+        self._table_slot = np.full(home_slots + self._capacity, -1, dtype=np.int64)
         self._reset_store()
         self._hits = 0
         self._misses = 0
@@ -153,60 +156,60 @@ class ReadCachedBackend:
     # ------------------------------------------------------------------ #
     # Hash-table plumbing
     # ------------------------------------------------------------------ #
-    def _hash(self, keys: np.ndarray) -> np.ndarray:
-        return ((keys * _HASH_MULT) >> self._shift).astype(np.int64) & self._mask
+    def _home(self, keys: np.ndarray) -> np.ndarray:
+        """Home slot of each ``uint64`` key: the top bits of its
+        Fibonacci product (``uint64``, below the home-slot count)."""
+        return (keys * _HASH_MULT) >> self._shift
 
     def _probe(self, keys: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        """Vectorized linear probe: ``(hit_mask, entry_slot)`` per key.
+        """Vectorized linear probe: ``(hit_mask, entry)`` per key.
 
-        Each round gathers one table position for every still-unresolved
-        key; a key resolves on its own key match (hit) or on an empty
-        slot (definitive miss, since eviction rebuilds rather than
-        tombstones).  Rounds = longest probe cluster, ~1-2 at our load.
+        Each round reads the next table position of every still-unresolved
+        key; a key resolves on its own key (hit) or on an empty slot
+        (definitive miss: no run has a hole, and the last slot is empty).
+        Rounds = the longest run walked, a few at our load.
         """
-        h = self._hash(keys)
-        slot = self._table_slot[h]
-        occupied = slot >= 0
-        hit = occupied & (self._entry_keys[np.maximum(slot, 0)] == keys)
-        unresolved = np.flatnonzero(occupied & ~hit)
-        while unresolved.size:
-            nh = (h[unresolved] + 1) & self._mask
-            h[unresolved] = nh
-            s = self._table_slot[nh]
-            slot[unresolved] = s
-            occ = s >= 0
-            now_hit = occ & (self._entry_keys[np.maximum(s, 0)] == keys[unresolved])
-            hit[unresolved[now_hit]] = True
-            unresolved = unresolved[occ & ~now_hit]
-        return hit, slot
+        pos = self._home(keys).view(np.int64)
+        entry = self._table_slot[pos]
+        occupied = entry >= 0
+        # An empty slot's -1 reads the last column entry; `occupied` masks it.
+        hit = occupied & (self._entry_keys[entry] == keys)
+        todo = np.flatnonzero(occupied & ~hit)
+        pos = pos[todo]
+        while todo.size:
+            pos += 1
+            e = self._table_slot[pos]
+            entry[todo] = e
+            occ = e >= 0
+            now_hit = occ & (self._entry_keys[e] == keys[todo])
+            hit[todo[now_hit]] = True
+            walk_on = occ & ~now_hit
+            todo = todo[walk_on]
+            pos = pos[walk_on]
+        return hit, entry
 
-    def _insert_slots(self, keys: np.ndarray, slots: np.ndarray) -> None:
-        """Vectorized insertion of new (absent) keys into the table.
+    def _place(self) -> None:
+        """Lay the table out over every entry in one pass.
 
-        Keys that collide — with occupied slots or with each other —
-        advance together to their next probe position each round; one
-        winner per free slot is placed per round (first in batch order,
-        via ``np.unique``'s first-occurrence index on the stable-sorted
-        positions).
+        Ordered by home slot (ties by entry index), entry *i* takes slot
+        ``max.accumulate(home - i) + i``: its home, or the slot after the
+        previous entry's when that is later.  Every slot from an entry's
+        home to its own is therefore occupied — a valid linear-probing
+        layout — and at most ``capacity - 1`` entries spill past the last
+        home slot, so the final slot stays empty.
         """
-        h = self._hash(keys)
-        pending = np.arange(keys.size)
-        while pending.size:
-            hp = h[pending]
-            free = self._table_slot[hp] < 0
-            placed = np.zeros(pending.size, dtype=bool)
-            idx = np.flatnonzero(free)
-            if idx.size:
-                _, first = np.unique(hp[idx], return_index=True)
-                winners = pending[idx[first]]
-                self._table_slot[h[winners]] = slots[winners]
-                placed[idx[first]] = True
-            pending = pending[~placed]
-            h[pending] = (h[pending] + 1) & self._mask
+        n = self._n_entries
+        home = self._home(self._entry_keys[:n])
+        order = stable_order(home)
+        rank = np.arange(n)
+        slot = np.maximum.accumulate(home[order].view(np.int64) - rank) + rank
+        self._table_slot.fill(-1)
+        self._table_slot[slot] = order
 
     def _evict_to(self, room: int) -> None:
         """Drop the oldest-stamped entries until ``room`` slots are free,
-        then rebuild the table over the survivors."""
+        compacting the columns over the survivors (the fill that follows
+        lays the table out anew)."""
         n = self._n_entries
         drop = n + room - self._capacity
         if drop >= n:
@@ -220,10 +223,6 @@ class ReadCachedBackend:
         self._stamps[:kept] = self._stamps[keep]
         self._n_entries = kept
         self._evictions += drop
-        self._table_slot.fill(-1)
-        self._insert_slots(
-            self._entry_keys[:kept], np.arange(kept, dtype=np.int64)
-        )
 
     # ------------------------------------------------------------------ #
     # The cached operation
@@ -234,84 +233,72 @@ class ReadCachedBackend:
         Bit-identical to ``inner.lookup(query_keys)``: per-key answers
         are a pure function of the structure state, the cache only holds
         answers produced at the *current* epoch token, and missing keys
-        are resolved by the inner backend itself.
+        are resolved by the inner backend itself.  A batch the backend
+        rejects raises its exception and leaves the cache untouched.
         """
-        self._maybe_invalidate()
         query_keys = np.asarray(query_keys)
-        n = int(query_keys.size)
-        usable = self._capacity > 0 and self._fill_token is not None
-        if n == 0 or not usable:
-            self._misses += n
-            return self._inner.lookup(query_keys)
+        keys = _exact_keys(query_keys)
+        usable = self._capacity and self._fill_token is not None
+        if keys is None or not keys.size or not usable:
+            result = self._inner.lookup(query_keys)
+            self._maybe_invalidate()
+            self._misses += int(query_keys.size)
+            return result
 
-        self._clock += 1
-        if self._n_entries:
-            hit, slot = self._probe(query_keys)
+        n = keys.size
+        if self._n_entries and self._epoch_token() == self._fill_token:
+            hit, entry = self._probe(keys)
+            hit_idx = np.flatnonzero(hit)
+            miss_idx = np.flatnonzero(~hit)
         else:
-            hit = np.zeros(n, dtype=bool)
-            slot = None
-        n_hit = int(np.count_nonzero(hit))
-        self._hits += n_hit
-        self._misses += n - n_hit
-
-        found = np.empty(n, dtype=bool)
-        values: Optional[np.ndarray] = None
-        if n_hit:
-            # A hit implies a prior fill, so _has_values is decided.
-            hit_slots = slot[hit]
-            found[hit] = self._found[hit_slots]
-            if self._has_values:
-                values = np.empty(n, dtype=self._values_dtype)
-                values[hit] = self._vals[hit_slots]
-            self._stamps[hit_slots] = self._clock  # LRU touch, one scatter
-
-        if n_hit < n:
-            miss_mask = ~hit
-            miss_keys = query_keys[miss_mask]
-            uniq_miss = np.unique(miss_keys)
+            hit_idx = np.empty(0, dtype=np.int64)
+            miss_idx = np.arange(n)
+        if miss_idx.size:
+            # One sort yields the unique misses and where each came from.
+            uniq_miss, inverse = np.unique(query_keys[miss_idx], return_inverse=True)
             result = self._inner.lookup(uniq_miss)
             if self._has_values is None:
                 self._has_values = result.values is not None
                 if self._has_values:
                     self._values_dtype = result.values.dtype
                     self._vals = self._vals.astype(self._values_dtype)
-            if self._has_values and values is None:
-                values = np.empty(n, dtype=self._values_dtype)
-            src = np.searchsorted(uniq_miss, miss_keys)
-            found[miss_mask] = result.found[src]
-            if values is not None:
-                values[miss_mask] = result.values[src]
-            self._fill(uniq_miss, result)
+        # The backend has answered: only now may the cache change.
+        self._maybe_invalidate()
+        self._clock += 1
+        self._hits += hit_idx.size
+        self._misses += miss_idx.size
 
+        found = np.empty(n, dtype=bool)
+        values = np.empty(n, dtype=self._values_dtype) if self._has_values else None
+        if hit_idx.size:
+            hit_entries = entry[hit_idx]
+            found[hit_idx] = self._found[hit_entries]
+            if values is not None:
+                values[hit_idx] = self._vals[hit_entries]
+            self._stamps[hit_entries] = self._clock  # LRU touch, one scatter
+        if miss_idx.size:
+            found[miss_idx] = result.found[inverse]
+            if values is not None:
+                values[miss_idx] = result.values[inverse]
+            self._fill(uniq_miss, result)
         return LookupResult(found=found, values=values)
 
     def _fill(self, uniq_miss: np.ndarray, result: LookupResult) -> None:
-        """Append freshly resolved unique keys to the store."""
+        """Append freshly resolved unique keys and lay the table out."""
         add = min(int(uniq_miss.size), self._capacity)
-        if add < uniq_miss.size:
-            # More new keys than the whole cache holds: keep the first
-            # `capacity` (they are all equally fresh).
-            uniq_miss = uniq_miss[:add]
-            result = LookupResult(
-                found=result.found[:add],
-                values=None if result.values is None else result.values[:add],
-            )
-        if add == 0:
-            return
         if self._n_entries + add > self._capacity:
             self._evict_to(add)
+        # More new keys than the whole cache holds keep the first
+        # `capacity` (they are all equally fresh).
         lo = self._n_entries
         hi = lo + add
-        self._entry_keys[lo:hi] = uniq_miss
-        self._found[lo:hi] = result.found
-        if result.values is not None:
-            self._vals[lo:hi] = result.values
-        else:
-            self._vals[lo:hi] = 0
+        self._entry_keys[lo:hi] = uniq_miss[:add]
+        self._found[lo:hi] = result.found[:add]
+        self._vals[lo:hi] = 0 if result.values is None else result.values[:add]
         self._stamps[lo:hi] = self._clock
         self._n_entries = hi
         self._fills += add
-        self._insert_slots(uniq_miss, np.arange(lo, hi, dtype=np.int64))
+        self._place()
 
     # ------------------------------------------------------------------ #
     # Introspection
@@ -352,3 +339,14 @@ class ReadCachedBackend:
         self._fills = 0
         self._evictions = 0
         self._invalidations = 0
+
+
+def _exact_keys(query_keys: np.ndarray) -> Optional[np.ndarray]:
+    """The batch as ``uint64`` words the cache can key exactly, or ``None``
+    when it is not a one-dimensional array of non-negative integers."""
+    kind = query_keys.dtype.kind
+    if query_keys.ndim != 1 or kind not in "ui":
+        return None
+    if kind == "i" and query_keys.size and query_keys.min() < 0:
+        return None
+    return query_keys.astype(np.uint64, copy=False)

@@ -6,6 +6,7 @@ import pytest
 
 from repro import KVStore
 from repro.api import Consistency, OpBatch
+from repro.baselines.cuckoo_hash import CuckooHashTable
 from repro.core.lsm import GPULSM
 from repro.scale.protocol import supports
 from repro.scale.sharded import ShardedLSM
@@ -245,6 +246,61 @@ class TestEngineIntegration:
         store.apply(OpBatch.lookups(np.array([3, 3], dtype=np.uint64)))
         store.apply(OpBatch.lookups(np.array([3, 3], dtype=np.uint64)))
         assert store.stats().read_cache["hits"] == 2
+
+    @pytest.mark.parametrize(
+        "queries",
+        [
+            np.array([1, 2, 5, 2], dtype=np.int64),
+            np.array([1, 2, 5, 2], dtype=np.int32),
+            np.array([1, 2, 5, 2], dtype=np.uint32),
+            np.array([1, 2, 5, 2], dtype=np.uint64),
+            np.array([1.0, 2.0, 5.0, 2.0]),
+            np.array([1, -2, 5]),
+            np.array([1, 1 << 31], dtype=np.uint64),
+            np.array([1, 1 << 31], dtype=np.int64),
+            np.array([[1, 2], [5, 6]], dtype=np.uint64),
+            np.array([], dtype=np.int64),
+            np.array([]),
+        ],
+        ids=lambda q: f"{q.dtype}-{q.shape}-{q.ravel()[:3].tolist()}",
+    )
+    def test_kvstore_lookup_front_door_matches_uncached(self, queries):
+        """Any batch the uncached store answers, the cached one answers
+        equally; any batch it rejects, the cached one rejects with the same
+        exception type and without moving a counter or an entry."""
+        stores = [KVStore(GPULSM(batch_size=4), cache_capacity=cap) for cap in (None, 16)]
+        for store in stores:
+            store.insert(np.arange(4, dtype=np.uint64), np.arange(4, dtype=np.uint64) * 10)
+            store.lookup(np.array([1, 3], dtype=np.uint64))  # warm the cache
+        before = stores[1].stats().read_cache
+        outcomes = []
+        for store in stores:
+            try:
+                result = store.lookup(queries)
+            except Exception as exc:  # the exception type is what is compared
+                outcomes.append(type(exc))
+            else:
+                outcomes.append((result.found.tolist(), result.values.tolist()))
+        assert outcomes[1] == outcomes[0]
+        if isinstance(outcomes[0], type):
+            assert stores[1].stats().read_cache == before
+        else:
+            # The cached answers are served from the cache the second time.
+            again = stores[1].lookup(queries)
+            assert (again.found.tolist(), again.values.tolist()) == outcomes[0]
+
+    def test_negative_key_never_hits_the_word_it_wraps_to(self):
+        """A backend without a key domain can cache ``2**64 - 2``; the
+        signed key ``-2`` wraps to that word, and must still be rejected
+        by the backend rather than answered from the cache."""
+        table = CuckooHashTable()
+        table.bulk_build(
+            np.array([5, (1 << 64) - 2], dtype=np.uint64), np.array([50, 70], dtype=np.uint64)
+        )
+        proxy = ReadCachedBackend(table, capacity=8)
+        proxy.lookup(np.array([(1 << 64) - 2], dtype=np.uint64))
+        with pytest.raises(ValueError, match="non-negative"):
+            proxy.lookup(np.array([-2]))
 
     def test_kvstore_legacy_surface_shares_the_cache(self):
         # The per-method surface routes through the same wrapped backend
