@@ -40,8 +40,10 @@ hashes in registers and stops a query at its first unset bit; the modelled
 build kernel is one fused pass.  The host computes the same bit arrays and
 the same verdicts the cheapest way it can — the two double-hashing hashes
 once per key per batch (:meth:`BloomFilter.hash_keys`, shared by every
-level a lookup visits), all ``k`` bits of a query block tested in one
-broadcast, the build through a byte scratch packed into words — and
+level a lookup visits), and for a batch of one probe block its ``k``
+positions too (:meth:`BloomFilter.probe_positions`, each level handed the
+columns of its pending queries), all ``k`` bits of a query block tested
+in one broadcast, the build through a byte scratch packed into words — and
 derives what the early-exiting kernel would have read in closed form, so
 every record is the one the literal per-hash loops produced
 (``tests/test_accounting_golden.py`` keeps those loops as the reference).
@@ -61,9 +63,10 @@ from repro.gpu.device import Device
 FILTER_PROBE_WORD_BYTES = 8
 
 #: Queries per block of :meth:`BloomFilter.maybe_contains`'s ``k × block``
-#: position matrix: a serving tick is one block, and a large batch (a
-#: final-state check, a bulk benchmark) keeps a cache-sized transient
-#: instead of one that grows with it.
+#: position matrix: a serving tick is one block — a lookup expands its
+#: positions once for every level — and a large batch (a final-state
+#: check, a bulk benchmark) keeps a cache-sized transient instead of one
+#: that grows with it.
 _PROBE_BLOCK = 4096
 
 #: splitmix64 finalizer constants (public-domain mixing function); the
@@ -134,6 +137,17 @@ class BloomFilter:
         k = np.asarray(keys).astype(np.uint64, copy=False)
         return _splitmix64(k), _splitmix64(k ^ _MIX_MUL_1) | np.uint64(1)
 
+    @staticmethod
+    def probe_positions(
+        hashes: Tuple[np.ndarray, np.ndarray], num_hashes: int
+    ) -> np.ndarray:
+        """The ``num_hashes × n`` matrix of unreduced probe positions
+        ``h1 + i·h2`` of :meth:`hash_keys`' output — like the hashes, a
+        function of the key alone (and ``k``), so a lookup batch computes
+        it once for every level's filter of that ``k``."""
+        h1, h2 = hashes
+        return h1 + np.arange(num_hashes, dtype=np.uint64)[:, np.newaxis] * h2
+
     def _reduce(self, pos: np.ndarray) -> np.ndarray:
         """``pos mod num_bits``, written as ``pos − ⌊pos / m⌋·m`` because
         numpy divides by a scalar several times faster than it takes a
@@ -169,24 +183,32 @@ class BloomFilter:
         device: Optional[Device] = None,
         kernel_name: str = "filters.bloom_probe",
         hashes: Optional[Tuple[np.ndarray, np.ndarray]] = None,
+        positions: Optional[np.ndarray] = None,
     ) -> np.ndarray:
         """Boolean mask: False means *definitely absent*, True means maybe.
 
-        ``hashes`` is :meth:`hash_keys` of ``keys`` when the caller has
-        already computed it (a lookup hashes its batch once for all
-        levels).  The traffic recorded is the number of word reads the
+        ``hashes`` is :meth:`hash_keys` of ``keys``, or ``positions`` their
+        :meth:`probe_positions` for this filter's hash count, when the
+        caller has already computed it (a lookup does once for all levels).
+        The traffic recorded is the number of word reads the
         early-exiting device kernel performs — per query, up to and
         including its first unset bit — charged as filter probes.
         """
         keys = np.asarray(keys)
         n = keys.size
-        h1, h2 = self.hash_keys(keys) if hashes is None else hashes
-        steps = np.arange(self.num_hashes, dtype=np.uint64)[:, np.newaxis]
+        if positions is None:
+            h1, h2 = self.hash_keys(keys) if hashes is None else hashes
+        elif positions.shape[0] != self.num_hashes:
+            raise ValueError("positions must hold one row per hash of this filter")
         maybe = np.empty(n, dtype=bool)
         probes_made = n
         for lo in range(0, n, _PROBE_BLOCK):
             block = slice(lo, lo + _PROBE_BLOCK)
-            pos = self._reduce(h1[block] + steps * h2[block])  # k × block
+            if positions is None:
+                pos = self.probe_positions((h1[block], h2[block]), self.num_hashes)
+            else:
+                pos = positions[:, block]
+            pos = self._reduce(pos)  # k × block
             words = self.words[(pos >> np.uint64(6)).view(np.int64)]
             bits = (words >> (pos & np.uint64(63))) & np.uint64(1)
             # Row i holds the queries still probing after hash i: the device

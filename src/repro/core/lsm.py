@@ -31,7 +31,13 @@ from repro.core import maintenance as maintenance_mod
 from repro.core.batch import build_update_batch
 from repro.core.config import LSMConfig
 from repro.core.encoding import KeyEncoder, STATUS_REGULAR
-from repro.core.filters import BloomFilter, FilterStatsCounter, LevelFilters
+from repro.core.filters import (
+    _PROBE_BLOCK,
+    BloomFilter,
+    FilterStatsCounter,
+    LevelFilters,
+    derive_num_hashes,
+)
 from repro.core.maintenance import MaintenanceStatsCounter
 from repro.core.level import Level
 from repro.core.ranges import query_ranges
@@ -704,26 +710,31 @@ class GPULSM:
         query_keys: np.ndarray,
         pending: np.ndarray,
         hashes: Optional[Tuple[np.ndarray, np.ndarray]],
-    ) -> Tuple[np.ndarray, np.ndarray]:
+        positions: Optional[np.ndarray],
+    ) -> np.ndarray:
         """Filter the still-unresolved queries against one level.
 
-        Returns ``(pending, keys)`` — the subset of ``pending`` whose keys
-        *may* reside in the level, plus the gathered keys themselves (so
-        the caller never re-gathers what this pass already read).
-        Everything dropped here is guaranteed absent from the level, so
-        skipping the binary search cannot change any answer.  ``hashes``
-        is :meth:`BloomFilter.hash_keys` of the whole ``query_keys`` batch
-        (``None`` when no level carries a Bloom filter).
+        Returns the subset of ``pending`` whose keys *may* reside in the
+        level.  Everything dropped here is guaranteed absent from the level, so
+        skipping the binary search cannot change any answer.  ``hashes`` is
+        :meth:`BloomFilter.hash_keys` of the whole ``query_keys`` batch
+        (``None`` when no level carries a Bloom filter) and ``positions``
+        their :meth:`BloomFilter.probe_positions` when the batch fits one
+        probe block (``None`` otherwise): a level's filter is handed the
+        pending columns of the one or the other.
+
+        ``query_keys`` ascends and so does ``pending``, so the keys inside
+        a level's fences are one slice of the pending ones: two binary
+        searches find it, no mask is built.
         """
         stats = self._filter_stats
         stats.lookup_pairs += int(pending.size)
         filters = level.filters
-        q = query_keys[pending]
         if filters is None:
-            return pending, q
+            return pending
 
-        in_fence = filters.fence_mask(q)
-        if in_fence is not None:
+        q = query_keys[pending]
+        if filters.has_fences:
             # Two register compares per query against the level header,
             # fused into the prologue of the level's probe kernel (hence
             # ``launches=0``): it reads the pending keys once and emits a
@@ -735,21 +746,21 @@ class GPULSM:
                 work_items=int(pending.size),
                 launches=0,
             )
-            stats.fence_pruned += int(pending.size - np.count_nonzero(in_fence))
-            pending = pending[in_fence]
-            q = q[in_fence]
+            first = int(q.searchsorted(filters.min_key, "left"))
+            last = int(q.searchsorted(filters.max_key, "right"))
+            stats.fence_pruned += int(pending.size) - (last - first)
+            pending, q = pending[first:last], q[first:last]
         if filters.bloom is not None and pending.size:
-            h1, h2 = hashes
+            if positions is not None:
+                probed = dict(positions=positions.take(pending, axis=1))
+            else:
+                probed = dict(hashes=(hashes[0][pending], hashes[1][pending]))
             maybe = filters.bloom.maybe_contains(
-                q,
-                device=self.device,
-                kernel_name="lsm.lookup.bloom",
-                hashes=(h1[pending], h2[pending]),
+                q, device=self.device, kernel_name="lsm.lookup.bloom", **probed
             )
             stats.bloom_pruned += int(pending.size - np.count_nonzero(maybe))
             pending = pending[maybe]
-            q = q[maybe]
-        return pending, q
+        return pending
 
     # ------------------------------------------------------------------ #
     # Lookup
@@ -803,14 +814,20 @@ class GPULSM:
             # batch once and slice per level instead of re-encoding every
             # level's pending subset.
             probes = self.encoder.lower_probe(qk)
-            # So are its two Bloom hashes: they depend on the key alone, so
-            # the batch is hashed once for every level's filter.
-            hashes = None
+            # So are its Bloom probe positions: they depend on the key (and
+            # the store-wide hash count) alone, so the batch is hashed once
+            # for every level's filter — and a batch of one probe block
+            # expands its ``k`` positions once too.
+            hashes = positions = None
             if any(
                 level.filters is not None and level.filters.bloom is not None
                 for level in levels
             ):
                 hashes = BloomFilter.hash_keys(qk)
+                if nq <= _PROBE_BLOCK:
+                    positions = BloomFilter.probe_positions(
+                        hashes, derive_num_hashes(self.config.bloom_bits_per_key)
+                    )
 
             resolved = np.zeros(nq, dtype=bool)
             out_found = np.zeros(nq, dtype=bool)
@@ -827,36 +844,36 @@ class GPULSM:
             for level in levels:
                 if unresolved.size == 0:
                     break
-                pending, q = self._prune_lookup_pending(
-                    level, qk, unresolved, hashes
+                pending = self._prune_lookup_pending(
+                    level, qk, unresolved, hashes, positions
                 )
                 if pending.size == 0:
                     continue
                 self._filter_stats.searched += int(pending.size)
                 level_keys = level.keys
-                pos = level_keys.searchsorted(probes[pending])
+                probe = probes[pending]
+                pos = level_keys.searchsorted(probe)
                 record_search(
                     self.device, "lsm.lookup.lower_bound", pending.size,
                     probes.dtype.itemsize, level_keys.size, cached_probes,
                 )
-                in_range = pos < level_keys.size
-                pos_c = np.minimum(pos, level_keys.size - 1)
-                words = level_keys[pos_c]
-                match = in_range & (
-                    self.encoder.decode_key(words)
-                    == q.astype(self.config.key_dtype)
-                )
-                regular = self.encoder.is_regular(words)
+                # A key's words are its probe plus its status bit, so the
+                # first word at or past the probe is the query's iff it lies
+                # at most one above — and is regular iff exactly one.  A
+                # query past the level's end reads the last word, which lies
+                # below its probe and wraps far above.
+                status = level_keys.take(pos, mode="clip") - probe
+                match = status <= 1
                 if level.filters is not None and level.filters.bloom is not None:
                     self._filter_stats.bloom_false_positives += int(
                         pending.size - np.count_nonzero(match)
                     )
 
-                hit = match & regular
+                hit = status == 1
                 hit_idx = pending[hit]
                 out_found[hit_idx] = True
                 if out_values is not None and level.values is not None:
-                    out_values[hit_idx] = level.values[pos_c[hit]]
+                    out_values[hit_idx] = level.values[pos[hit]]
                 matched = pending[match]
                 if matched.size:
                     resolved[matched] = True

@@ -39,6 +39,9 @@ from repro.primitives.segmented_sort import record_segmented_sort, segmented_ord
 #: serving tick is one block.
 SEGMENT_BLOCK_CANDIDATES = 1 << 16
 
+#: The fence pair of a level without fences: every pair overlaps it.
+_NO_FENCES = (np.iinfo(np.int64).min, np.iinfo(np.int64).max)
+
 Rows = Tuple[np.ndarray, Optional[np.ndarray], Optional[np.ndarray]]
 
 
@@ -62,12 +65,9 @@ def query_ranges(
     segment order: segment ``t``'s valid rows are ``words[offsets[t]:
     offsets[t + 1]]``, encoded and key-sorted; COUNT returns offsets only.
     """
-    encoder = config.encoder
     num_pairs = k1.size
     key_bytes = config.key_dtype.itemsize
     row_bytes = key_bytes + (config.value_dtype.itemsize if with_values else 0)
-    lower_probes = encoder.lower_probe(k1)
-    upper_probes = encoder.upper_probe(k2)
     group_levels = [lsm.occupied_levels() for lsm, _, _ in groups]
     depth = max([1] + [len(levels) for levels in group_levels])
     with ExitStack() as regions:
@@ -76,40 +76,7 @@ def query_ranges(
                 lsm.device.timed_region(f"lsm.{op}", items=stop - start)
             )
 
-        # Stage 1: lower / upper positions per (level, pair).  A level whose
-        # fence range does not overlap a pair's ``[k1, k2]`` cannot
-        # contribute candidates, so only the overlapping pairs are
-        # searched; a pruned pair — like a pair of a store with fewer
-        # levels — keeps an empty chunk (lower == upper == 0).
-        bounds = np.zeros((2, depth, num_pairs), dtype=np.int64)
-        for (lsm, start, stop), levels in zip(groups, group_levels):
-            device, stats, pairs = lsm.device, lsm._filter_stats, stop - start
-            for j, level in enumerate(levels):
-                stats.range_pairs += pairs
-                idx, searched = slice(start, stop), pairs
-                if level.filters is not None and level.filters.has_fences:
-                    # Fence-overlap test fused into the bound-search prologue
-                    # (two register compares per query; no separate launch).
-                    device.record_kernel(
-                        "lsm.query.fence",
-                        coalesced_read_bytes=pairs * (k1.itemsize + k2.itemsize),
-                        coalesced_write_bytes=pairs,
-                        work_items=pairs,
-                        launches=0,
-                    )
-                    idx = np.flatnonzero(
-                        level.filters.fence_overlap(k1[start:stop], k2[start:stop])
-                    )
-                    idx += start
-                    searched = int(idx.size)
-                    stats.range_fence_pruned += pairs - searched
-                    if searched == 0:
-                        continue
-                level_keys = level.keys
-                bounds[0, j, idx] = level_keys.searchsorted(lower_probes[idx], "left")
-                bounds[1, j, idx] = level_keys.searchsorted(upper_probes[idx], "right")
-                for name in ("lsm.query.lower_bound", "lsm.query.upper_bound"):
-                    record_search(device, name, searched, key_bytes, level_keys.size)
+        bounds = search_levels(config, groups, group_levels, depth, k1, k2)
         lows = bounds[0]
         counts = bounds[1] - lows
         per_pair = counts.sum(axis=0)
@@ -150,6 +117,94 @@ def query_ranges(
         np.concatenate([words for _, words, _ in rows]),
         np.concatenate([values for _, _, values in rows]) if with_values else None,
     )
+
+
+def search_levels(
+    config: LSMConfig,
+    groups: Sequence[tuple],
+    group_levels: Sequence[Sequence[Level]],
+    depth: int,
+    k1: np.ndarray,
+    k2: np.ndarray,
+) -> np.ndarray:
+    """Stage 1: the lower / upper position of every pair in every level of
+    its store, as ``bounds[0 | 1, level, pair]``, each store's searches
+    recorded on its device.
+
+    A level whose fence range does not overlap a pair's ``[k1, k2]`` cannot
+    contribute candidates, so only the overlapping pairs are searched; a
+    pruned pair — like a pair of a store with fewer levels — keeps an empty
+    chunk (lower == upper == 0).  A store tests its fences once, as one
+    ``level × pair`` matrix built only when some pair misses some level
+    (:func:`_fence_matrix`); a level that prunes nothing searches the
+    store's slice of the pairs as it is, and only a level that prunes some
+    pair gathers the survivors.
+    """
+    key_bytes = config.key_dtype.itemsize
+    lower_probes = config.encoder.lower_probe(k1)
+    upper_probes = config.encoder.upper_probe(k2)
+    bounds = np.zeros((2, depth, k1.size), dtype=np.int64)
+    lo_keys, hi_keys = k1.astype(np.int64), k2.astype(np.int64)
+    for (lsm, start, stop), levels in zip(groups, group_levels):
+        if not levels:
+            continue
+        device, pairs, whole = lsm.device, stop - start, slice(start, stop)
+        fenced, overlap, searched = _fence_matrix(levels, lo_keys[whole], hi_keys[whole])
+        stats = lsm._filter_stats
+        stats.range_pairs += pairs * len(levels)
+        stats.range_fence_pruned += pairs * len(levels) - sum(searched)
+        for j, level in enumerate(levels):
+            if fenced[j]:
+                # Fence-overlap test fused into the bound-search prologue
+                # (two register compares per query; no separate launch).
+                device.record_kernel(
+                    "lsm.query.fence",
+                    coalesced_read_bytes=pairs * (k1.itemsize + k2.itemsize),
+                    coalesced_write_bytes=pairs,
+                    work_items=pairs,
+                    launches=0,
+                )
+                if searched[j] == 0:
+                    continue
+            idx = whole
+            if searched[j] < pairs:
+                idx = overlap[j].nonzero()[0]
+                idx += start
+            level_keys = level.keys
+            bounds[0, j, idx] = level_keys.searchsorted(lower_probes[idx], "left")
+            bounds[1, j, idx] = level_keys.searchsorted(upper_probes[idx], "right")
+            for name in ("lsm.query.lower_bound", "lsm.query.upper_bound"):
+                record_search(device, name, searched[j], key_bytes, level_keys.size)
+    return bounds
+
+
+def _fence_matrix(
+    levels: Sequence[Level], lo: np.ndarray, hi: np.ndarray
+) -> Tuple[List[bool], Optional[np.ndarray], List[int]]:
+    """One store's fence test over all its levels at once: ``(fenced,
+    overlap, searched)`` — per level whether it carries fences, the
+    ``level × pair`` overlap of ``[lo, hi]`` with its ``[min_key, max_key]``
+    and how many pairs survive it.  A level without fences overlaps every
+    pair.  ``overlap`` is ``None`` when no pair misses any level: the
+    pairs' highest ``lo`` and lowest ``hi`` against every level's fences
+    decide that without building the matrix."""
+    fenced = [
+        level.filters is not None and level.filters.has_fences for level in levels
+    ]
+    everything = [lo.size] * len(levels)
+    if not lo.size or not any(fenced):
+        return fenced, None, everything
+    fences = [
+        (level.filters.min_key, level.filters.max_key) if f else _NO_FENCES
+        for level, f in zip(levels, fenced)
+    ]
+    highest_lo, lowest_hi = int(lo.max()), int(hi.min())
+    if all(lowest_hi >= low and highest_lo <= high for low, high in fences):
+        return fenced, None, everything
+    bounds = np.array(fences, dtype=np.int64)
+    overlap = hi >= bounds[:, :1]
+    overlap &= lo <= bounds[:, 1:]
+    return fenced, overlap, overlap.sum(axis=1).tolist()
 
 
 def _blocks(per_pair: np.ndarray, segment_of: np.ndarray) -> List[Tuple[int, int]]:

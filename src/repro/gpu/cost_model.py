@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Tuple
 
 from repro.gpu.counters import CounterSnapshot, KernelStats
 from repro.gpu.spec import GPUSpec, K40C_SPEC
@@ -114,14 +113,16 @@ class CostModel:
     def seconds(
         self, launches: int, coalesced_bytes: int, random_bytes: int, filter_bytes: int
     ) -> float:
-        """The ``seconds`` of :meth:`cost_of` for that traffic — the same
-        four terms added in the same order — without building the
-        breakdown.  This is what advances a device's clock on every
-        recorded kernel."""
-        launch_s, coalesced_s, random_s, filter_s = self._terms(
-            launches, coalesced_bytes, random_bytes, filter_bytes
+        """Simulated seconds of that traffic: the model's four terms, added
+        in this order.  This is the one place the formula is written; it
+        advances a device's clock on every recorded kernel, and
+        :meth:`cost_of` reads its breakdown off it term by term."""
+        return (
+            launches * self._launch_overhead_s
+            + coalesced_bytes / self._coalesced_bytes_per_s
+            + random_bytes / self._random_bytes_per_s
+            + filter_bytes / self._filter_bytes_per_s
         )
-        return launch_s + coalesced_s + random_s + filter_s
 
     def cost_of_snapshot(self, snap: CounterSnapshot) -> KernelCost:
         """Simulated cost of everything captured in a counter snapshot
@@ -133,17 +134,6 @@ class CostModel:
             filter_bytes=snap.filter_bytes,
         )
 
-    def _terms(
-        self, launches: int, coalesced_bytes: int, random_bytes: int, filter_bytes: int
-    ) -> Tuple[float, float, float, float]:
-        """The model's four terms, in the order they are summed."""
-        return (
-            launches * self._launch_overhead_s,
-            coalesced_bytes / self._coalesced_bytes_per_s,
-            random_bytes / self._random_bytes_per_s,
-            filter_bytes / self._filter_bytes_per_s,
-        )
-
     def _cost(
         self,
         *,
@@ -152,15 +142,14 @@ class CostModel:
         random_bytes: int,
         filter_bytes: int = 0,
     ) -> KernelCost:
-        launch_s, coalesced_s, random_s, filter_s = self._terms(
-            launches, coalesced_bytes, random_bytes, filter_bytes
-        )
+        # A term alone is the formula with the other three traffic classes
+        # at zero (``x + 0.0 == x``), so the breakdown is exact.
         return KernelCost(
-            seconds=launch_s + coalesced_s + random_s + filter_s,
-            launch_seconds=launch_s,
-            coalesced_seconds=coalesced_s,
-            random_seconds=random_s,
-            filter_seconds=filter_s,
+            seconds=self.seconds(launches, coalesced_bytes, random_bytes, filter_bytes),
+            launch_seconds=self.seconds(launches, 0, 0, 0),
+            coalesced_seconds=self.seconds(0, coalesced_bytes, 0, 0),
+            random_seconds=self.seconds(0, 0, random_bytes, 0),
+            filter_seconds=self.seconds(0, 0, 0, filter_bytes),
         )
 
     # ------------------------------------------------------------------ #

@@ -15,16 +15,22 @@ the ordered launches notes them itself — ``tests/conftest.py``'s
 
 The counters are plain Python ints updated once per kernel launch, not per
 element — cheap, but measurable: one ``Device.record_kernel`` (the in-place
-aggregate, the totals, the clock) costs about 1.5 µs of host time, so a
-mixed tick's ~60 launches spend ~0.1 ms recording.  That is why a primitive
-records one kernel per modelled launch from sizes, and never per element or
-per Python-level step.
+aggregate, the totals, the clock) costs about 0.6 µs of host time, and a
+sharded read-mostly tick makes a few hundred of them.  That is why a
+primitive records one kernel per modelled launch from sizes, and never per
+element or per Python-level step, and why a sequence that repeats with
+identical sizes (a radix sort's digit passes) is recorded in one
+``Device.record_kernels`` call.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict
+from typing import Dict, Tuple
+
+#: One kernel launch as :meth:`repro.gpu.device.Device.record_kernels` takes
+#: it: the :class:`KernelStats` fields in declaration order, name first.
+Launch = Tuple[str, int, int, int, int, int, int, int, int]
 
 
 @dataclass

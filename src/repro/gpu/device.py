@@ -22,12 +22,13 @@ suite and the benchmark harness — construct their own devices explicitly.
 
 from __future__ import annotations
 
-from typing import ContextManager, Optional
+from operator import index as _index
+from typing import ContextManager, Optional, Sequence
 
 import numpy as np
 
 from repro.gpu.cost_model import CostModel
-from repro.gpu.counters import CounterSnapshot, TrafficCounter
+from repro.gpu.counters import CounterSnapshot, KernelStats, Launch, TrafficCounter
 from repro.gpu.profiler import Profiler
 from repro.gpu.spec import GPUSpec, K40C_SPEC
 
@@ -40,6 +41,7 @@ class Device:
         self.counter = TrafficCounter()
         self.cost_model = CostModel(spec)
         self.profiler = Profiler(self.counter, self.cost_model)
+        self._seconds = self.cost_model.seconds
         #: Simulated elapsed time, advanced by every recorded kernel.
         self.simulated_seconds = 0.0
         #: RNG used by primitives that need randomness (e.g. cuckoo rehash);
@@ -62,32 +64,68 @@ class Device:
         work_items: int = 0,
         launches: int = 1,
     ) -> None:
-        """Record the traffic of one simulated kernel and advance the clock."""
-        coalesced_read_bytes = int(coalesced_read_bytes)
-        coalesced_write_bytes = int(coalesced_write_bytes)
-        random_read_bytes = int(random_read_bytes)
-        random_write_bytes = int(random_write_bytes)
-        filter_read_bytes = int(filter_read_bytes)
-        filter_write_bytes = int(filter_write_bytes)
-        work_items = int(work_items)
-        launches = int(launches)
-        self.counter.record(
-            name,
-            coalesced_read_bytes,
-            coalesced_write_bytes,
-            random_read_bytes,
-            random_write_bytes,
-            filter_read_bytes,
-            filter_write_bytes,
-            work_items,
-            launches,
-        )
-        self.simulated_seconds += self.cost_model.seconds(
-            launches,
-            coalesced_read_bytes + coalesced_write_bytes,
-            random_read_bytes + random_write_bytes,
-            filter_read_bytes + filter_write_bytes,
-        )
+        """Record the traffic of one simulated kernel and advance the clock.
+
+        :meth:`TrafficCounter.record <repro.gpu.counters.TrafficCounter.record>`
+        written out in place — this runs once per modelled launch, so it is
+        one frame plus the cost model's :meth:`~repro.gpu.cost_model.CostModel.seconds`.
+        """
+        # ``operator.index``: a NumPy integer becomes a Python int (the
+        # aggregates stay plain ints) at a third of ``int``'s price.
+        cr = _index(coalesced_read_bytes)
+        cw = _index(coalesced_write_bytes)
+        rr = _index(random_read_bytes)
+        rw = _index(random_write_bytes)
+        fr = _index(filter_read_bytes)
+        fw = _index(filter_write_bytes)
+        work_items = _index(work_items)
+        launches = _index(launches)
+        counter = self.counter
+        stats = counter.per_kernel.get(name)
+        if stats is None:
+            stats = counter.per_kernel[name] = KernelStats(name, launches=0)
+        stats.coalesced_read_bytes += cr
+        stats.coalesced_write_bytes += cw
+        stats.random_read_bytes += rr
+        stats.random_write_bytes += rw
+        stats.filter_read_bytes += fr
+        stats.filter_write_bytes += fw
+        stats.work_items += work_items
+        stats.launches += launches
+        coalesced, random, filtered = cr + cw, rr + rw, fr + fw
+        counter.total_coalesced_bytes += coalesced
+        counter.total_random_bytes += random
+        counter.total_filter_bytes += filtered
+        counter.total_launches += launches
+        counter.total_work_items += work_items
+        self.simulated_seconds += self._seconds(launches, coalesced, random, filtered)
+
+    def record_kernels(self, kernels: Sequence[Launch], repeats: int = 1) -> None:
+        """Record ``repeats`` back-to-back runs of a kernel sequence whose
+        sizes do not change between runs (a radix sort's digit passes) —
+        exactly what that many ``record_kernel`` calls in launch order
+        would leave.
+
+        Each launch is a tuple of :class:`~repro.gpu.counters.KernelStats`
+        fields, name first.  The integer aggregates take ``repeats`` times
+        each launch at once, but the clock still adds every launch's
+        seconds one by one, in launch order: ``repeats × seconds`` would
+        round differently.
+        """
+        if repeats <= 0:
+            return
+        seconds = []
+        for name, cr, cw, rr, rw, fr, fw, work_items, launches in kernels:
+            self.counter.record(
+                name, cr * repeats, cw * repeats, rr * repeats, rw * repeats,
+                fr * repeats, fw * repeats, work_items * repeats, launches * repeats,
+            )
+            seconds.append(self._seconds(launches, cr + cw, rr + rw, fr + fw))
+        clock = self.simulated_seconds
+        for _ in range(repeats):
+            for launch_seconds in seconds:
+                clock += launch_seconds
+        self.simulated_seconds = clock
 
     # ------------------------------------------------------------------ #
     # Timing helpers

@@ -9,11 +9,10 @@ mirrors how the paper's measurements bracket operations with CUDA events.
 
 from __future__ import annotations
 
-import contextlib
 import math
 import time
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Sequence
+from typing import ContextManager, Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -63,16 +62,6 @@ class ProfileRecord:
     launches: int = 0
     wall_seconds: float = 0.0
 
-    def add(self, other: "ProfileRecord") -> None:
-        """Accumulate ``other`` (same region name) into this record."""
-        self.calls += other.calls
-        self.items += other.items
-        self.coalesced_bytes += other.coalesced_bytes
-        self.random_bytes += other.random_bytes
-        self.filter_bytes += other.filter_bytes
-        self.launches += other.launches
-        self.wall_seconds += other.wall_seconds
-
     @property
     def seconds(self) -> float:
         """Simulated seconds of the summed traffic."""
@@ -93,6 +82,53 @@ class ProfileRecord:
         return self.items / self.wall_seconds
 
 
+class _Region:
+    """One :meth:`Profiler.region` bracket: the counter totals and the wall
+    clock at entry, as plain ints and a float, and on a normal exit their
+    deltas added in place to the name's record.  A body that raises
+    records nothing."""
+
+    __slots__ = (
+        "_profiler", "_name", "_items",
+        "_coalesced", "_random", "_filter", "_launches", "_wall",
+    )
+
+    def __init__(self, profiler: "Profiler", name: str, items: int) -> None:
+        self._profiler = profiler
+        self._name = name
+        self._items = items
+
+    def __enter__(self) -> None:
+        counter = self._profiler._counter
+        self._coalesced = counter.total_coalesced_bytes
+        self._random = counter.total_random_bytes
+        self._filter = counter.total_filter_bytes
+        self._launches = counter.total_launches
+        self._wall = time.perf_counter()
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        wall = time.perf_counter() - self._wall
+        if exc_type is not None:
+            return
+        profiler, name = self._profiler, self._name
+        counter = profiler._counter
+        coalesced = counter.total_coalesced_bytes - self._coalesced
+        random = counter.total_random_bytes - self._random
+        filtered = counter.total_filter_bytes - self._filter
+        launches = counter.total_launches - self._launches
+        total = profiler._by_name.get(name)
+        if total is None:
+            total = profiler._by_name[name] = ProfileRecord(name, profiler._cost_model)
+        total.calls += 1
+        total.items += self._items
+        total.coalesced_bytes += coalesced
+        total.random_bytes += random
+        total.filter_bytes += filtered
+        total.launches += launches
+        total.wall_seconds += wall
+        profiler._last = (name, self._items, coalesced, random, filtered, launches, wall)
+
+
 class Profiler:
     """Accumulates one :class:`ProfileRecord` per region name for a device's
     operations — memory bounded by the number of distinct names, however
@@ -102,37 +138,29 @@ class Profiler:
         self._counter = counter
         self._cost_model = cost_model
         self._by_name: Dict[str, ProfileRecord] = {}
-        #: The most recent region on its own, ``None`` before the first.
-        self.last: Optional[ProfileRecord] = None
+        self._last: Optional[tuple] = None
 
-    @contextlib.contextmanager
-    def region(self, name: str, items: int = 0) -> Iterator[None]:
+    def region(self, name: str, items: int = 0) -> ContextManager[None]:
         """Context manager bracketing one logical operation.
 
         ``items`` is the number of logical elements/queries processed by the
         region, used to convert simulated time into the M items/s rates the
-        paper reports.
+        paper reports.  Regions nest (a sharded operation's region around its
+        shards'); each sees the traffic recorded while it is open.
         """
-        before = self._counter.snapshot()
-        wall_before = time.perf_counter()
-        yield
-        wall_delta = time.perf_counter() - wall_before
-        delta = self._counter.since(before)
-        self.last = ProfileRecord(
-            name=name,
-            cost_model=self._cost_model,
-            calls=1,
-            items=items,
-            coalesced_bytes=delta.coalesced_bytes,
-            random_bytes=delta.random_bytes,
-            filter_bytes=delta.filter_bytes,
-            launches=delta.launches,
-            wall_seconds=wall_delta,
+        return _Region(self, name, items)
+
+    @property
+    def last(self) -> Optional[ProfileRecord]:
+        """The most recent region on its own, ``None`` before the first."""
+        if self._last is None:
+            return None
+        name, items, coalesced, random, filtered, launches, wall = self._last
+        return ProfileRecord(
+            name, self._cost_model, calls=1, items=items, coalesced_bytes=coalesced,
+            random_bytes=random, filter_bytes=filtered, launches=launches,
+            wall_seconds=wall,
         )
-        total = self._by_name.get(name)
-        if total is None:
-            total = self._by_name[name] = ProfileRecord(name, self._cost_model)
-        total.add(self.last)
 
     def total_seconds(self, name_prefix: str = "") -> float:
         """Sum of simulated seconds for regions whose name starts with a prefix."""
@@ -154,7 +182,7 @@ class Profiler:
 
     def clear(self) -> None:
         self._by_name.clear()
-        self.last = None
+        self._last = None
 
     def summary_rows(self) -> List[Dict[str, object]]:
         """Flat dict rows for the report writer (one per region name)."""

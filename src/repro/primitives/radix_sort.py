@@ -88,6 +88,7 @@ def record_radix_sort(
     (the sort below, the LSM's sorted-probe lookups) charges exactly what
     the device would have run.
     """
+    num_items = int(num_items)
     if num_items == 0:
         return
     key_dtype = np.dtype(key_dtype)
@@ -97,32 +98,27 @@ def record_radix_sort(
         num_items * np.dtype(value_dtype).itemsize if value_dtype is not None else 0
     )
     num_blocks = -(-num_items // BLOCK_HISTOGRAM_LAUNCH.tile_size)
-    for shift in range(begin_bit, end_bit, config.digit_bits):
-        width = min(config.digit_bits, end_bit - shift)
+    # Every pass but a narrower last one has the same sizes, so the full
+    # passes are one repeated sequence.
+    full_passes, last_width = divmod(end_bit - begin_bit, config.digit_bits)
+    for width, repeats in ((config.digit_bits, full_passes), (last_width, 1)):
+        if not width:
+            continue
         # One int64 counter per (block, digit value).
         hist_items = num_blocks << width
         hist_bytes = hist_items * 8
-        device.record_kernel(
-            "histogram.block_digit",
-            coalesced_read_bytes=key_bytes,
-            coalesced_write_bytes=hist_bytes,
-            work_items=num_items,
-        )
-        device.record_kernel(
-            "radix_sort.scan",
-            coalesced_read_bytes=hist_bytes,
-            coalesced_write_bytes=hist_bytes,
-            work_items=hist_items,
-        )
-        # The scatter writes of a radix pass land in 2**digit_bits distinct
-        # output partitions, so they are only partially coalesced; charging
-        # them as random traffic is what calibrates the simulated sort to
-        # the ~770 M key-value pairs/s the paper measures on the K40c.
-        device.record_kernel(
-            "radix_sort.scatter",
-            coalesced_read_bytes=payload_bytes,
-            random_write_bytes=payload_bytes,
-            work_items=num_items,
+        device.record_kernels(
+            (
+                ("histogram.block_digit", key_bytes, hist_bytes, 0, 0, 0, 0, num_items, 1),
+                ("radix_sort.scan", hist_bytes, hist_bytes, 0, 0, 0, 0, hist_items, 1),
+                # The scatter writes of a radix pass land in 2**digit_bits
+                # distinct output partitions, so they are only partially
+                # coalesced; charging them as random traffic is what
+                # calibrates the simulated sort to the ~770 M key-value
+                # pairs/s the paper measures on the K40c.
+                ("radix_sort.scatter", payload_bytes, 0, 0, payload_bytes, 0, 0, num_items, 1),
+            ),
+            repeats,
         )
 
 

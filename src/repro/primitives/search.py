@@ -18,7 +18,6 @@ device; the ``cached_levels`` parameter discounts them).
 
 from __future__ import annotations
 
-import math
 from typing import Optional
 
 import numpy as np
@@ -33,12 +32,16 @@ TRANSACTION_BYTES = 32
 #: resident in the 1.5 MB L2 of the K40c.
 DEFAULT_CACHED_PROBES = 2
 
+#: Bytes written per query: its ``int64`` position.
+POSITION_BYTES = 8
+
 
 def _probe_count(level_size: int) -> int:
-    """Number of probes a binary search over ``level_size`` elements makes."""
+    """Number of probes a binary search over ``level_size`` elements makes:
+    ``ceil(log2(level_size)) + 1``, in integer arithmetic."""
     if level_size <= 1:
         return 1
-    return int(math.ceil(math.log2(level_size))) + 1
+    return (int(level_size) - 1).bit_length() + 1
 
 
 def record_search(
@@ -58,7 +61,7 @@ def record_search(
         kernel_name,
         random_read_bytes=num_queries * probes * TRANSACTION_BYTES,
         coalesced_read_bytes=num_queries * query_itemsize,
-        coalesced_write_bytes=num_queries * np.dtype(np.int64).itemsize,
+        coalesced_write_bytes=num_queries * POSITION_BYTES,
         work_items=num_queries,
     )
 

@@ -25,7 +25,8 @@ class RecordingDevice(Device):
     """A device that also notes, in order, what every ``record_kernel``
     call was given — the ordered launch log a :class:`Device` itself does
     not keep.  ``launches`` holds one tuple of :class:`KernelStats` fields
-    (name first, defaults filled in) per call."""
+    (name first, defaults filled in) per call; a ``record_kernels``
+    sequence is noted launch by launch, as the calls it stands for."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
@@ -38,6 +39,11 @@ class RecordingDevice(Device):
             )
         )
         super().record_kernel(name, **traffic)
+
+    def record_kernels(self, kernels, repeats=1):
+        for _ in range(repeats):
+            self.launches.extend(tuple(kernel) for kernel in kernels)
+        super().record_kernels(kernels, repeats)
 
 
 @pytest.fixture
