@@ -44,12 +44,9 @@ SCALES = {
         "mixed": dict(num_ops=1 << 14, tick_size=1 << 10),
         "serve": dict(num_ops=1 << 12, target_tick_size=1 << 8,
                       utilisations=(0.5, 0.9, 2.0)),
-        "wallclock": dict(num_ops=1 << 16, tick_size=1 << 12),
         "query_accel": dict(total_elements=1 << 14, queries_per_cell=1 << 11),
         "maintenance": dict(batch_size=1 << 9, num_steps=40,
                             queries_per_step=1 << 11),
-        "durability": dict(num_ops=1 << 14, tick_size=1 << 10, fsync_batch=8),
-        "resilience": dict(num_ops=1 << 13, tick_size=1 << 9, fault_every=5),
         "rebalance": dict(num_ops=1 << 14, tick_size=1 << 9,
                           shard_counts=(8, 16)),
     },
@@ -72,12 +69,9 @@ SCALES = {
         "mixed": dict(num_ops=1 << 17, tick_size=1 << 12),
         "serve": dict(num_ops=1 << 16, target_tick_size=1 << 11,
                       utilisations=(0.5, 0.9, 2.0)),
-        "wallclock": dict(num_ops=1 << 18, tick_size=1 << 13),
         "query_accel": dict(total_elements=1 << 17, queries_per_cell=1 << 13),
         "maintenance": dict(batch_size=1 << 11, num_steps=64,
                             queries_per_step=1 << 13),
-        "durability": dict(num_ops=1 << 16, tick_size=1 << 12, fsync_batch=8),
-        "resilience": dict(num_ops=1 << 15, tick_size=1 << 11, fault_every=5),
         "rebalance": dict(num_ops=1 << 16, tick_size=1 << 11,
                           shard_counts=(8, 16, 32)),
     },

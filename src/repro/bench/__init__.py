@@ -26,6 +26,8 @@ One module per concern:
   acceleration sweep (fence / Bloom / sorted-probe lookup rates against
   the unfiltered path, across hit / miss / Zipf query populations).
 * :mod:`repro.bench.report` — plain-text and CSV rendering of rows/series.
+* :mod:`repro.bench.wallclock` — the deterministic prefill that seeds the
+  stores of ``benchmarks/e2e``, the repository's wall-clock record.
 
 All experiments accept explicit scale parameters and default to sizes that
 run in seconds on a single CPU core; the relationships the paper reports

@@ -36,9 +36,10 @@ import json
 import os
 from typing import Dict, List, Optional, Sequence
 
-from repro.api.ops import OpCode
+import numpy as np
+
+from repro.api.ops import OpCode, ResultBatch
 from repro.bench.runner import PAPER_INSERTION_ELEMENTS, scaled_spec
-from repro.bench.wallclock import assert_results_bit_identical
 from repro.bench.workloads import MixedOpConfig, make_mixed_batches
 from repro.gpu.spec import GPUSpec
 from repro.scale.rebalance import LoadImbalancePolicy
@@ -70,6 +71,34 @@ WORKLOADS: Dict[str, dict] = {
     "zipf": dict(zipf_theta=1.0, zipf_key_count=1024),
     "hot_tenant": dict(zipf_theta=1.8, zipf_key_count=16),
 }
+
+
+def assert_results_bit_identical(
+    a: ResultBatch, b: ResultBatch, context: str = ""
+) -> None:
+    """Raise ``AssertionError`` unless two result batches agree bit for bit."""
+    where = f" ({context})" if context else ""
+    if not np.array_equal(a.statuses, b.statuses):
+        raise AssertionError(f"statuses diverged{where}")
+    if not np.array_equal(a.found, b.found):
+        raise AssertionError(f"found flags diverged{where}")
+    if (a.values is None) != (b.values is None) or (
+        a.values is not None and not np.array_equal(a.values, b.values)
+    ):
+        raise AssertionError(f"values diverged{where}")
+    if not np.array_equal(a.counts, b.counts):
+        raise AssertionError(f"counts diverged{where}")
+    if not np.array_equal(a.range_offsets, b.range_offsets):
+        raise AssertionError(f"range offsets diverged{where}")
+    if not np.array_equal(a.range_keys, b.range_keys):
+        raise AssertionError(f"range keys diverged{where}")
+    if (a.range_values is None) != (b.range_values is None) or (
+        a.range_values is not None
+        and not np.array_equal(a.range_values, b.range_values)
+    ):
+        raise AssertionError(f"range values diverged{where}")
+    if sorted(a.errors) != sorted(b.errors):
+        raise AssertionError(f"error sets diverged{where}")
 
 
 def _traffic_ratio(backend: ShardedLSM) -> float:

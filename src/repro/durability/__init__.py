@@ -7,7 +7,7 @@ threaded through the serving stack:
     The write-ahead log: every committed tick's update rows appended as
     one length-prefixed, CRC-checksummed columnar record (numpy
     ``tobytes`` framing, no pickle), with group-commit fsync batching
-    (``fsync_every_n_ticks`` / ``fsync_interval_s``).
+    (``fsync_every_n_ticks``).
 ``repro.durability.snapshot``
     Checkpointing: the occupied levels of a
     :class:`~repro.core.lsm.GPULSM` (immutable

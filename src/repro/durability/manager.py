@@ -67,9 +67,6 @@ class DurabilityConfig:
         ticks (1 — the default — is fsync-every-tick, the durability
         lower bound; ``None`` disables count-based fsync).  Every append
         is still flushed to the OS immediately.
-    fsync_interval_s:
-        Also fsync when this much wall time passed since the last fsync
-        (``None`` disables), so a quiet store still reaches disk.
     snapshot_policy:
         When to checkpoint, evaluated between ticks:
         :class:`~repro.durability.snapshot.EveryNTicks`,
@@ -90,7 +87,6 @@ class DurabilityConfig:
 
     directory: str
     fsync_every_n_ticks: Optional[int] = 1
-    fsync_interval_s: Optional[float] = None
     snapshot_policy: Optional[SnapshotPolicy] = None
     recover: bool = True
     keep_snapshots: int = 2
@@ -169,7 +165,6 @@ class DurabilityManager:
         self._wal = WriteAheadLog(
             os.path.join(self.directory, WAL_FILENAME),
             fsync_every_n_ticks=self.config.fsync_every_n_ticks,
-            fsync_interval_s=self.config.fsync_interval_s,
             truncate_to=truncate_to,
             faults=self.config.fault_injector,
         )

@@ -23,10 +23,10 @@ canonicalisation semantics.  All integers are little-endian.
 
 Group commit is the perf knob: ``fsync_every_n_ticks`` batches the fsync
 across that many appended ticks (1 = fsync every tick, the durability
-lower bound the benchmark records), and ``fsync_interval_s`` adds a
-wall-clock cap so a quiet log still reaches disk.  Every append is
-``flush``-ed to the OS immediately — only the fsync is batched — so the
-window group commit opens is an OS crash, not a process crash.
+lower bound; ``None`` leaves the fsync to :meth:`WriteAheadLog.close`).
+Every append is ``flush``-ed to the OS immediately — only the fsync is
+batched — so the window group commit opens is an OS crash, not a process
+crash.
 
 Reading (:func:`read_records`) tolerates a **torn tail**: a final record
 cut short by a crash mid-append — short length prefix, short payload, or
@@ -40,7 +40,6 @@ from __future__ import annotations
 
 import os
 import struct
-import time
 import zlib
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
@@ -203,11 +202,8 @@ class WriteAheadLog:
         The log file; parent directories are created.
     fsync_every_n_ticks:
         fsync once per this many appended ticks (1 = every tick; ``None``
-        disables count-based fsync, leaving only the interval and
+        disables count-based fsync, leaving only :meth:`sync` and
         :meth:`close`).
-    fsync_interval_s:
-        Also fsync when this much wall time has passed since the last one
-        (checked at append; ``None`` disables).
     truncate_to:
         Truncate the file to this byte offset before appending — the
         ``valid_end_offset`` a recovery scan returned, so a torn tail is
@@ -222,17 +218,13 @@ class WriteAheadLog:
         self,
         path: str,
         fsync_every_n_ticks: Optional[int] = 1,
-        fsync_interval_s: Optional[float] = None,
         truncate_to: Optional[int] = None,
         faults: Optional[FaultInjector] = None,
     ) -> None:
         if fsync_every_n_ticks is not None and fsync_every_n_ticks < 1:
             raise ValueError("fsync_every_n_ticks must be >= 1 (or None)")
-        if fsync_interval_s is not None and fsync_interval_s < 0:
-            raise ValueError("fsync_interval_s must be non-negative (or None)")
         self.path = os.path.abspath(path)
         self.fsync_every_n_ticks = fsync_every_n_ticks
-        self.fsync_interval_s = fsync_interval_s
         self._faults = faults
         os.makedirs(os.path.dirname(self.path), exist_ok=True)
         if truncate_to is not None and os.path.exists(self.path):
@@ -246,7 +238,6 @@ class WriteAheadLog:
         #: Byte offset known durable (covered by an fsync).
         self.synced_offset = self.end_offset
         self._pending_ticks = 0
-        self._last_fsync = time.monotonic()
         self._closed = False
         #: A failed append left unacknowledged bytes past ``end_offset``
         #: (a torn half-record, or a complete record whose fsync raised).
@@ -320,21 +311,11 @@ class WriteAheadLog:
         self._file.truncate(self.end_offset)
         self._tail_dirty = False
 
-    def _fsync_due(self) -> bool:
-        if self._pending_ticks == 0:
-            return False
+    def _maybe_fsync(self) -> None:
         if (
             self.fsync_every_n_ticks is not None
             and self._pending_ticks >= self.fsync_every_n_ticks
         ):
-            return True
-        return (
-            self.fsync_interval_s is not None
-            and time.monotonic() - self._last_fsync >= self.fsync_interval_s
-        )
-
-    def _maybe_fsync(self) -> None:
-        if self._fsync_due():
             self.sync()
 
     def sync(self) -> None:
@@ -344,7 +325,6 @@ class WriteAheadLog:
         os.fsync(self._file.fileno())
         self.fsyncs += 1
         self._pending_ticks = 0
-        self._last_fsync = time.monotonic()
         self.synced_offset = self.end_offset
 
     @property

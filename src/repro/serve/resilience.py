@@ -41,8 +41,8 @@ its own fault domain:
   admission path in :mod:`repro.serve.engine`.
 
 The four ``engine.*`` crash points of
-:class:`~repro.durability.faults.FaultInjector` drive the chaos tests and
-the :mod:`repro.bench.resilience` benchmark through ``fault_injector``.
+:class:`~repro.durability.faults.FaultInjector` drive the chaos tests
+through ``fault_injector``.
 """
 
 from __future__ import annotations

@@ -1,4 +1,5 @@
-"""Smoke and shape tests for the experiment harness (tables, figures, cleanup).
+"""Smoke and shape tests for the experiment harness (tables, figures, cleanup,
+and the rebalance benchmark's bit-identity assertion).
 
 These run every table/figure generator at a tiny scale and assert the
 qualitative relationships the paper reports — the same checks the targets
@@ -6,9 +7,11 @@ under ``benchmarks/`` make at the larger benchmark scale, whose rows are
 recorded in ``benchmarks/results/``.
 """
 
+import numpy as np
 import pytest
 
 from repro.bench import cleanup_exp, figures, report, tables
+from repro.bench.rebalance import assert_results_bit_identical
 
 
 pytestmark = pytest.mark.filterwarnings("ignore")
@@ -227,3 +230,39 @@ class TestReport:
         rows = report.series_to_rows(series)
         assert len(rows) == 3
         assert rows[0]["series"] == "s1"
+
+
+class TestBitIdentityAssertion:
+    def _result(self, **overrides):
+        from repro.api.ops import ResultBatch, ResultStatus
+
+        base = dict(
+            request=None,
+            statuses=np.full(2, ResultStatus.OK, dtype=np.uint8),
+            found=np.array([True, False]),
+            values=np.array([7, 0], dtype=np.uint64),
+            counts=np.zeros(2, dtype=np.int64),
+            range_offsets=np.zeros(3, dtype=np.int64),
+            range_keys=np.empty(0, dtype=np.uint64),
+            range_values=None,
+            errors={},
+        )
+        base.update(overrides)
+        return ResultBatch(**base)
+
+    def test_identical_results_pass(self):
+        assert_results_bit_identical(self._result(), self._result())
+
+    def test_value_divergence_raises(self):
+        with pytest.raises(AssertionError, match="values"):
+            assert_results_bit_identical(
+                self._result(),
+                self._result(values=np.array([8, 0], dtype=np.uint64)),
+                context="tick 3",
+            )
+
+    def test_found_divergence_raises(self):
+        with pytest.raises(AssertionError, match="found"):
+            assert_results_bit_identical(
+                self._result(), self._result(found=np.array([True, True]))
+            )

@@ -4,8 +4,7 @@ Format-level WAL tests live in ``test_wal_format.py`` and the randomized
 kill-and-restart oracle in ``test_durability_oracle.py``; this file pins
 the deterministic behaviour of each component and of the engine wiring:
 
-* group-commit fsync batching (count and interval knobs, final commit on
-  close);
+* group-commit fsync batching (the count knob, final commit on close);
 * snapshot atomicity — a crash mid-write or pre-rename leaves the
   previous snapshot authoritative, committed snapshots are GC'd to
   ``keep_snapshots``, stale temps are swept on recovery;
@@ -24,6 +23,8 @@ import pytest
 
 from repro.api.kvstore import KVStore
 from repro.api.ops import OpBatch
+from repro.bench.rebalance import assert_results_bit_identical
+from repro.bench.workloads import MixedOpConfig, make_mixed_batches
 from repro.core.lsm import GPULSM
 from repro.durability.faults import FaultInjector, InjectedCrash
 from repro.durability.manager import DurabilityConfig, DurabilityError
@@ -88,18 +89,6 @@ class TestGroupCommit:
         wal.close()
         assert wal.fsyncs == 3  # the final commit on close
         assert wal.pending_ticks == 0
-
-    def test_fsync_interval(self, tmp_path):
-        wal = WriteAheadLog(
-            os.path.join(tmp_path, "wal.log"),
-            fsync_every_n_ticks=None,
-            fsync_interval_s=0.0,  # every append is past the interval
-        )
-        wal.append(0, _empty_batch())
-        wal.append(1, _empty_batch())
-        assert wal.fsyncs == 2
-        wal.close()
-        assert wal.fsyncs == 2  # nothing pending, no extra fsync
 
     def test_count_knob_disabled_defers_to_close(self, tmp_path):
         wal = WriteAheadLog(
@@ -246,6 +235,17 @@ class TestSnapshots:
         assert not by_bytes.due(10**6, 1023) and by_bytes.due(0, 1024)
 
 
+def _level_bytes(backend):
+    """Every structure's occupied levels as ``(index, keys, values)`` bytes."""
+    return [
+        [
+            (level["index"], level["keys"].tobytes(), level["values"].tobytes())
+            for level in store.snapshot_state()["levels"]
+        ]
+        for store in getattr(backend, "shards", [backend])
+    ]
+
+
 def _insert_batch_arrays(lo, n):
     keys = np.arange(lo, lo + n, dtype=np.uint64)
     return keys, keys * 10
@@ -255,27 +255,44 @@ def _insert_batch_arrays(lo, n):
 # Engine / KVStore wiring
 # --------------------------------------------------------------------- #
 class TestEngineWiring:
-    def test_durability_off_is_bitwise_invisible(self, tmp_path):
-        batches = [_insert_batch(0, BATCH), _insert_batch(BATCH, BATCH)]
-        plain = Engine(_fresh("gpulsm"))
-        wired = Engine(
-            _fresh("gpulsm"),
-            durability=DurabilityConfig(directory=str(tmp_path / "d")),
+    @pytest.mark.parametrize("fsync_every", [1, 8])
+    @pytest.mark.parametrize("kind", ["gpulsm", "sharded4"])
+    def test_durability_off_is_bitwise_invisible(self, tmp_path, kind, fsync_every):
+        """The WAL changes no answer on a mixed stream (COUNT/RANGE
+        included), at fsync-every-tick and at group commit, and a backend
+        recovered from the log holds the live store's levels byte for
+        byte."""
+        tick = 256
+        batches = make_mixed_batches(
+            MixedOpConfig(num_ops=12 * tick, tick_size=tick, seed=7)
         )
-        for batch in batches:
-            r0 = plain.apply(batch)
-            r1 = wired.apply(batch)
-            np.testing.assert_array_equal(r0.statuses, r1.statuses)
-            np.testing.assert_array_equal(r0.values, r1.values)
-        assert plain.stats().durability is None
-        wired_stats = wired.stats().durability
-        assert wired_stats["ticks"] == 2
-        assert wired_stats["wal_appends"] == 2
-        assert wired_stats["snapshot_runs"] == 0
+        directory = str(tmp_path / "d")
+        plain = Engine(_fresh(kind, tick))
+        wired = Engine(
+            _fresh(kind, tick),
+            durability=DurabilityConfig(
+                directory=directory, fsync_every_n_ticks=fsync_every
+            ),
+        )
+        for t, batch in enumerate(batches):
+            assert_results_bit_identical(
+                plain.apply(batch), wired.apply(batch), f"tick {t}"
+            )
         plain.close()
         wired.close()
+        assert plain.stats().durability is None
+        wired_stats = wired.stats().durability
+        assert wired_stats["ticks"] == len(batches)
+        assert wired_stats["wal_appends"] == len(batches)
+        # Group commit on the way, the final commit at close.
+        assert wired_stats["wal_fsyncs"] == -(-len(batches) // fsync_every)
+        assert wired_stats["snapshot_runs"] == 0
         # Durability off wrote nothing anywhere.
         assert not os.path.exists(tmp_path / "plain")
+
+        recovered = _fresh(kind, tick)
+        assert recover(directory, recovered).ticks == len(batches)
+        assert _level_bytes(recovered) == _level_bytes(wired.backend)
 
     def test_kvstore_context_manager_and_recovery(self, tmp_path):
         directory = str(tmp_path / "store")

@@ -5,8 +5,11 @@ import numpy as np
 import pytest
 
 from repro import KVStore
-from repro.api import Consistency, OpBatch
+from repro.api import Consistency, OpBatch, OpCode
 from repro.baselines.cuckoo_hash import CuckooHashTable
+from repro.bench.rebalance import assert_results_bit_identical
+from repro.bench.wallclock import make_prefill
+from repro.bench.workloads import MixedOpConfig, hot_key_set, make_mixed_batches
 from repro.core.lsm import GPULSM
 from repro.scale.protocol import supports
 from repro.scale.sharded import ShardedLSM
@@ -224,6 +227,37 @@ class TestEngineIntegration:
             np.testing.assert_array_equal(cached.statuses, plain.statuses)
             if plain.values is not None:
                 np.testing.assert_array_equal(cached.values, plain.values)
+
+    @pytest.mark.parametrize("kind", ["gpulsm", "sharded4"])
+    def test_cached_replay_matches_uncached(self, kind):
+        """A prefilled multi-level store, a mixed stream (COUNT / RANGE
+        included), then hot-key lookups: the cached engine answers every
+        tick bit for bit as the uncached one, and serves the hot reads."""
+        tick, key_space = 128, 512  # a small space: writes hit cached keys
+        hot = MixedOpConfig(
+            num_ops=8 * tick, tick_size=tick, seed=8, key_space=key_space,
+            mix={OpCode.LOOKUP: 1.0}, hot_key_count=64, hot_fraction=1.0,
+        )
+        ticks = make_mixed_batches(
+            MixedOpConfig(
+                num_ops=8 * tick, tick_size=tick, seed=7, key_space=key_space
+            )
+        ) + make_mixed_batches(hot)
+        results = {}
+        for cap in (None, 256):
+            if kind == "sharded4":
+                backend = ShardedLSM(num_shards=4, batch_size=tick, seed=1)
+            else:
+                backend = GPULSM(batch_size=tick)
+            for keys, values in make_prefill(
+                tick, 3, hot_keys=hot_key_set(hot), key_space=key_space
+            ):
+                backend.insert(keys, values)
+            engine = Engine(backend, cache_capacity=cap)
+            results[cap] = [engine.apply(t) for t in ticks]
+        for t, (plain, cached) in enumerate(zip(results[None], results[256])):
+            assert_results_bit_identical(plain, cached, f"tick {t}")
+        assert engine.stats().read_cache["hits"] > 0
 
     def test_strict_tick_sees_its_own_updates_through_the_cache(self):
         engine = Engine(_lsm(), cache_capacity=32, consistency=Consistency.STRICT)

@@ -18,6 +18,8 @@ import pytest
 
 from repro.api.kvstore import KVStore
 from repro.api.ops import Op, OpBatch
+from repro.bench.rebalance import assert_results_bit_identical
+from repro.bench.workloads import MixedOpConfig, make_mixed_batches
 from repro.core.lsm import GPULSM
 from repro.durability.faults import FaultInjector, InjectedCrash
 from repro.durability.manager import DurabilityConfig, DurabilityManager
@@ -353,6 +355,55 @@ def test_transient_injected_fault_retries_all(point, monkeypatch):
         engine.flush(timeout=10)
         assert np.asarray(lk.result(timeout=5).found).all()
         assert inj.crashed == point
+
+
+def _replay_ticks(kind, batches, resilience):
+    """Submit each batch as one tick of a threaded engine; returns the
+    per-tick results (``None`` where the ticket failed) and the stats."""
+    tick = batches[0].size
+    if kind == "sharded4":
+        backend = ShardedLSM(num_shards=4, batch_size=tick, seed=1)
+    else:
+        backend = GPULSM(batch_size=tick)
+    engine = _engine(backend, resilience=resilience, target=tick)
+    results = []
+    with engine:
+        for batch in batches:
+            ticket = engine.submit_batch(batch)
+            engine.flush(timeout=60)
+            try:
+                results.append(ticket.result(timeout=60))
+            except Exception:
+                results.append(None)
+    return results, engine.stats()
+
+
+@pytest.mark.parametrize("kind", ["gpulsm", "sharded4"])
+def test_recurring_fault_over_a_stream(kind):
+    """A fault on every 5th update segment of a mixed stream: protected
+    mode answers every op exactly as a fault-free run does, unprotected
+    mode loses ticks."""
+    batches = make_mixed_batches(
+        MixedOpConfig(num_ops=16 * 128, tick_size=128, seed=7)
+    )
+    every = {"engine.mid_execute": 5}
+
+    reference, stats = _replay_ticks(kind, batches, None)
+    assert None not in reference and stats.failed_ticks == 0
+    protected, stats = _replay_ticks(
+        kind, batches, _protected(fault_injector=FaultInjector(every=every))
+    )
+    for t, (want, got) in enumerate(zip(reference, protected)):
+        assert got is not None, f"tick {t} lost its answers despite quarantine"
+        assert_results_bit_identical(want, got, f"tick {t}")
+    assert stats.rolled_back_ticks > 0 and stats.quarantined_ticks > 0
+    assert stats.health != "failed"
+
+    unprotected, stats = _replay_ticks(
+        kind, batches, ResilienceConfig(fault_injector=FaultInjector(every=every))
+    )
+    assert None in unprotected and stats.failed_ticks > 0
+    assert stats.health != "failed"
 
 
 class _FailingWAL(DurabilityManager):
