@@ -47,13 +47,24 @@ in one broadcast, the build through a byte scratch packed into words — and
 derives what the early-exiting kernel would have read in closed form, so
 every record is the one the literal per-hash loops produced
 (``tests/test_accounting_golden.py`` keeps those loops as the reference).
+
+The host also builds later than the device would.  A level's filters are
+*recorded* when the level is filled — the ``filters.build`` kernel from
+the sizes, the fence pair from the sorted run's first and last key — but
+its Bloom words are built by :meth:`BloomFilter.build` the first time
+something reads them.  The store decides when that is: one that has not
+yet served a read (bulk ingest, recovery replay, a shard fresh from a
+split) leaves them pending, so a level merged away before any query saw
+it is never hashed; its first read builds every pending level, and from
+then on each new level is built as it is filled.  Words, verdicts and
+records are the same either way.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
-from typing import Dict, Optional, Tuple
+from typing import Callable, Dict, Optional, Tuple
 
 import numpy as np
 
@@ -109,18 +120,37 @@ class BloomFilter:
     matrix (see the module docstring).
     """
 
-    def __init__(self, num_bits: int, num_hashes: int) -> None:
+    def __init__(self, num_bits: int, num_hashes: int, pending=None) -> None:
         if num_bits <= 0 or num_hashes <= 0:
             raise ValueError("num_bits and num_hashes must be positive")
         # Round up to whole words; the modulus is the usable bit count.
         self.num_bits = int(num_bits)
         self.num_hashes = int(num_hashes)
-        self.words = np.zeros(-(-self.num_bits // 64), dtype=np.uint64)
+        #: ``None``, or a callable returning the keys :meth:`build` adds.
+        self._pending = pending
+        self._words: Optional[np.ndarray] = None
+
+    def build(self) -> np.ndarray:
+        """The bit array: allocated, and the pending keys added, on the
+        first call — the one place words come into being."""
+        if self._words is None:
+            self._words = np.zeros(-(-self.num_bits // 64), dtype=np.uint64)
+            pending, self._pending = self._pending, None
+            if pending is not None:
+                self.add(pending())
+        return self._words
+
+    words = property(build)
+
+    @property
+    def built(self) -> bool:
+        """Whether :meth:`build` has run (the words exist)."""
+        return self._words is not None
 
     @property
     def nbytes(self) -> int:
-        """Device bytes held by the bit array."""
-        return int(self.words.nbytes)
+        """Device bytes held by the bit array (built or not)."""
+        return 8 * -(-self.num_bits // 64)
 
     # ------------------------------------------------------------------ #
     # Hashing
@@ -168,14 +198,15 @@ class BloomFilter:
         per bit, packed into the words at the end: the transient is the
         byte scratch plus O(n) positions, never a ``k × n`` matrix.
         """
+        words = self.words
         pos, h2 = self.hash_keys(keys)
-        scratch = np.zeros(self.words.size * 64, dtype=bool)
+        scratch = np.zeros(words.size * 64, dtype=bool)
         for _ in range(self.num_hashes):
             # (Viewed as int64 — positions are far below 2**63 — an index
             # spares fancy indexing a cast per element.)
             scratch[self._reduce(pos).view(np.int64)] = True
             pos += h2
-        self.words |= np.packbits(scratch, bitorder="little").view("<u8")
+        words |= np.packbits(scratch, bitorder="little").view("<u8")
 
     def maybe_contains(
         self,
@@ -255,60 +286,44 @@ class LevelFilters:
     @classmethod
     def build(
         cls,
-        original_keys: np.ndarray,
+        sorted_keys: np.ndarray,
         *,
         enable_fences: bool,
         bloom_bits_per_key: int,
+        decode: Callable[[np.ndarray], np.ndarray] = np.asarray,
         device: Optional[Device] = None,
         kernel_name: str = "filters.build",
     ) -> "LevelFilters":
-        """Build the filters for one level out of its decoded key column.
+        """The filters of one level out of its key column, ascending by
+        key (``decode`` maps it to original keys).  The fences are its
+        first and last key; the Bloom words wait for :meth:`BloomFilter.build`.
 
-        Accounted as one fused kernel: a single coalesced pass over the
-        keys (the min/max reduction and the hash computation read the same
-        stream) plus scattered filter-class writes for the Bloom bit sets.
+        Accounted now, from the sizes, as one fused kernel: a single
+        coalesced pass over the keys (the min/max reduction and the hash
+        computation read the same stream) plus scattered filter-class
+        writes for the Bloom bit sets.
         """
-        original_keys = np.asarray(original_keys)
-        n = original_keys.size
+        n = sorted_keys.size
         filters = cls()
         if enable_fences and n:
-            filters.min_key = int(original_keys.min())
-            filters.max_key = int(original_keys.max())
+            filters.min_key, filters.max_key = decode(sorted_keys[[0, -1]]).tolist()
         bloom_write_bytes = 0
         if bloom_bits_per_key > 0 and n:
             num_hashes = derive_num_hashes(bloom_bits_per_key)
-            bloom = BloomFilter(
-                num_bits=max(64, n * bloom_bits_per_key), num_hashes=num_hashes
+            filters.bloom = BloomFilter(
+                num_bits=max(64, n * bloom_bits_per_key),
+                num_hashes=num_hashes,
+                pending=lambda: decode(sorted_keys),
             )
-            bloom.add(original_keys)
-            filters.bloom = bloom
             bloom_write_bytes = n * num_hashes * FILTER_PROBE_WORD_BYTES
         if device is not None and n:
             device.record_kernel(
                 kernel_name,
-                coalesced_read_bytes=original_keys.nbytes,
+                coalesced_read_bytes=sorted_keys.nbytes,
                 filter_write_bytes=bloom_write_bytes,
                 work_items=n,
             )
         return filters
-
-    # ------------------------------------------------------------------ #
-    # Predicates
-    # ------------------------------------------------------------------ #
-    def fence_mask(self, keys: np.ndarray) -> Optional[np.ndarray]:
-        """Per-key mask of ``min_key <= key <= max_key`` (None = no fences)."""
-        if not self.has_fences:
-            return None
-        k = np.asarray(keys).astype(np.int64)
-        return (k >= self.min_key) & (k <= self.max_key)
-
-    def fence_overlap(self, k1: np.ndarray, k2: np.ndarray) -> Optional[np.ndarray]:
-        """Per-range mask of ``[k1, k2] ∩ [min_key, max_key] ≠ ∅``."""
-        if not self.has_fences:
-            return None
-        lo = np.asarray(k1).astype(np.int64)
-        hi = np.asarray(k2).astype(np.int64)
-        return (hi >= self.min_key) & (lo <= self.max_key)
 
 
 @dataclass

@@ -216,6 +216,9 @@ class GPULSM:
         #: Lifetime pruning statistics of the query acceleration layer
         #: (fence / Bloom filters); see :meth:`filter_stats`.
         self._filter_stats = FilterStatsCounter()
+        #: Whether a filled level's Bloom words are built at fill time —
+        #: from the store's first read on; see :meth:`_attach_filters`.
+        self._build_filters_at_fill = False
         #: Lifetime maintenance counters (per-policy triggers, reclaimed
         #: elements, maintenance time); see :meth:`maintenance_stats`.
         self._maintenance_stats = MaintenanceStatsCounter()
@@ -674,14 +677,20 @@ class GPULSM:
     # Query acceleration (fence / Bloom filters)
     # ------------------------------------------------------------------ #
     def _attach_filters(self, level: Level, trailing_placebos: int = 0) -> None:
-        """Build the level's query filters right after it is filled.
+        """Attach the level's query filters right after it is filled.
 
         Called from every path that fills a level — the insertion cascade,
         :meth:`bulk_build` / :meth:`cleanup` (both via
-        :meth:`_distribute_sorted`) — so resident filters always describe
-        the resident run.  Filters are status-blind: they cover tombstones
-        and stale duplicates too, which is what makes pruning
-        answer-preserving (see :mod:`repro.core.filters`).
+        :meth:`_distribute_sorted`), :meth:`restore_state` — so resident
+        filters always describe the resident run.  Filters are
+        status-blind: they cover tombstones and stale duplicates too,
+        which is what makes pruning answer-preserving (see
+        :mod:`repro.core.filters`).
+
+        The build is recorded here, from the sizes; nothing is hashed.
+        The Bloom words are built here once the store has served a read,
+        and until then by its first read (:meth:`build_pending_filters`):
+        ingest and recovery replay hash no level merged away unread.
 
         The one exception is cleanup's *padding* placebos
         (``trailing_placebos`` tail elements): excluding them keeps the
@@ -697,12 +706,31 @@ class GPULSM:
         if trailing_placebos:
             keys = keys[: keys.size - trailing_placebos]
         level.filters = LevelFilters.build(
-            self.encoder.decode_key(keys),
+            keys,
             enable_fences=self.config.enable_fences,
             bloom_bits_per_key=self.config.bloom_bits_per_key,
+            decode=self.encoder.decode_key,
             device=self.device,
             kernel_name="lsm.filters.build",
         )
+        if self._build_filters_at_fill and level.filters.bloom is not None:
+            level.filters.bloom.build()
+
+    def build_pending_filters(self) -> None:
+        """Build every resident level's pending Bloom words, and from now
+        on each new level's at fill time — what a store's first read does.
+        Records nothing: every build was recorded at fill time."""
+        self._build_filters_at_fill = True
+        for level in self.occupied_levels():
+            if level.filters is not None and level.filters.bloom is not None:
+                level.filters.bloom.build()
+
+    def _read_levels(self) -> List[Level]:
+        """:meth:`occupied_levels` for a read: the first one builds the
+        pending filters."""
+        if not self._build_filters_at_fill:
+            self.build_pending_filters()
+        return self.occupied_levels()
 
     def _prune_lookup_pending(
         self,
@@ -796,7 +824,7 @@ class GPULSM:
         subset of a sorted batch stays sorted, so the shrinking unresolved
         set keeps the order for free."""
         nq = qk.size
-        levels = self.occupied_levels()
+        levels = self._read_levels()
         with self.device.timed_region("lsm.lookup", items=nq):
             sort_queries = self.config.sort_queries and nq > 1 and bool(levels)
             cached_probes = DEFAULT_CACHED_PROBES

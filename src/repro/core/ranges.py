@@ -68,7 +68,7 @@ def query_ranges(
     num_pairs = k1.size
     key_bytes = config.key_dtype.itemsize
     row_bytes = key_bytes + (config.value_dtype.itemsize if with_values else 0)
-    group_levels = [lsm.occupied_levels() for lsm, _, _ in groups]
+    group_levels = [lsm._read_levels() for lsm, _, _ in groups]
     depth = max([1] + [len(levels) for levels in group_levels])
     with ExitStack() as regions:
         for lsm, start, stop in groups:

@@ -346,6 +346,12 @@ class ShardedLSM:
             combined.merge(shard._filter_stats)
         return combined.as_dict()
 
+    def build_pending_filters(self) -> None:
+        """Every shard's :meth:`~repro.core.lsm.GPULSM.build_pending_filters`
+        (a shard a later split creates starts pending again)."""
+        for shard in self.shards:
+            shard.build_pending_filters()
+
     def __len__(self) -> int:
         return self.num_elements
 

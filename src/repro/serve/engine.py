@@ -426,6 +426,9 @@ class Engine:
             # both must see the real structure, not a read-through proxy.
             manager.attach(backend)
             self._durability = manager
+        # What an ingest or a recovery left pending, not the first tick, builds.
+        if hasattr(backend, "build_pending_filters"):
+            backend.build_pending_filters()
         #: The unwrapped backend — what the commit step captures and
         #: rolls back (the contract is with the real structure, like
         #: durability's, not the cache proxy).

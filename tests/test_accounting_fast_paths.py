@@ -267,6 +267,7 @@ def test_a_large_filtered_lookup_keeps_its_probe_transient_blocked():
         keys = rng.integers(0, 1 << 30, 4096).astype(np.uint32)
         lsm.insert(keys, keys)
     queries = rng.integers(0, 1 << 31, 1 << 18).astype(np.uint32)
+    lsm.build_pending_filters()  # the words a first read would build
     gc.collect()
     tracemalloc.start()
     try:

@@ -81,20 +81,48 @@ class TestBloomFilter:
         assert filter_cost.seconds < random_cost.seconds
 
 
+def fence_mask(filters, keys):
+    """Per-key mask of ``min_key <= key <= max_key`` (None = no fences)."""
+    if not filters.has_fences:
+        return None
+    k = np.asarray(keys).astype(np.int64)
+    return (k >= filters.min_key) & (k <= filters.max_key)
+
+
+def fence_overlap(filters, k1, k2):
+    """Per-range mask of ``[k1, k2] ∩ [min_key, max_key] ≠ ∅``."""
+    if not filters.has_fences:
+        return None
+    lo = np.asarray(k1).astype(np.int64)
+    hi = np.asarray(k2).astype(np.int64)
+    return (hi >= filters.min_key) & (lo <= filters.max_key)
+
+
 class TestLevelFilters:
     def test_fences_are_min_max_of_original_keys(self, device):
-        keys = np.array([17, 3, 99, 42], dtype=np.uint32)
+        keys = np.array([3, 17, 42, 99], dtype=np.uint32)
         filters = LevelFilters.build(
             keys, enable_fences=True, bloom_bits_per_key=0, device=device
         )
         assert filters.min_key == 3 and filters.max_key == 99
         assert filters.bloom is None
-        mask = filters.fence_mask(np.array([2, 3, 50, 100]))
+        mask = fence_mask(filters, np.array([2, 3, 50, 100]))
         assert mask.tolist() == [False, True, True, False]
+
+    def test_fences_are_decoded_first_and_last_key(self, device):
+        words = np.array([6, 35, 84, 199], dtype=np.uint32)  # encoded, sorted
+        filters = LevelFilters.build(
+            words, enable_fences=True, bloom_bits_per_key=10,
+            decode=lambda w: w >> np.uint32(1), device=device,
+        )
+        assert (filters.min_key, filters.max_key) == (3, 99)
+        assert not filters.bloom.built
+        assert bool(np.all(filters.bloom.maybe_contains(np.array([3, 17, 42, 99]))))
+        assert filters.bloom.built
 
     def test_fence_overlap_for_ranges(self):
         filters = LevelFilters(min_key=10, max_key=20)
-        ov = filters.fence_overlap(np.array([0, 0, 21, 15]), np.array([5, 10, 30, 16]))
+        ov = fence_overlap(filters, np.array([0, 0, 21, 15]), np.array([5, 10, 30, 16]))
         assert ov.tolist() == [False, True, False, True]
 
     def test_nbytes_counts_bloom_bits(self, device):
@@ -362,7 +390,9 @@ class TestHashOnce:
         keys = np.arange(1 << 19, dtype=np.uint32) * np.uint32(2654435761)
         tracemalloc.start()
         try:
-            LevelFilters.build(keys, enable_fences=True, bloom_bits_per_key=10)
+            LevelFilters.build(
+                keys, enable_fences=True, bloom_bits_per_key=10
+            ).bloom.build()
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()

@@ -39,6 +39,21 @@ from repro.scale import ShardedLSM
 # ---------------------------------------------------------------------- #
 # References
 # ---------------------------------------------------------------------- #
+def fence_mask(filters, keys):
+    """Per-key mask of ``min_key <= key <= max_key`` (None = no fences)."""
+    if not filters.has_fences:
+        return None
+    k = np.asarray(keys).astype(np.int64)
+    return (k >= filters.min_key) & (k <= filters.max_key)
+
+
+def fence_overlap(filters, k1, k2):
+    """Per-range mask of ``[k1, k2] ∩ [min_key, max_key] ≠ ∅``."""
+    lo = np.asarray(k1).astype(np.int64)
+    hi = np.asarray(k2).astype(np.int64)
+    return (hi >= filters.min_key) & (lo <= filters.max_key)
+
+
 def reference_prune_lookup_pending(self, level, query_keys, pending, hashes, positions):
     """The prune as a fence mask and a gather of the hashes: ``positions``
     is ignored, every Bloom probe hashes from ``h1[pending]`` and
@@ -50,7 +65,7 @@ def reference_prune_lookup_pending(self, level, query_keys, pending, hashes, pos
     if filters is None:
         return pending
 
-    in_fence = filters.fence_mask(q)
+    in_fence = fence_mask(filters, q)
     if in_fence is not None:
         self.device.record_kernel(
             "lsm.lookup.fence",
@@ -96,7 +111,7 @@ def reference_search_levels(config, groups, group_levels, depth, k1, k2):
                     launches=0,
                 )
                 idx = np.flatnonzero(
-                    level.filters.fence_overlap(k1[start:stop], k2[start:stop])
+                    fence_overlap(level.filters, k1[start:stop], k2[start:stop])
                 )
                 idx += start
                 searched = int(idx.size)
