@@ -3,12 +3,11 @@
 One tick of serving traffic is an :class:`~repro.api.ops.OpBatch` holding
 an arbitrary interleaving of the five dictionary operations.  The planner
 routes it the way the paper's update path routes a batch: **one stable
-multisplit** over the opcode column (reusing
-:func:`repro.primitives.multisplit.multisplit_keys`) partitions the rows
-into contiguous homogeneous segments while preserving arrival order inside
-each segment.  The executor then drives every segment through the matching
-bulk entry point of any :class:`~repro.scale.protocol.DictionaryProtocol`
-backend and scatters the per-op answers back into **request order**.
+multisplit** over the opcode column partitions the rows into contiguous
+homogeneous segments while preserving arrival order inside each segment.
+The executor then drives every segment through the matching bulk entry
+point of any :class:`~repro.scale.protocol.DictionaryProtocol` backend
+and places the per-op answers in **request order**.
 
 Two intra-batch orderings are offered via the ``consistency`` knob:
 
@@ -52,7 +51,7 @@ from repro.api.ops import (
     ResultStatus,
 )
 from repro.gpu.device import Device, get_default_device
-from repro.primitives.multisplit import multisplit_keys, record_multisplit
+from repro.primitives.multisplit import record_multisplit
 from repro.primitives.radix_sort import stable_order
 from repro.primitives.scan import exclusive_scan
 from repro.scale.protocol import (
@@ -116,34 +115,6 @@ class Plan:
         return len(self.segments)
 
 
-def _split_by_opcode(
-    batch: OpBatch,
-    positions: np.ndarray,
-    group_of: Dict[int, int],
-    num_groups: int,
-    device: Device,
-    kernel_name: str,
-) -> List[np.ndarray]:
-    """Stable multisplit of request positions by an opcode grouping.
-
-    Returns one (possibly empty) position array per group, each in arrival
-    order — the exact routing step the paper's multisplit performs for an
-    update batch, applied to the opcode column instead of the shard id.
-    """
-    table = np.zeros(len(OpCode), dtype=np.int64)
-    for code, group in group_of.items():
-        table[code] = group
-    routed, offsets = multisplit_keys(
-        positions,
-        bucket_of=lambda pos: table[batch.opcodes[pos]],
-        num_buckets=num_groups,
-        device=device,
-        kernel_name=kernel_name,
-    )
-    # One np.split on the group offsets instead of per-group int() slicing.
-    return np.split(routed, offsets[1:-1])
-
-
 def plan_batch(
     batch: OpBatch,
     consistency: Consistency = Consistency.SNAPSHOT,
@@ -163,29 +134,27 @@ def plan_batch(
     if n == 0:
         return Plan(consistency=consistency, segments=())
 
-    positions = np.arange(n, dtype=np.int64)
     if consistency is Consistency.SNAPSHOT:
-        # One stable multisplit: updates → group 0, one group per query
-        # opcode.  Queries run first against the pre-tick snapshot.
-        groups = _split_by_opcode(
-            batch,
-            positions,
-            group_of={
-                OpCode.INSERT: 0,
-                OpCode.DELETE: 0,
-                OpCode.LOOKUP: 1,
-                OpCode.COUNT: 2,
-                OpCode.RANGE: 3,
-            },
-            num_groups=4,
-            device=device,
-            kernel_name="api.plan.multisplit",
-        )
-        for kind, idx in zip(("lookup", "count", "range"), groups[1:]):
+        # One stable multisplit into updates, lookups, counts and ranges —
+        # the paper's routing step for an update batch, applied to the
+        # opcode column.  The opcodes order the groups already (both update
+        # kinds below the three query kinds), so the host takes one stable
+        # sort of the byte-wide opcodes with INSERT folded into DELETE; the
+        # device's multisplit (a scan of the group counts, then histogram
+        # and scatter of the positions) is recorded from the sizes.  Queries
+        # run first, against the pre-tick snapshot.
+        groups = np.maximum(batch.opcodes, np.uint8(OpCode.DELETE))
+        routed = np.argsort(groups, kind="stable")
+        counts = np.bincount(groups, minlength=len(OpCode))[OpCode.DELETE:]
+        exclusive_scan(counts, device=device, kernel_name="api.plan.multisplit.scan")
+        record_multisplit(device, routed.nbytes, n, counts.size, "api.plan.multisplit")
+        ends = counts.cumsum().tolist()
+        update, *queries = (routed[lo:hi] for lo, hi in zip([0] + ends, ends))
+        for kind, idx in zip(("lookup", "count", "range"), queries):
             if idx.size:
                 segments.append(Segment(kind=kind, indices=idx))
-        if groups[0].size:
-            segments.append(Segment(kind="update", indices=groups[0]))
+        if update.size:
+            segments.append(Segment(kind="update", indices=update))
         return Plan(consistency=consistency, segments=tuple(segments))
 
     # Strict arrival order: cut the batch at every update/query boundary,
@@ -225,7 +194,7 @@ def plan_batch(
     if num_queries:
         record_multisplit(
             device,
-            num_queries * positions.dtype.itemsize,
+            num_queries * order.itemsize,
             num_queries,
             3,
             "api.plan.multisplit",
@@ -280,12 +249,9 @@ class _ResultAccumulator:
         self.values: Optional[np.ndarray] = None
         self.counts = np.zeros(n, dtype=np.int64)
         self.range_widths = np.zeros(n, dtype=np.int64)
-        #: Per-range-segment payloads: (indices, flat keys, flat values or
-        #: None, per-op offsets) scattered into request order at freeze
-        #: time.
-        self.range_chunks: List[
-            Tuple[np.ndarray, np.ndarray, Optional[np.ndarray], np.ndarray]
-        ] = []
+        #: Per-range-segment payloads (flat keys, flat values or None), in
+        #: the order the segments were served.
+        self.range_chunks: List[Tuple[np.ndarray, Optional[np.ndarray]]] = []
         self.errors: Dict[int, UnsupportedOperationError] = {}
 
     def set_lookup_values(self, indices: np.ndarray, values: np.ndarray) -> None:
@@ -300,36 +266,12 @@ class _ResultAccumulator:
     def freeze(self) -> ResultBatch:
         offsets = np.zeros(self.batch.size + 1, dtype=np.int64)
         np.cumsum(self.range_widths, out=offsets[1:])
-        total = int(offsets[-1])
-        range_keys = np.zeros(total, dtype=np.uint64)
-        range_values = (
-            np.zeros(total, dtype=np.uint64)
-            if any(values is not None for _, _, values, _ in self.range_chunks)
-            else None
-        )
-        if total and self.range_chunks:
-            # All chunks scattered in one ragged pass: concatenate the
-            # per-chunk payloads (C-speed, one array per segment, not per
-            # op) and build a single destination/source index pair.
-            idx_all = np.concatenate([idx for idx, _, _, _ in self.range_chunks])
-            keys_all = np.concatenate([keys for _, keys, _, _ in self.range_chunks])
-            base = 0
-            src_starts = []
-            for _, keys, _, chunk_offsets in self.range_chunks:
-                src_starts.append(chunk_offsets[:-1] + base)
-                base += keys.size
-            src_start = np.concatenate(src_starts)
-            widths = self.range_widths[idx_all]
-            grand = int(widths.sum())
-            within = np.arange(grand) - np.repeat(np.cumsum(widths) - widths, widths)
-            dest = np.repeat(offsets[idx_all], widths) + within
-            src = np.repeat(src_start, widths) + within
-            range_keys[dest] = keys_all[src]
-            if range_values is not None:
-                values_all = np.concatenate(
-                    [values for _, _, values, _ in self.range_chunks]
-                )
-                range_values[dest] = values_all[src]
+        # Range segments are served in ascending request order and every
+        # other row has width 0, so each segment's rows already sit where
+        # the request-order offsets put them: the range columns are the
+        # segments' payloads end to end.
+        keys = [keys for keys, _ in self.range_chunks]
+        values = [values for _, values in self.range_chunks if values is not None]
         return ResultBatch(
             request=self.batch,
             statuses=self.statuses,
@@ -337,10 +279,18 @@ class _ResultAccumulator:
             values=self.values,
             counts=self.counts,
             range_offsets=offsets,
-            range_keys=range_keys,
-            range_values=range_values,
+            range_keys=_end_to_end(keys),
+            range_values=_end_to_end(values) if values else None,
             errors=self.errors,
         )
+
+
+def _end_to_end(columns: List[np.ndarray]) -> np.ndarray:
+    """Columns end to end as one ``uint64`` column (a lone ``uint64`` one
+    as it is)."""
+    if len(columns) == 1 and columns[0].dtype == np.uint64:
+        return columns[0]
+    return np.concatenate(columns or [np.zeros(0)], dtype=np.uint64, casting="unsafe")
 
 
 def _canonical_updates(
@@ -355,43 +305,33 @@ def _canonical_updates(
     result has distinct keys, so it can be applied in backend-sized chunks
     in any order.
 
-    Returns ``(is_delete, keys, values)`` columns of the survivors: in
-    segment arrival order in arrival mode; in paper mode the deleted keys
-    ascending, then the surviving insertions in arrival order.
+    One stable sort by key decides it, arrival order kept among equal keys
+    and, in paper mode, a key's deletions ahead of its insertions — the
+    order of the encoded words, status bit included.  Returns
+    ``(survivors, is_delete, keys)`` in ascending key order: the surviving
+    rows as positions into ``indices`` (their arrival ranks), which of them
+    are deletions, and their keys.
     """
-    codes = batch.opcodes[indices]
     keys = batch.keys[indices]
-    values = batch.values[indices]
-    is_delete = codes == OpCode.DELETE
-
-    # One stable sort by key (arrival order kept within a key); a mask over
-    # the boundaries of the equal-key runs picks the survivors.
+    is_delete = batch.opcodes[indices] == int(OpCode.DELETE)
     boundary = np.ones(keys.size, dtype=bool)
     if arrival_order:
         order = stable_order(keys)
         sorted_keys = keys[order]
         boundary[:-1] = sorted_keys[1:] != sorted_keys[:-1]  # each run's last
-        survivors = np.sort(order[boundary])
-        return is_delete[survivors], keys[survivors], values[survivors]
-
-    # With the deletions placed ahead of the insertions it is a sort by (key,
-    # insert bit): a run opens with its key's deletion, else first insertion.
-    order = np.concatenate((np.flatnonzero(is_delete), np.flatnonzero(~is_delete)))
-    order = order[stable_order(keys[order])]
-    sorted_keys = keys[order]
-    boundary[1:] = sorted_keys[1:] != sorted_keys[:-1]
+    else:
+        order = np.concatenate((np.flatnonzero(is_delete), np.flatnonzero(~is_delete)))
+        order = order[stable_order(keys[order])]
+        sorted_keys = keys[order]
+        boundary[1:] = sorted_keys[1:] != sorted_keys[:-1]  # each run's first
     survivors = order[boundary]
-    deleting = is_delete[survivors]
-    deleted = keys[survivors[deleting]]
-    ins_pos = np.sort(survivors[~deleting])
-    out_is_delete = np.concatenate(
-        (np.ones(deleted.size, dtype=bool), np.zeros(ins_pos.size, dtype=bool))
-    )
-    out_keys = np.concatenate((deleted, keys[ins_pos]))
-    out_values = np.concatenate(
-        (np.zeros(deleted.size, dtype=values.dtype), values[ins_pos])
-    )
-    return out_is_delete, out_keys, out_values
+    return survivors, is_delete[survivors], sorted_keys[boundary]
+
+
+def _last_to_end(rows: np.ndarray, rank: np.ndarray) -> np.ndarray:
+    """``rows`` with its highest-ranked row moved to the end."""
+    j = int(rank[rows].argmax())
+    return rows if j == rows.size - 1 else np.append(np.delete(rows, j), rows[j])
 
 
 def _apply_update_segment(
@@ -409,9 +349,8 @@ def _apply_update_segment(
 
     # Per-kind support gate: unsupported rows become per-op error results
     # and the supported kind still applies (per-op failure, not batch).
-    kept = np.ones(indices.size, dtype=bool)
     for code, name in ((OpCode.INSERT, "insert"), (OpCode.DELETE, "delete")):
-        rows = codes == code
+        rows = codes == int(code)
         if np.any(rows) and not supports(backend, name):
             acc.mark_unsupported(
                 indices[rows],
@@ -419,12 +358,11 @@ def _apply_update_segment(
                     f"the backend does not support {name.upper()} operations"
                 ),
             )
-            kept &= ~rows
-    indices = indices[kept]
+            indices, codes = indices[~rows], codes[~rows]
     if indices.size == 0:
         return
 
-    is_delete, keys, values = _canonical_updates(batch, indices, arrival_order)
+    survivors, is_delete, keys = _canonical_updates(batch, indices, arrival_order)
     # On the device the canonicalisation is one key-sorted pass plus a
     # compaction of the survivors (the same shape as the sharded router's
     # dedup); charge it so the mixed path is not simulated for free.
@@ -435,35 +373,49 @@ def _apply_update_segment(
         coalesced_write_bytes=payload + int(keys.size) * 16,
         work_items=int(indices.size),
     )
-    if keys.size == 0:
-        return
 
-    # Distinct keys commute, so backend-batch-sized chunks are safe.
-    chunk = int(getattr(backend, "batch_size", 0)) or keys.size
+    # The backend receives ascending key columns, which a store merges
+    # instead of sorting.  Padded copies are stored, so chunks and padding
+    # keep the column order the survivors had when every store sorted its
+    # batch itself — deletions by key, then insertions by arrival (paper
+    # mode), or arrival order (strict): a chunk takes the next
+    # ``batch_size`` rows of it, and the row a store pads from (its last
+    # deletion, else its last insertion) goes last in its column.
+    # Distinct keys commute, so any chunk order is safe.
+    n = keys.size
+    chunk = int(getattr(backend, "batch_size", 0)) or n
+    parts = [np.arange(n)]
+    if n > chunk:
+        rank = survivors if arrival_order else np.where(is_delete, np.arange(n) - n, survivors)
+        parts = [np.sort(part) for part in np.split(rank.argsort(), range(chunk, n, chunk))]
+    values = None if key_only else batch.values[indices[survivors]]
     has_update = hasattr(backend, "update")
-    for start in range(0, keys.size, chunk):
-        stop = min(start + chunk, keys.size)
-        dels = keys[start:stop][is_delete[start:stop]]
-        ins = keys[start:stop][~is_delete[start:stop]]
-        ins_values = values[start:stop][~is_delete[start:stop]]
-        if key_only:
-            ins_values = None
+    for rows in parts:
+        deleting = is_delete[rows]
+        dels, ins = rows[deleting], rows[~deleting]
+        if not dels.size:
+            ins = _last_to_end(ins, survivors)
+        elif arrival_order:  # paper mode's last deletion by key is last already
+            dels = _last_to_end(dels, survivors)
         if has_update:
             backend.update(
-                insert_keys=ins if ins.size else None,
-                insert_values=ins_values if ins.size else None,
-                delete_keys=dels if dels.size else None,
+                insert_keys=keys[ins] if ins.size else None,
+                insert_values=None if values is None or not ins.size else values[ins],
+                delete_keys=keys[dels] if dels.size else None,
             )
             continue
         # No mixed entry point: the canonical segment has one op per key,
-        # so separate delete and insert calls cannot disagree.
+        # so separate delete and insert calls cannot disagree.  Insertions
+        # go in arrival order, as before: an insert-only structure (the
+        # cuckoo table) places keys in the order it receives them.
         if dels.size:
-            backend.delete(dels)
+            backend.delete(keys[dels])
         if ins.size:
+            ins = ins[np.argsort(survivors[ins])]
             if key_only:
-                backend.insert(ins)
+                backend.insert(keys[ins])
             else:
-                backend.insert(ins, ins_values)
+                backend.insert(keys[ins], values[ins])
 
 
 def _run_query_segment(
@@ -491,9 +443,8 @@ def _run_query_segment(
         acc.counts[idx] = backend.count(batch.keys[idx], batch.range_ends[idx])
     else:
         rr = backend.range_query(batch.keys[idx], batch.range_ends[idx])
-        acc.range_widths[idx] = rr.counts
-        acc.counts[idx] = rr.counts
-        acc.range_chunks.append((idx, rr.keys, rr.values, rr.offsets))
+        acc.counts[idx] = acc.range_widths[idx] = rr.counts
+        acc.range_chunks.append((rr.keys, rr.values))
 
 
 def _backend_device(backend) -> Device:

@@ -137,7 +137,7 @@ class CuckooHashTable:
 
     def bulk_build(self, keys: np.ndarray, values: np.ndarray) -> None:
         """Build the table from scratch (the only supported update path)."""
-        keys = np.asarray(keys, dtype=np.uint64)
+        keys = check_non_negative(keys).astype(np.uint64, copy=False)
         values = np.asarray(values, dtype=np.uint64)
         if keys.ndim != 1 or values.shape != keys.shape:
             raise ValueError("keys and values must be one-dimensional and equal length")
@@ -309,7 +309,7 @@ class CuckooHashTable:
         build from scratch — the O(n)-per-batch cost profile the paper's
         Table I comparison is about.
         """
-        keys = np.asarray(keys, dtype=np.uint64)
+        keys = check_non_negative(keys).astype(np.uint64, copy=False)
         if values is None:
             raise ValueError("the cuckoo hash table stores key-value pairs")
         values = np.asarray(values, dtype=np.uint64)
@@ -341,7 +341,7 @@ class CuckooHashTable:
 
     def delete(self, keys: np.ndarray) -> None:
         """Delete a batch by rebuilding the table without those keys."""
-        keys = np.asarray(keys, dtype=np.uint64)
+        keys = check_non_negative(keys).astype(np.uint64, copy=False)
         if keys.ndim != 1:
             raise ValueError("keys must be one-dimensional")
         if keys.size == 0:

@@ -22,6 +22,8 @@ import numpy as np
 from repro.core.config import LSMConfig
 from repro.core.encoding import STATUS_REGULAR, STATUS_TOMBSTONE
 from repro.core.run import SortedRun
+from repro.gpu.device import Device
+from repro.primitives.radix_sort import record_radix_sort
 
 
 @dataclass
@@ -100,8 +102,11 @@ def build_update_batch(
     """
     encoder = config.encoder
 
-    ins = np.asarray(insert_keys if insert_keys is not None else [], dtype=np.uint64)
-    dels = np.asarray(delete_keys if delete_keys is not None else [], dtype=np.uint64)
+    # No cast before the encoder has checked the dtype: a float key would
+    # be truncated to another key.
+    none = np.zeros(0, dtype=np.uint64)
+    ins = np.asarray(insert_keys if insert_keys is not None else none)
+    dels = np.asarray(delete_keys if delete_keys is not None else none)
     n_ins, n_del = int(ins.size), int(dels.size)
     real = n_ins + n_del
 
@@ -149,3 +154,21 @@ def build_update_batch(
         num_insertions=n_ins,
         num_deletions=n_del,
     )
+
+
+def sort_update_run(run: SortedRun, num_insertions: int, device: Device) -> SortedRun:
+    """The radix sort of an update run laid out as its insertion words, then
+    its deletion words (and any padding copies of the last).  When both
+    columns already ascend — a canonical segment the planner sorted once —
+    NumPy's stable sort merges the two runs instead of sorting from
+    scratch; the order is the same, and the device's sort is recorded from
+    the sizes either way."""
+    words = run.keys
+    ins, rest = words[:num_insertions], words[num_insertions:]
+    if np.any(ins[1:] < ins[:-1]) or np.any(rest[1:] < rest[:-1]):
+        return run.sort(device=device)
+    order = np.argsort(words, kind="stable")
+    record_radix_sort(
+        device, words.size, words.dtype, None if run.values is None else run.values.dtype
+    )
+    return SortedRun(words[order], None if run.values is None else run.values[order])

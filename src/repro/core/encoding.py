@@ -94,13 +94,16 @@ class KeyEncoder:
     ) -> np.ndarray:
         """Encode an array of original keys with a scalar or per-key status."""
         keys = np.asarray(keys)
+        if keys.size and keys.dtype.kind not in "ui":
+            raise ValueError(f"keys must be an integer array, got {keys.dtype}")
         if keys.size and (
-            keys.min() < 0 or int(keys.max()) > self.max_key
+            (keys.dtype.kind == "i" and keys.min() < 0) or int(keys.max()) > self.max_key
         ):
             raise ValueError(
                 f"keys outside the {self.key_bits - 1}-bit original-key domain"
             )
-        words = keys.astype(self.key_dtype) << self.key_dtype.type(1)
+        words = keys.astype(self.key_dtype)
+        words <<= self.key_dtype.type(1)
         status_arr = np.asarray(status, dtype=self.key_dtype)
         if status_arr.ndim not in (0, 1):
             raise ValueError("status must be a scalar or a 1-D array")
@@ -110,7 +113,8 @@ class KeyEncoder:
             np.any(status_arr > 1)
         ):
             raise ValueError("status values must be 0 (tombstone) or 1 (regular)")
-        return words | status_arr
+        words |= status_arr
+        return words
 
     def decode_key(self, words: np.ndarray) -> np.ndarray:
         """Original keys of an encoded word array."""
@@ -128,7 +132,8 @@ class KeyEncoder:
 
     def is_regular(self, words: np.ndarray) -> np.ndarray:
         """Boolean mask of regular (non-tombstone) words."""
-        return self.decode_status(words) == STATUS_REGULAR
+        words = np.asarray(words, dtype=self.key_dtype)
+        return (words & self.key_dtype.type(STATUS_REGULAR)).astype(bool)
 
     # ------------------------------------------------------------------ #
     # Query-boundary helpers
@@ -192,12 +197,14 @@ class KeyEncoder:
 
 
 def check_non_negative(keys: np.ndarray, what: str = "keys") -> np.ndarray:
-    """Reject negative key arrays before any cast to an unsigned dtype.
+    """Reject key arrays that are not non-negative integers before any cast
+    to an unsigned dtype.
 
     Shared by the encoder's domain check and by structures without a
     31-bit domain (the cuckoo hash table stores raw uint64 keys): a
     negative key would wrap into a huge unsigned word and silently probe
-    for an unrelated key instead of failing loudly.
+    for an unrelated key instead of failing loudly, and a float or bool
+    key would be truncated to another key (5.7 probes 5, ``True`` is 1).
     """
     keys = np.asarray(keys)
     # No int() truncation here: a fractional key in (-1, 0) would round to
@@ -208,6 +215,8 @@ def check_non_negative(keys: np.ndarray, what: str = "keys") -> np.ndarray:
             f"{what} must be non-negative: negative keys cannot exist in "
             "the dictionary and would wrap when cast to an unsigned key word"
         )
+    if keys.size and keys.dtype.kind not in "ui":
+        raise ValueError(f"{what} must be an integer array, got {keys.dtype}")
     return keys
 
 

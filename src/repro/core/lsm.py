@@ -28,7 +28,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from repro.core import maintenance as maintenance_mod
-from repro.core.batch import build_update_batch
+from repro.core.batch import build_update_batch, sort_update_run
 from repro.core.config import LSMConfig
 from repro.core.encoding import KeyEncoder, STATUS_REGULAR
 from repro.core.filters import (
@@ -356,7 +356,8 @@ class GPULSM:
         self, buf: SortedRun, num_insertions: int, num_deletions: int, is_sorted: bool
     ) -> None:
         """Sort one padded batch — exactly ``batch_size`` encoded elements,
-        ``num_insertions`` / ``num_deletions`` of them real — and run the
+        ``num_insertions`` / ``num_deletions`` of them real, laid out as
+        :func:`~repro.core.batch.build_update_batch` does — and run the
         merge cascade (Fig. 2a / Fig. 3).  A run that arrives in full-word
         order (``is_sorted``: the sharded router's canonical slices) is not
         sorted again; the device's sort of the batch is recorded from its
@@ -374,7 +375,7 @@ class GPULSM:
                     None if buf.values is None else buf.values.dtype,
                 )
             else:
-                buf = buf.sort(device=self.device)
+                buf = sort_update_run(buf, num_insertions, self.device)
             self._live_keys_upper_bound += self._distinct_regular_keys(buf.keys)
 
             # Merge cascade: while level i is full, merge (buffer, level i)
@@ -1057,12 +1058,12 @@ class GPULSM:
         (adjacent-difference plus a reduction over data already in cache),
         so no kernel traffic is recorded.
         """
+        # Regular words of one key are equal words (the status bit is part
+        # of the word), so the run's distinct regular words are the count.
         regular_words = sorted_words[self.encoder.is_regular(sorted_words)]
-        return int(
-            np.count_nonzero(
-                SortedRun(regular_words).first_per_key(self.encoder.strip_status)
-            )
-        )
+        return int(regular_words.size and 1 + np.count_nonzero(
+            regular_words[1:] != regular_words[:-1]
+        ))
 
     def stale_fraction_estimate(self) -> float:
         """Crude upper bound on the fraction of *reclaimable* stale

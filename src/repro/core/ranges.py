@@ -144,12 +144,11 @@ def search_levels(
     lower_probes = config.encoder.lower_probe(k1)
     upper_probes = config.encoder.upper_probe(k2)
     bounds = np.zeros((2, depth, k1.size), dtype=np.int64)
-    lo_keys, hi_keys = k1.astype(np.int64), k2.astype(np.int64)
     for (lsm, start, stop), levels in zip(groups, group_levels):
         if not levels:
             continue
         device, pairs, whole = lsm.device, stop - start, slice(start, stop)
-        fenced, overlap, searched = _fence_matrix(levels, lo_keys[whole], hi_keys[whole])
+        fenced, overlap, searched = _fence_matrix(levels, k1[whole], k2[whole])
         stats = lsm._filter_stats
         stats.range_pairs += pairs * len(levels)
         stats.range_fence_pruned += pairs * len(levels) - sum(searched)
@@ -202,8 +201,8 @@ def _fence_matrix(
     if all(lowest_hi >= low and highest_lo <= high for low, high in fences):
         return fenced, None, everything
     bounds = np.array(fences, dtype=np.int64)
-    overlap = hi >= bounds[:, :1]
-    overlap &= lo <= bounds[:, 1:]
+    overlap = hi.astype(np.int64) >= bounds[:, :1]
+    overlap &= lo.astype(np.int64) <= bounds[:, 1:]
     return fenced, overlap, overlap.sum(axis=1).tolist()
 
 
@@ -278,26 +277,24 @@ def _post_process(
     # key.  Pairs ascend within a level and keys within a chunk, so each
     # level arrives as one sorted run and the stable sort merges ``depth``
     # runs; a key's copies arrive most recent level first and stay so.
-    pair = np.broadcast_to(np.arange(n, dtype=np.uint64), (depth, n))
-    order = segmented_order(
-        words, pair.reshape(-1).repeat(counts), key=encoder.strip_status
-    )
+    pair = np.arange(depth * n, dtype=np.uint64)
+    pair %= np.uint64(n)
+    order = segmented_order(words, pair.repeat(counts), key=encoder.strip_status)
     words = words[order]
 
     # Stage 5: a candidate is *valid* iff it starts its equal-key run (pair
     # boundaries start runs too) and is no tombstone.
-    valid = np.ones(total, dtype=bool)
+    valid = np.ones(total + 1, dtype=bool)  # a spare slot for pairs ending last
     original = encoder.decode_key(words)
-    valid[1:] = original[1:] != original[:-1]
-    starts = pair_offsets[:-1]
-    valid[starts[(starts > 0) & (starts < total)]] = True
+    valid[1:total] = original[1:] != original[:-1]
+    valid[pair_offsets[1:-1]] = True
+    valid = valid[:total]
     valid &= encoder.is_regular(words)
 
     # Stage 6: valid candidates per pair, handed over in segment order, and
     # for RANGE the rows, each pair's moved to its segment's place.
-    prefix = np.zeros(total + 1, dtype=np.int64)
-    valid.cumsum(out=prefix[1:])
-    kept_offsets = prefix[pair_offsets]
+    kept = np.flatnonzero(valid)
+    kept_offsets = kept.searchsorted(pair_offsets)
     kept_per_pair = kept_offsets[1:] - kept_offsets[:-1]
     new_offsets = np.zeros(n + 1, dtype=np.int64)
     per_segment = np.empty(n, dtype=np.int64)
@@ -308,11 +305,11 @@ def _post_process(
     dest = (new_offsets[segment_of] - kept_offsets[:-1]).repeat(kept_per_pair)
     dest += np.arange(dest.size)
     rows = np.empty(dest.size, dtype=words.dtype)
-    rows[dest] = words[valid]
+    rows[dest] = words[kept]
     row_values = None
     if with_values:
         row_values = np.empty(dest.size, dtype=values.dtype)
-        row_values[dest] = values[order[valid]]
+        row_values[dest] = values[order[kept]]
     return new_offsets, rows, row_values
 
 

@@ -178,15 +178,18 @@ class SortedRun:
         if mask.shape != self.keys.shape or mask.dtype != bool:
             raise ValueError("mask must be a boolean array aligned with the run")
         device = device or get_default_device()
-        keys = self.keys[mask]
-        values = None if self.values is None else self.values[mask]
+        # A mask that keeps every element (a canonical batch's dedup) copies
+        # nothing on the host; the device's pass is recorded either way.
+        kept = self if mask.all() else self._like(
+            self.keys[mask], None if self.values is None else self.values[mask]
+        )
         device.record_kernel(
             kernel_name,
             coalesced_read_bytes=self.nbytes + mask.size,
-            coalesced_write_bytes=int(keys.size) * self.itemsize,
+            coalesced_write_bytes=kept.size * self.itemsize,
             work_items=self.size,
         )
-        return self._like(keys, values)
+        return kept
 
     # ------------------------------------------------------------------ #
     # Slicing and padding (device-side copies)

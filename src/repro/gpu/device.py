@@ -71,14 +71,15 @@ class Device:
         one frame plus the cost model's :meth:`~repro.gpu.cost_model.CostModel.seconds`.
         """
         # ``operator.index``: a NumPy integer becomes a Python int (the
-        # aggregates stay plain ints) at a third of ``int``'s price.
-        cr = _index(coalesced_read_bytes)
-        cw = _index(coalesced_write_bytes)
-        rr = _index(random_read_bytes)
-        rw = _index(random_write_bytes)
-        fr = _index(filter_read_bytes)
-        fw = _index(filter_write_bytes)
-        work_items = _index(work_items)
+        # aggregates stay plain ints) at a third of ``int``'s price; a zero
+        # field — most of them, in most records — skips even that.
+        cr = _index(coalesced_read_bytes) if coalesced_read_bytes else 0
+        cw = _index(coalesced_write_bytes) if coalesced_write_bytes else 0
+        rr = _index(random_read_bytes) if random_read_bytes else 0
+        rw = _index(random_write_bytes) if random_write_bytes else 0
+        fr = _index(filter_read_bytes) if filter_read_bytes else 0
+        fw = _index(filter_write_bytes) if filter_write_bytes else 0
+        work_items = _index(work_items) if work_items else 0
         launches = _index(launches)
         counter = self.counter
         stats = counter.per_kernel.get(name)

@@ -62,6 +62,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.core.batch import sort_update_run
 from repro.core.config import LSMConfig
 from repro.core.encoding import STATUS_REGULAR, STATUS_TOMBSTONE
 from repro.core.filters import FilterStatsCounter
@@ -432,6 +433,8 @@ class ShardedLSM:
         keys = np.asarray(keys)
         if keys.ndim != 1:
             raise ValueError(f"{what} must be one-dimensional")
+        if keys.size and keys.dtype.kind not in "ui":
+            raise ValueError(f"{what} must be an integer array, got {keys.dtype}")
         if keys.size and (
             int(keys.min()) < 0 or int(keys.max()) >= self.key_domain
         ):
@@ -503,8 +506,9 @@ class ShardedLSM:
             # Canonicalise: full-word sort puts a key's tombstone ahead of
             # its insertions and keeps equal insertions in batch order, so
             # the first element of each equal-key run is the batch's one
-            # surviving operation (rules 4 and 6 of Section III-A).
-            batch = SortedRun(words, vals).sort(device=self.router_device)
+            # surviving operation (rules 4 and 6 of Section III-A).  The
+            # planner's canonical columns already ascend and are merged.
+            batch = sort_update_run(SortedRun(words, vals), ins.size, self.router_device)
             first = batch.first_per_key(self.encoder.strip_status)
             batch = batch.compact(
                 first, device=self.router_device, kernel_name="sharded.route.dedup"

@@ -726,14 +726,22 @@ def test_canonical_updates_match_the_unique_passes(
     delete_share, n, key_domain, big_keys, arrival_order
 ):
     """Both modes, with keys at and beyond every width the one-sort
-    canonicalisation packs by: the same survivors in the same order."""
+    canonicalisation packs by: the same surviving rows, which it hands
+    over in ascending key order (the reference's keys are distinct)."""
     rng = np.random.default_rng(n + key_domain % 97 + len(big_keys))
     batch, indices = update_segment(rng, n, key_domain, delete_share, big_keys)
-    want = reference_canonical_updates(batch, indices, arrival_order)
-    got = _canonical_updates(batch, indices, arrival_order)
-    for got_column, want_column in zip(got, want):
-        assert np.array_equal(got_column, want_column)
-        assert got_column.dtype == want_column.dtype
+    want_is_delete, want_keys, want_values = reference_canonical_updates(
+        batch, indices, arrival_order
+    )
+    by_key = np.argsort(want_keys, kind="stable")
+    survivors, is_delete, keys = _canonical_updates(batch, indices, arrival_order)
+    rows = indices[survivors]
+    assert np.array_equal(batch.keys[rows], want_keys[by_key])
+    assert np.array_equal(keys, want_keys[by_key])
+    assert np.array_equal(is_delete, want_is_delete[by_key])
+    assert is_delete.dtype == want_is_delete.dtype
+    inserting = ~is_delete
+    assert np.array_equal(batch.values[rows][inserting], want_values[by_key][inserting])
 
 
 @pytest.mark.parametrize("consistency", list(Consistency))

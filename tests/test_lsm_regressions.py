@@ -13,6 +13,11 @@
   unrelated key instead of failing loudly.  Applies to
   ``lookup`` / ``count`` / ``range_query`` on the GPU LSM and to both
   baselines.
+* Every store surface must reject keys that are not integers: a float
+  key used to be truncated to another key (``lookup([5.7])`` found key 5,
+  ``insert([7.9])`` stored key 7) and a bool array passed as keys 0 and 1.
+  Updates, queries and bulk builds raise the ``ValueError`` ``OpBatch``
+  raises ("must be an integer array") and change nothing.
 """
 
 import numpy as np
@@ -217,3 +222,75 @@ class TestNegativeQueryKeyValidation:
         res = lsm.lookup(np.array([5, 200], dtype=np.int64))
         assert bool(res.found[0]) and not bool(res.found[1])
         assert int(lsm.count(np.array([0]), np.array([7]))[0]) == 8
+
+
+def _store(kind, device, filled=True):
+    """A store holding keys 0..7 (values 10 * key), or an empty one."""
+    if kind == "gpulsm":
+        store = GPULSM(config=LSMConfig(batch_size=8), device=device)
+    elif kind == "sharded":
+        store = ShardedLSM(num_shards=2, batch_size=8, key_domain=1 << 10)
+    elif kind == "sorted_array":
+        store = GPUSortedArray(device=device)
+    else:
+        store = CuckooHashTable(device=device)
+    if filled:
+        keys = np.arange(8, dtype=np.uint32)
+        store.bulk_build(keys, keys * 10)
+    return store
+
+
+NON_INTEGER_KEYS = {
+    "float": np.array([5.7]),
+    "whole-float": np.array([5.0]),
+    "bool": np.array([True, False]),
+}
+
+OPERATIONS = {
+    "insert": lambda store, keys: store.insert(keys, np.ones(keys.size, dtype=np.uint32)),
+    "delete": lambda store, keys: store.delete(keys),
+    "update": lambda store, keys: store.update(delete_keys=keys),
+    "lookup": lambda store, keys: store.lookup(keys),
+    "count": lambda store, keys: store.count(keys, keys),
+    "range_query": lambda store, keys: store.range_query(keys, keys),
+    "bulk_build": lambda store, keys: store.bulk_build(
+        keys, np.ones(keys.size, dtype=np.uint32)
+    ),
+}
+
+#: (store, operation) pairs the store has: the baselines take no mixed
+#: ``update``, and the hash table answers no ordered query.
+SURFACES = [
+    (kind, op)
+    for kind in ("gpulsm", "sharded", "sorted_array", "cuckoo")
+    for op in OPERATIONS
+    if not (op == "update" and kind in ("sorted_array", "cuckoo"))
+    and not (op in ("count", "range_query") and kind == "cuckoo")
+]
+
+
+class TestNonIntegerKeyRejection:
+    @pytest.mark.parametrize("dtype", sorted(NON_INTEGER_KEYS))
+    @pytest.mark.parametrize("kind,operation", SURFACES)
+    def test_non_integer_keys_rejected(self, device, kind, operation, dtype):
+        store = _store(kind, device, filled=operation != "bulk_build")
+        before = store.lookup(np.arange(8, dtype=np.uint32))
+        with pytest.raises(ValueError, match="must be an integer array"):
+            OPERATIONS[operation](store, NON_INTEGER_KEYS[dtype])
+        after = store.lookup(np.arange(8, dtype=np.uint32))
+        assert np.array_equal(after.found, before.found)
+        assert np.array_equal(after.values, before.values)
+
+    @pytest.mark.parametrize("kind", ["gpulsm", "sharded", "sorted_array", "cuckoo"])
+    def test_integer_keys_of_any_width_still_work(self, device, kind):
+        store = _store(kind, device)
+        for dtype in (np.int8, np.int64, np.uint16, np.uint64):
+            assert store.lookup(np.array([5, 9], dtype=dtype)).found.tolist() == [True, False]
+
+    def test_empty_arrays_of_any_dtype_stay_accepted(self, device):
+        """An empty batch holds no key to truncate: ``lookup([])`` answers
+        nothing, as before."""
+        lsm = _store("gpulsm", device)
+        assert lsm.lookup(np.array([])).found.size == 0
+        assert lsm.count(np.array([]), np.array([])).size == 0
+
