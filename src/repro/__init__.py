@@ -31,8 +31,8 @@ Package layout
 ``repro.serve``
     The serving engine: thread-safe multi-client admission
     (:class:`repro.serve.Engine`), the adaptive dual-trigger tick
-    scheduler (:class:`repro.serve.TickConfig`), and the pipelined
-    plan/execute path with per-tick telemetry.  :class:`KVStore` is a
+    scheduler (:class:`repro.serve.TickConfig`), and one worker thread
+    that plans and executes each tick, with per-tick telemetry.  :class:`KVStore` is a
     thin single-client view over it.
 ``repro.durability``
     The durability subsystem: a write-ahead log of committed ticks with

@@ -466,10 +466,10 @@ def execute_plan(
     """Run an already-planned batch against a dictionary backend.
 
     This is the execution half of :func:`execute`; splitting it out lets a
-    serving engine *pipeline* the two stages — plan tick ``N+1`` (on its
-    own planning device) while tick ``N`` executes on the backend.  The
-    plan must have been produced by :func:`plan_batch` for this exact
-    batch; the epoch-pinning guarantee applies unchanged.
+    serving engine plan a tick on a dedicated planning device before it
+    executes on the backend.  The plan must have been produced by
+    :func:`plan_batch` for this exact batch; the epoch-pinning guarantee
+    applies unchanged.
 
     ``fault_check``, when given, is called with the crash-point name
     ``"engine.mid_execute"`` after each applied update segment — the

@@ -5,11 +5,11 @@ arrive on their own clock (an **open-loop** Poisson process at an offered
 load λ) and the engine's adaptive tick scheduler decides when to cut a
 tick — at the target size under heavy load, at the linger deadline when
 traffic is light.  This experiment replays the exact dual-trigger policy
-(:class:`repro.serve.scheduler.TickConfig`) and the exact plan → execute
-split of the engine as a discrete-event simulation on the *simulated*
-clock, which makes the p50/p95/p99 latency-vs-load curves deterministic
-and CI-stable (the threaded engine measures wall-clock latency; its
-correctness is covered by the test suite).
+(:class:`repro.serve.scheduler.TickConfig`) and the engine's one worker —
+cut, plan, execute, then the next cut — as a discrete-event simulation on
+the *simulated* clock, which makes the p50/p95/p99 latency-vs-load curves
+deterministic and CI-stable (the threaded engine measures wall-clock
+latency; its correctness is covered by the test suite).
 
 Per offered load the simulator reports:
 
@@ -20,9 +20,8 @@ Per offered load the simulator reports:
   acceptance criterion measures against),
 * tick-formation telemetry (mean tick size, size- vs deadline-triggered).
 
-Two engine modes quantify the pipeline: ``pipelined`` overlaps planning of
-tick *N+1* with execution of tick *N* (plans on a dedicated device, as the
-threaded engine does); ``serial`` charges planning on the critical path.
+Planning is charged on the critical path, on a dedicated planning device,
+as the engine's worker runs it (the rows' ``mode`` is ``serial``).
 Backpressure is not modelled — the open loop observes unbounded queueing,
 which is what makes overload visible as latency growth.
 
@@ -76,17 +75,15 @@ def simulate_open_loop(
     config: TickConfig,
     backend,
     spec: GPUSpec,
-    pipelined: bool = True,
     consistency: Consistency = Consistency.SNAPSHOT,
 ) -> dict:
     """Drive one arrival timeline through the dual-trigger tick scheduler.
 
     Returns latency and tick-formation statistics; all times are
-    *simulated* seconds.  The scheduler semantics mirror the threaded
-    engine: a tick is cut the instant the queue holds the target size, or
-    at the oldest op's linger deadline with whatever has arrived; the
-    backend is a single server, and in pipelined mode a cut tick's
-    planning overlaps the previous tick's execution.
+    *simulated* seconds.  The semantics mirror the threaded engine's one
+    worker: once the previous tick is done, a tick is cut the instant the
+    queue holds the target size, or at the oldest op's linger deadline
+    with whatever has arrived, then planned and executed.
     """
     n = flat.size
     if arrivals.shape != (n,):
@@ -98,19 +95,14 @@ def simulate_open_loop(
     plan_seconds = 0.0
     exec_seconds = 0.0
     i = 0
-    #: Scheduler availability: the threaded engine's scheduler blocks
-    #: handing tick N to the depth-1 pipeline until tick N-1 was picked up
-    #: by the executor, so under overload it always re-evaluates against a
-    #: backlogged queue and cuts full size-triggered ticks.
-    sched_free = 0.0
-    start_prev = 0.0  # when the executor picked up / began the previous tick
     done_prev = 0.0
     while i < n:
         size_idx = i + config.target_tick_size - 1
         size_time = float(arrivals[size_idx]) if size_idx < n else np.inf
         deadline = float(arrivals[i]) + config.linger
-        # Earliest instant the scheduler is free AND a trigger holds.
-        t_cut = max(sched_free, min(size_time, deadline))
+        # Earliest instant the worker is free AND a trigger holds: under
+        # overload it re-evaluates a backlogged queue and cuts full ticks.
+        t_cut = max(done_prev, min(size_time, deadline))
         arrived = int(np.searchsorted(arrivals, t_cut, side="right"))
         if arrived - i >= config.target_tick_size:
             j = i + config.target_tick_size
@@ -127,24 +119,11 @@ def simulate_open_loop(
         execute_plan(sub, plan, backend)
         t_exec = simulated_seconds(backend) - e0
 
-        if pipelined:
-            # Planning starts at the cut and overlaps the server finishing
-            # the previous tick; execution needs plan done AND server free;
-            # the scheduler is free again once the plan is done and the
-            # previous tick left the hand-off queue.
-            plan_done = t_cut + t_plan
-            t_start = max(plan_done, done_prev)
-            sched_free = max(plan_done, start_prev)
-        else:
-            # Unpipelined reference: one sequential loop.
-            t_start = max(t_cut, done_prev) + t_plan
-            sched_free = t_start + t_exec
-        t_done = t_start + t_exec
-        latencies[i:j] = t_done - arrivals[i:j]
+        done_prev = t_cut + t_plan + t_exec
+        latencies[i:j] = done_prev - arrivals[i:j]
         plan_seconds += t_plan
         exec_seconds += t_exec
         tick_sizes.append(j - i)
-        start_prev, done_prev = t_start, t_done
         i = j
 
     makespan = done_prev
@@ -169,17 +148,16 @@ def open_loop_serving(
     utilisations: Sequence[float] = (0.5, 0.9, 2.0),
     backends: Sequence[str] = ("gpulsm", "sharded4"),
     linger_ticks: float = 1.0,
-    modes: Sequence[str] = ("pipelined", "serial"),
     spec: Optional[GPUSpec] = None,
     seed: int = 0xC0FFEE,
 ) -> List[dict]:
-    """The full latency/throughput sweep: offered load × backend × mode.
+    """The full latency/throughput sweep: offered load × backend.
 
     ``utilisations`` are offered loads as fractions of the backend's
     *direct-apply* capacity (measured first, reported in the ``direct``
     rows); ``linger_ticks`` sets the deadline as a multiple of one full
     tick's ideal service time, so the latency bound scales with the
-    problem size.  One row per (backend, mode, utilisation) plus one
+    problem size.  One ``serial`` row per (backend, utilisation) plus one
     ``direct`` row per backend.
     """
     if spec is None:
@@ -222,33 +200,25 @@ def open_loop_serving(
             rate = rho * capacity
             rng = derived_rng(seed, _ARRIVAL_STREAM, rho_index)
             arrivals = np.cumsum(rng.exponential(1.0 / rate, n))
-            for mode in modes:
-                backend = _make_backend(kind, target_tick_size, spec, seed=1)
-                sim = simulate_open_loop(
-                    flat,
-                    arrivals,
-                    config,
-                    backend,
-                    spec,
-                    pipelined=(mode == "pipelined"),
-                )
-                rows.append(
-                    {
-                        "backend": kind,
-                        "mode": mode,
-                        "utilisation": rho,
-                        "offered_mops": rate / 1e6,
-                        "achieved_mops": sim["achieved_ops_per_s"] / 1e6,
-                        "rate_vs_direct": sim["achieved_ops_per_s"] / capacity,
-                        "p50_us": sim["latency"]["p50"] * 1e6,
-                        "p95_us": sim["latency"]["p95"] * 1e6,
-                        "p99_us": sim["latency"]["p99"] * 1e6,
-                        "mean_us": sim["latency"]["mean"] * 1e6,
-                        "ticks": sim["ticks"],
-                        "mean_tick_size": sim["mean_tick_size"],
-                        "size_ticks": sim["size_ticks"],
-                        "deadline_ticks": sim["deadline_ticks"],
-                        "num_ops": n,
-                    }
-                )
+            backend = _make_backend(kind, target_tick_size, spec, seed=1)
+            sim = simulate_open_loop(flat, arrivals, config, backend, spec)
+            rows.append(
+                {
+                    "backend": kind,
+                    "mode": "serial",
+                    "utilisation": rho,
+                    "offered_mops": rate / 1e6,
+                    "achieved_mops": sim["achieved_ops_per_s"] / 1e6,
+                    "rate_vs_direct": sim["achieved_ops_per_s"] / capacity,
+                    "p50_us": sim["latency"]["p50"] * 1e6,
+                    "p95_us": sim["latency"]["p95"] * 1e6,
+                    "p99_us": sim["latency"]["p99"] * 1e6,
+                    "mean_us": sim["latency"]["mean"] * 1e6,
+                    "ticks": sim["ticks"],
+                    "mean_tick_size": sim["mean_tick_size"],
+                    "size_ticks": sim["size_ticks"],
+                    "deadline_ticks": sim["deadline_ticks"],
+                    "num_ops": n,
+                }
+            )
     return rows

@@ -1,5 +1,5 @@
 """The serving engine — multi-client admission, adaptive tick formation,
-and pipelined shard execution.
+and one worker that applies each tick as a whole.
 
 The paper's GPU LSM amortises its cost over large bulk-synchronous
 batches; this package turns many small concurrent request streams into
@@ -11,15 +11,15 @@ exactly those batches:
   benchmark simulator.
 * :mod:`repro.serve.engine` — :class:`Engine`: thread-safe
   ``submit(op) -> OpTicket`` / ``submit_batch(batch) -> BatchTicket``
-  admission, the scheduler thread cutting ticks, and the pipelined
-  executor that plans tick *N+1* while tick *N* runs on the backend
-  (fanning out across :class:`~repro.scale.sharded.ShardedLSM` shards via
-  the existing one-multisplit route), plus per-tick telemetry through
+  admission and one worker thread that cuts each tick, plans it and
+  commits it on the backend (fanning out across
+  :class:`~repro.scale.sharded.ShardedLSM` shards via the existing
+  one-multisplit route), plus per-tick telemetry through
   :meth:`Engine.stats`.
 
 * :mod:`repro.serve.resilience` — :class:`ResilienceConfig` and the
   fault-domain isolation it switches on: transactional ticks, poison-op
-  quarantine, supervised loops with the :class:`HealthState` machine, and
+  quarantine, a supervised worker loop with the :class:`HealthState` machine, and
   deadline-aware admission shedding
   (:class:`~repro.serve.scheduler.LoadSheddingPolicy`).  All off by
   default; typed failures live in :mod:`repro.serve.errors`.

@@ -5,14 +5,16 @@ Many concurrent clients :meth:`~Engine.submit` single operations (or
 tickets back, while the engine turns the combined stream into the few
 large bulk-synchronous ticks the paper's structures want.  In front of
 the tick path: **admission** (a FIFO queue with a backpressure bound,
-``max_queue_depth`` of :class:`TickConfig`), the **adaptive tick
+``max_queue_depth`` of :class:`TickConfig`) and the **adaptive tick
 scheduler** of :mod:`repro.serve.scheduler` (cut a tick when the queue
 reaches the target size *or* its oldest operation has lingered past the
-deadline) and **pipelining** (the scheduler thread plans tick *N+1* on
-the engine's own planning device while the executor thread commits *N*).
+deadline).  One worker thread serves the queue: it cuts a tick, plans it
+on the engine's own planning device, commits and completes it, then cuts
+the next — the paper applies one bulk batch at a time, so a tick is the
+engine's unit of work.
 
-The tick path itself — the paper's unit of work, one batch applied as a
-whole, plus the guards around it — exists once, as three steps:
+The tick path itself — one batch applied as a whole, plus the guards
+around it — exists once, as three steps:
 
 * **commit** (:meth:`Engine._commit_locked`, under the executor lock):
   capture the backend when ticks are transactional →
@@ -29,18 +31,18 @@ whole, plus the guards around it — exists once, as three steps:
 Three callers share them.  :meth:`Engine.apply` — the inline path
 :class:`~repro.api.kvstore.KVStore` delegates to — plans, commits and
 completes one caller-formed tick under the lock and re-raises a failure.
-:meth:`Engine._execute_tick` — the executor thread — commits under the
-lock and completes outside it, inside a guard that turns a completion
+:meth:`Engine._execute_tick` — the worker's per-tick step — commits under
+the lock and completes outside it, inside a guard that turns a completion
 crash into a failed tick instead of a dead thread.  The **quarantine
-retry** is that same executor running :meth:`Engine._isolate` on a
+retry** is that same step running :meth:`Engine._isolate` on a
 rolled-back tick (probe each submission alone, fail the poison ones
 typed) and then the commit step again for the innocents, without fault
 injection.  After a committed tick each caller runs the one post-commit
 poll (:meth:`Engine._poll_locked`: ``backend.run_due_maintenance()``,
 then the snapshot policy) under the executor lock, so policy-driven
 cleanup, compaction and rebalancing run *between* ticks and never
-interleave with a tick's pinned reads; the executor polls only after
-the tickets resolved, and guards the poll.
+interleave with a tick's pinned reads; the worker polls only after the
+tickets resolved, and guards the poll.
 
 Telemetry (:meth:`Engine.stats`) follows :mod:`repro.gpu.profiler`:
 simulated seconds from the device counters, wall-clock ops/s alongside
@@ -51,7 +53,6 @@ simulated seconds from the device counters, wall-clock ops/s alongside
 from __future__ import annotations
 
 import collections
-import queue as queue_module
 import threading
 import time
 from dataclasses import dataclass, field
@@ -202,21 +203,23 @@ class _Entry:
 
 @dataclass
 class _FormedTick:
-    """One tick on its way through the plan → commit → complete pipeline."""
+    """One tick on its way through plan → commit → complete."""
 
     size: int
     trigger: TickTrigger
     t_formed: float
     entries: List[_Entry] = field(default_factory=list)
     offsets: List[int] = field(default_factory=list)  # entry row offsets
-    #: Sequence watermark the tick's final record exposes to :meth:`flush`,
-    #: along with the in-flight slot it hands back; ``None`` for an inline
+    #: Sequence watermark the tick's final record exposes to :meth:`flush`
+    #: as it empties the worker's in-flight slot; ``None`` for an inline
     #: tick, which never went through admission (and has no entries).
     last_seq: Optional[int] = None
     #: The entries' rows, concatenated when the tick is planned — so a
     #: failure there is a planning failure of a tick the supervisor's reap
     #: can already see.
     batch: Optional[OpBatch] = None
+    #: Planning-device time of the tick's plan, charged at completion.
+    plan_seconds: float = 0.0
 
 
 def _pow2_bucket(size: int) -> int:
@@ -230,9 +233,8 @@ class EngineStats:
 
     Latencies are wall-clock seconds (submit → ticket resolved for
     operations, tick cut → executed for ticks); ``simulated_seconds`` is
-    the backend device time the engine's ticks consumed and
-    ``plan_seconds`` the planning-device time (overlapped with execution
-    when the engine is running threaded).
+    the device time the engine's ticks consumed, planning included, and
+    ``plan_seconds`` the planning share of it.
     """
 
     ticks: int
@@ -254,7 +256,7 @@ class EngineStats:
     #: or ``None`` for backends without a query acceleration layer.
     backend_filters: Optional[Dict[str, float]] = None
     #: Maintenance runs the engine itself scheduled between ticks (the
-    #: executor-thread polls of ``backend.run_due_maintenance``), with the
+    #: worker's polls of ``backend.run_due_maintenance``), with the
     #: simulated device time and resident elements they reclaimed.
     maintenance_runs: int = 0
     maintenance_seconds: float = 0.0
@@ -286,7 +288,7 @@ class EngineStats:
     poisoned_entries: int = 0
     #: Engine-internal faults (guarded-stage failures, loop crashes).
     internal_faults: int = 0
-    #: Supervised scheduler/executor loop restarts.
+    #: Supervised restarts of the worker loop.
     loop_restarts: int = 0
     #: The health state machine's verdict: ``ok`` / ``degraded`` /
     #: ``failed``.
@@ -356,11 +358,6 @@ class Engine:
         are cut (arrival order is always honoured); SNAPSHOT gives each
         tick's queries the pre-tick state, which clients observe through
         their ticket's tick assignment.
-    plan_device:
-        Device the planner's kernels are recorded on.  Defaults to the
-        backend's own device for inline use; :meth:`start` allocates a
-        dedicated planning device so threaded planning never races the
-        executor's backend devices.
     cache_capacity:
         When a positive integer, wrap the backend in an epoch-guarded
         :class:`~repro.serve.cache.ReadCachedBackend` holding up to this
@@ -403,7 +400,6 @@ class Engine:
         backend,
         config: Optional[TickConfig] = None,
         consistency: Consistency = Consistency.SNAPSHOT,
-        plan_device: Optional[Device] = None,
         cache_capacity: Optional[int] = None,
         durability: Optional[DurabilityConfig] = None,
         resilience: Optional[ResilienceConfig] = None,
@@ -440,7 +436,8 @@ class Engine:
         self.backend = backend
         self.config = config or TickConfig()
         self.consistency = Consistency(consistency)
-        self._plan_device = plan_device
+        #: The worker's planning device, made by :meth:`start`.
+        self._plan_device: Optional[Device] = None
         self._fault_injector = self.resilience.fault_injector
         self._health = HealthMonitor(self.resilience.recovery_ticks)
         #: Set once by :meth:`_fail_engine`; a fail-stopped engine refuses
@@ -450,15 +447,12 @@ class Engine:
         #: has stayed there (``None`` while below the bound) — what the
         #: load-shedding policy's grace period is measured against.
         self._saturated_since: Optional[float] = None
-        #: Ticks cut but not yet finally recorded (planning, queued for
-        #: execution, or executing) — shed-only cuts must not advance
-        #: ``_completed_seq`` past them (see ``_pending_shed_seq``).
-        self._inflight_ticks = 0
+        #: The tick the worker cut and has not yet finally recorded —
+        #: shed-only cuts must not advance ``_completed_seq`` past it (see
+        #: ``_pending_shed_seq``), and the supervisor reaps it if the
+        #: worker crashes, so its tickets never dangle.
+        self._inflight: Optional[_FormedTick] = None
         self._pending_shed_seq = 0
-        #: The tick currently owned by each loop, reaped by the watchdog
-        #: if the loop crashes so its tickets never dangle.
-        self._pending_cut: Optional[_FormedTick] = None
-        self._executing: Optional[_FormedTick] = None
 
         self._cond = threading.Condition()
         self._queue: Deque[_Entry] = collections.deque()
@@ -469,11 +463,8 @@ class Engine:
         self._started = False
         self._closing = False
         self._closed = False
-        self._scheduler_thread: Optional[threading.Thread] = None
-        self._executor_thread: Optional[threading.Thread] = None
-        #: Hand-off of planned ticks; depth 1 = plan N+1 while N executes.
-        self._exec_queue: "queue_module.Queue" = queue_module.Queue(maxsize=1)
-        #: Serialises backend access between the executor thread and
+        self._worker: Optional[threading.Thread] = None
+        #: Serialises backend access between the worker thread and
         #: inline :meth:`apply` calls.
         self._exec_lock = threading.Lock()
 
@@ -503,48 +494,40 @@ class Engine:
         self._rolled_back_ticks = 0
         self._quarantined_ticks = 0
         self._poisoned_entries = 0
-        self._loop_restarts: Dict[str, int] = {"scheduler": 0, "executor": 0}
+        self._loop_restarts = 0
 
     # ------------------------------------------------------------------ #
     # Lifecycle
     # ------------------------------------------------------------------ #
     def start(self) -> "Engine":
-        """Start the scheduler and executor threads (idempotent)."""
+        """Start the worker thread (idempotent).
+
+        The worker cuts, plans and commits one tick at a time.  It plans
+        on a dedicated device, so the backend's clock records only what
+        the ticks execute and the planning share stays separately
+        reported as ``plan_seconds``.
+        """
         with self._cond:
             if self._closed:
                 raise EngineClosedError("the engine has been closed")
             if self._started:
                 return self
-            if self._plan_device is None:
-                # A dedicated planning device: threaded planning of tick
-                # N+1 must not race the executor's kernels for tick N on
-                # the backend's devices.
-                self._plan_device = Device(_backend_device(self.backend).spec)
+            self._plan_device = Device(_backend_device(self.backend).spec)
             self._started = True
-        self._scheduler_thread = threading.Thread(
-            target=self._run_supervised,
-            args=(self._scheduler_loop, "scheduler"),
-            name="serve-scheduler",
-            daemon=True,
+        self._worker = threading.Thread(
+            target=self._run_supervised, name="serve-executor", daemon=True
         )
-        self._executor_thread = threading.Thread(
-            target=self._run_supervised,
-            args=(self._executor_loop, "executor"),
-            name="serve-executor",
-            daemon=True,
-        )
-        self._scheduler_thread.start()
-        self._executor_thread.start()
+        self._worker.start()
         return self
 
     def close(self) -> None:
         """Drain everything queued as final flush ticks, then stop.
 
         Every *admitted* submission is executed (and WAL-logged, with
-        durability on) before the threads stop: the scheduler cuts the
-        remaining queue into flush ticks and the executor runs them all,
-        so no acknowledged-for-admission operation is ever lost without a
-        tick record.  The durability manager is closed last — after the
+        durability on) before the worker stops: it cuts the remaining
+        queue into flush ticks and runs them all, so no
+        acknowledged-for-admission operation is ever lost without a tick
+        record.  The durability manager is closed last — after the
         drain — issuing the final group commit and releasing the WAL file
         handle.  Idempotent.
         """
@@ -557,9 +540,8 @@ class Engine:
                     return
                 self._closing = True
                 self._cond.notify_all()
-            assert self._scheduler_thread and self._executor_thread
-            self._scheduler_thread.join()
-            self._executor_thread.join()
+            assert self._worker is not None
+            self._worker.join()
             with self._cond:
                 self._started = False
         finally:
@@ -597,8 +579,8 @@ class Engine:
         """The engine's health state machine verdict.
 
         ``OK`` — serving normally.  ``DEGRADED`` — an internal fault was
-        seen recently (a guarded stage raised, a loop crashed and was
-        restarted); still serving, recovers to ``OK`` after
+        seen recently (a guarded stage raised, the worker loop crashed and
+        was restarted); still serving, recovers to ``OK`` after
         ``recovery_ticks`` clean ticks.  ``FAILED`` — fail-stopped:
         every outstanding ticket has been resolved with
         :class:`~repro.serve.errors.EngineInternalError` and every new
@@ -875,7 +857,7 @@ class Engine:
         except Exception:  # pragma: no cover - last-ditch watermark bump
             with self._cond:
                 self._completed_seq = max(self._completed_seq, tick.last_seq)
-                self._inflight_ticks = max(0, self._inflight_ticks - 1)
+                self._inflight = None
                 self._cond.notify_all()
 
     def _poll_locked(self) -> None:
@@ -895,7 +877,7 @@ class Engine:
         The single-client view :class:`~repro.api.kvstore.KVStore` is
         built on: no queue, no threads, but the same commit and completion
         steps and telemetry as scheduler-formed ticks.  Safe to call while
-        the engine runs threaded (it serialises with the executor).
+        the engine runs threaded (it serialises with the worker).
 
         A failure — in planning or in the commit step — is recorded as a
         failed tick and then propagates; with ``transactional_ticks`` the
@@ -904,9 +886,9 @@ class Engine:
         fault domain.
         """
         mode = self.consistency if consistency is None else Consistency(consistency)
-        # Inline ticks always plan on the backend's own device: the
-        # scheduler thread owns the dedicated planning device, and the
-        # backend devices are quiescent while we hold the executor lock.
+        # Inline ticks plan on the backend's own device: the worker owns
+        # the dedicated planning device, and the backend devices are
+        # quiescent while we hold the executor lock.
         plan_device = _backend_device(self.backend)
         tick = _FormedTick(
             batch.size, TickTrigger.DIRECT, time.monotonic(), batch=batch
@@ -934,7 +916,7 @@ class Engine:
         return result
 
     # ------------------------------------------------------------------ #
-    # Scheduler / executor threads
+    # The worker thread
     # ------------------------------------------------------------------ #
     def _cut_tick_locked(self) -> List[_Entry]:
         """Pop whole entries until the tick reaches the target size.
@@ -972,58 +954,57 @@ class Engine:
 
     def _expose_shed_seq_locked(self) -> None:
         """Shed seqs must reach :meth:`flush` so it completes, but may
-        not overtake a tick still in flight: expose them only once
-        nothing older is planning or executing."""
-        if self._inflight_ticks == 0 and self._pending_shed_seq:
+        not overtake a tick still in flight: expose them only once the
+        worker's tick is recorded."""
+        if self._inflight is None and self._pending_shed_seq:
             self._completed_seq = max(
                 self._completed_seq, self._pending_shed_seq
             )
             self._pending_shed_seq = 0
             self._cond.notify_all()
 
-    def _scheduler_loop(self) -> None:
+    def _worker_loop(self) -> None:
+        """Cut a tick, plan it, commit and complete it; repeat until the
+        engine closes with its queue drained, or fail-stops."""
         while True:
-            tick: Optional[_FormedTick] = None
-            with self._cond:
-                while tick is None:
-                    if self._failed_error is not None:
-                        break
-                    if self._queue:
-                        if self._closing or self._flush_requested:
-                            trigger = TickTrigger.FLUSH
-                        else:
-                            age = time.monotonic() - self._queue[0].t_submit
-                            trigger = self.config.trigger(self._queued_ops, age)
-                        if trigger is not None:
-                            entries = self._cut_tick_locked()
-                            if not entries:
-                                self._expose_shed_seq_locked()
-                                continue
-                            # The supervisor's reap holds the tick before
-                            # anything that can fail touches it, so a
-                            # crash never strands its tickets.
-                            self._inflight_ticks += 1
-                            tick = self._pending_cut = self._form_tick(
-                                entries, trigger
-                            )
-                            break
-                        self._cond.wait(self.config.time_until_deadline(age))
-                        continue
-                    if self._flush_requested:
-                        self._flush_requested = False
-                        self._cond.notify_all()
-                    if self._closing:
-                        break
-                    self._cond.wait()
-            if tick is None:  # closing (queue drained) or fail-stopped
-                self._put_exec(None)
+            tick = self._cut_next_tick()
+            if tick is None:
                 return
             outcome = self._plan_tick(tick)
-            self._pending_cut = None
-            if outcome is None:
-                continue  # the tick was fully resolved by the plan-failure path
-            if not self._put_exec(outcome):
-                return  # fail-stopped while the hand-off queue was full
+            if outcome is not None:  # None: resolved by the plan-failure path
+                self._execute_tick(*outcome)
+
+    def _cut_next_tick(self) -> Optional[_FormedTick]:
+        """Wait for the dual trigger (or a flush, or close) and cut the
+        next tick; ``None`` once closing with the queue drained, or
+        fail-stopped."""
+        with self._cond:
+            while self._failed_error is None:
+                if self._queue:
+                    if self._closing or self._flush_requested:
+                        trigger = TickTrigger.FLUSH
+                    else:
+                        age = time.monotonic() - self._queue[0].t_submit
+                        trigger = self.config.trigger(self._queued_ops, age)
+                    if trigger is None:
+                        self._cond.wait(self.config.time_until_deadline(age))
+                        continue
+                    entries = self._cut_tick_locked()
+                    if entries:
+                        # The supervisor's reap holds the tick before
+                        # anything that can fail touches it, so a crash
+                        # never strands its tickets.
+                        self._inflight = self._form_tick(entries, trigger)
+                        return self._inflight
+                    self._expose_shed_seq_locked()
+                    continue
+                if self._flush_requested:
+                    self._flush_requested = False
+                    self._cond.notify_all()
+                if self._closing:
+                    return None
+                self._cond.wait()
+            return None
 
     @staticmethod
     def _form_tick(
@@ -1057,14 +1038,14 @@ class Engine:
     def _plan_tick(
         self, tick: _FormedTick
     ) -> Optional[Tuple[_FormedTick, Plan]]:
-        """The pipeline's first stage: plan the tick outside the lock,
-        overlapping the executor thread's work on the previous tick.
+        """Plan the tick on the worker's planning device, outside the
+        executor lock (inline :meth:`apply` ticks may run meanwhile).
 
         A planning failure (a poison submission, an injected crash) must
-        not kill this thread.  The backend is untouched, so the tick is
+        not kill the worker.  The backend is untouched, so the tick is
         failed wholesale with the planner's error — or, with quarantine
         on, isolated with plan-only probes and the innocents' retry tick
-        continues down the pipeline.  ``None`` means fully resolved.
+        goes on to commit.  ``None`` means fully resolved.
         """
         device = self._plan_device
         try:
@@ -1078,29 +1059,16 @@ class Engine:
             if retry is None:
                 self._complete_tick(tick, None, exc)
             return retry
-        with self._cond:
-            self._plan_seconds_total += device.simulated_seconds - plan_before
+        tick.plan_seconds = device.simulated_seconds - plan_before
         return tick, plan
 
-    def _executor_loop(self) -> None:
-        while True:
-            item = self._exec_queue.get()
-            if item is None:
-                return
-            tick, plan = item
-            with self._cond:
-                failed = self._failed_error
-            if failed is not None:
-                self._fail_tick(tick, failed)
-                return
-            self._executing = tick
-            self._execute_tick(tick, plan)
-            self._executing = None
-
     def _execute_tick(self, tick: _FormedTick, plan: Plan) -> None:
-        """The executor's per-tick entry: commit under the executor lock
-        (a rolled-back tick, with quarantine on, is isolated and its
-        innocents committed again), then complete and poll outside it."""
+        """The worker's commit step: commit under the executor lock (a
+        rolled-back tick, with quarantine on, is isolated and its
+        innocents committed again), then complete and poll outside it.
+        The tick's plan time is charged with its execution, as
+        :meth:`apply` charges it."""
+        plan_seconds = tick.plan_seconds
         with self._exec_lock:
             sim_before = simulated_seconds(self.backend)
             result, error, token = self._commit_locked(tick.batch, plan)
@@ -1125,12 +1093,14 @@ class Engine:
                             cause=error,
                         )
             sim_delta = simulated_seconds(self.backend) - sim_before
-        # Guarded: a crash here must not kill the executor thread with
-        # tickets dangling — they fail typed and the loop keeps serving.
+        # Guarded: a crash here must not kill the worker with tickets
+        # dangling — they fail typed and the loop keeps serving.
         try:
             if error is None:
                 self._check_fault("engine.pre_resolve")
-            self._complete_tick(tick, result, error, sim_delta)
+            self._complete_tick(
+                tick, result, error, sim_delta + plan_seconds, plan_seconds
+            )
         except Exception as exc:
             self._fail_tick(
                 tick,
@@ -1204,23 +1174,6 @@ class Engine:
         point (no-op without an injector)."""
         faults_mod.check(self._fault_injector, point)
 
-    def _put_exec(self, item) -> bool:
-        """Hand an item to the executor, backing off if the depth-1
-        pipeline queue is full.  Returns False — after failing the item's
-        tick — when the engine fail-stopped while we waited (a wedged
-        executor would otherwise block the scheduler forever)."""
-        while True:
-            try:
-                self._exec_queue.put(item, timeout=0.05)
-                return True
-            except queue_module.Full:
-                with self._cond:
-                    failed = self._failed_error
-                if failed is not None:
-                    if item is not None:
-                        self._fail_tick(item[0], failed)
-                    return False
-
     def _note_fault_locked(self) -> bool:
         """Count one internal (non-client-attributable) fault, degrading
         health (holding ``_cond``); True once the fault budget is spent."""
@@ -1239,14 +1192,14 @@ class Engine:
         if over_limit:
             self._fail_engine(exc)
 
-    def _run_supervised(self, body, name: str) -> None:
-        """Thread wrapper: a loop crash never wedges the engine.
+    def _run_supervised(self) -> None:
+        """The worker thread's body: a loop crash never wedges the engine.
         Supervised, the loop restarts in place (same thread — no leak)
         after its in-flight tick is reaped; unsupervised, or past the
         fault budget, the engine fail-stops."""
         while True:
             try:
-                body()
+                self._worker_loop()
                 return
             except Exception as exc:
                 with self._cond:
@@ -1257,24 +1210,24 @@ class Engine:
                         and self._failed_error is None
                     )
                     if restart:
-                        self._loop_restarts[name] += 1
+                        self._loop_restarts += 1
                 self._reap_inflight(exc)
                 if not restart:
                     self._fail_engine(exc)
                     return
 
     def _reap_inflight(self, cause: BaseException) -> None:
-        """Fail whatever tick a crashed loop held (one it had already
-        completed is left alone)."""
-        wrapped = EngineInternalError(
-            "engine thread crashed while this tick was in flight",
-            cause=cause,
-        )
-        for tick in (self._pending_cut, self._executing):
-            if tick is not None and not all(e.ticket.done for e in tick.entries):
-                self._fail_tick(tick, wrapped)
-        self._pending_cut = None
-        self._executing = None
+        """Fail the tick a crashed worker held, unless it was already
+        recorded; tickets it had resolved keep their answers."""
+        tick = self._inflight
+        if tick is not None:
+            self._fail_tick(
+                tick,
+                EngineInternalError(
+                    "engine thread crashed while this tick was in flight",
+                    cause=cause,
+                ),
+            )  # the tick's record empties the slot
 
     def _fail_engine(self, cause: BaseException) -> None:
         """Fail-stop: refuse new work, unwedge everyone waiting.
@@ -1282,7 +1235,8 @@ class Engine:
         Every queued and in-flight tick goes through the failure step
         with a typed :class:`EngineInternalError`; blocked submitters and
         flushers are woken and the watermark jumps to the high mark, so
-        the failure surfaces on tickets, not as a hang.  Terminal.
+        the failure surfaces on tickets, not as a hang.  Terminal: the
+        worker — the only caller — stops at its next cut.
         """
         wrapped = (
             cause
@@ -1297,26 +1251,11 @@ class Engine:
             self._queue.clear()
             self._queued_ops = 0
             self._completed_seq = max(self._completed_seq, self._seq)
-            self._inflight_ticks = 0
             self._pending_shed_seq = 0
             self._cond.notify_all()
+        self._reap_inflight(cause)
         if drained:
             self._fail_tick(self._form_tick(drained, TickTrigger.FLUSH), wrapped)
-        self._reap_inflight(cause)
-        # Unwedge the other loop: plant the shutdown sentinel, failing
-        # whatever tick occupies the depth-1 hand-off queue (bounded: the
-        # peer may be putting, but it checks _failed_error on Full too).
-        for _ in range(100):
-            try:
-                self._exec_queue.put_nowait(None)
-                break
-            except queue_module.Full:
-                try:
-                    item = self._exec_queue.get_nowait()
-                except queue_module.Empty:
-                    continue
-                if item is not None:
-                    self._fail_tick(item[0], wrapped)
 
     # ------------------------------------------------------------------ #
     # Engine-scheduled maintenance
@@ -1389,11 +1328,11 @@ class Engine:
     ) -> None:
         """Fold one finished tick into the telemetry.  ``last_seq`` is
         given by a tick that went through admission: its final record
-        exposes that sequence watermark to :meth:`flush` and hands back
-        the tick's in-flight slot."""
+        exposes that sequence watermark to :meth:`flush` and empties the
+        worker's in-flight slot."""
         with self._cond:
             if last_seq is not None:
-                self._inflight_ticks = max(0, self._inflight_ticks - 1)
+                self._inflight = None
                 self._completed_seq = max(self._completed_seq, last_seq)
             if failed:
                 self._failed_ticks += 1
@@ -1465,7 +1404,7 @@ class Engine:
                 quarantined_ticks=self._quarantined_ticks,
                 poisoned_entries=self._poisoned_entries,
                 internal_faults=self._health.internal_faults,
-                loop_restarts=sum(self._loop_restarts.values()),
+                loop_restarts=self._loop_restarts,
                 health=self._health.state.value,
                 backend_rebalance=self.backend_rebalance_stats(),
             )

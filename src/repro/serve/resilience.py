@@ -26,8 +26,8 @@ its own fault domain:
   fault-free run (same canonical fold, same arrival order among
   innocents, same pre-tick snapshot).  Poison tickets fail with
   :class:`~repro.serve.errors.PoisonOperationError`.
-* **Supervised threads** (``supervised=True``) — the scheduler/executor
-  loops restart after an unexpected crash instead of wedging, up to
+* **Supervised worker** (``supervised=True``) — the worker loop
+  restarts after an unexpected crash instead of wedging, up to
   ``max_internal_faults`` total internal faults, after which the engine
   fail-stops: every queued and in-flight ticket fails with
   :class:`~repro.serve.errors.EngineInternalError` and submitters are
@@ -119,8 +119,8 @@ class ResilienceConfig:
         guarantee documented in :mod:`repro.serve.resilience`.  Requires
         ``transactional_ticks``.
     supervised:
-        Restart a crashed scheduler/executor loop instead of
-        fail-stopping on the first crash.
+        Restart a crashed worker loop instead of fail-stopping on the
+        first crash.
     max_internal_faults:
         With ``supervised``, fail-stop once this many internal faults
         have accumulated (``None`` = keep restarting forever).

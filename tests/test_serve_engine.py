@@ -31,6 +31,7 @@ from repro import (
     TickConfig,
     TickTrigger,
 )
+from repro.bench.workloads import MixedOpConfig, make_mixed_batches
 from repro.core.config import LSMConfig
 from repro.core.lsm import GPULSM
 from repro.gpu.device import Device
@@ -234,13 +235,12 @@ class TestThreadedEngine:
         )
         engine.start()
         try:
-            # Hold the backend so the pipeline (one executing tick + one
-            # planned tick) fills and the admission queue backs up.
+            # Hold the backend so the worker's one cut tick waits on the
+            # lock and the admission queue backs up behind it.
             with engine._exec_lock:
-                for _ in range(3):  # tick executing, tick queued, tick cut
-                    for k in range(4):
-                        engine.submit(Op.insert(k, k), timeout=WAIT)
-                    assert _wait_until(lambda: engine.queue_depth == 0)
+                for k in range(4):  # the tick the worker cuts and holds
+                    engine.submit(Op.insert(k, k), timeout=WAIT)
+                assert _wait_until(lambda: engine.queue_depth == 0)
                 for k in range(4):  # refill the admission queue to the bound
                     engine.submit(Op.insert(k, k), timeout=WAIT)
                 with pytest.raises(EngineSaturatedError, match="backpressure"):
@@ -252,6 +252,59 @@ class TestThreadedEngine:
         finally:
             engine.close()
         assert engine.stats().max_queue_depth_seen >= 4
+
+    def test_one_worker_thread(self):
+        """A started engine adds exactly one thread, ``serve-executor``,
+        and ``close()`` returns the process to its thread baseline."""
+        before = set(threading.enumerate())
+        engine = Engine(_lsm(), TickConfig(target_tick_size=4, linger=60.0))
+        engine.start()
+        try:
+            added = set(threading.enumerate()) - before
+            assert [t.name for t in added] == ["serve-executor"]
+            ticket = engine.submit(Op.insert(1, 1))
+            engine.flush(WAIT)
+            assert ticket.result(WAIT).ok
+            assert set(threading.enumerate()) - before == added
+        finally:
+            engine.close()
+        assert set(threading.enumerate()) <= before
+
+    def test_threaded_ticks_charge_plan_time_as_apply_does(self):
+        """Whole-tick submissions through the worker and the same batches
+        through ``apply`` report the same ticks, answers and simulated
+        seconds, plan time included; the worker plans off the backend's
+        device."""
+        batches = make_mixed_batches(
+            MixedOpConfig(num_ops=6 * 64, tick_size=64, seed=5)
+        )
+        inline = Engine(_lsm())
+        inline_results = [inline.apply(b) for b in batches]
+        backend = _lsm()
+        with Engine(
+            backend, TickConfig(target_tick_size=64, linger=60.0)
+        ) as threaded:
+            threaded_results = [
+                threaded.submit_batch(b).result(WAIT) for b in batches
+            ]
+        want, got = inline.stats(), threaded.stats()
+        assert got.ticks == want.ticks == len(batches)
+        assert got.triggers == {"size": len(batches)}
+        for a, b in zip(threaded_results, inline_results):
+            for column in ("statuses", "found", "values", "counts",
+                           "range_offsets", "range_keys", "range_values"):
+                np.testing.assert_array_equal(
+                    getattr(a, column), getattr(b, column)
+                )
+        assert got.plan_seconds > 0
+        assert got.plan_seconds == pytest.approx(want.plan_seconds, rel=1e-12)
+        assert got.simulated_seconds == pytest.approx(
+            want.simulated_seconds, rel=1e-12
+        )
+        assert not any(
+            name.startswith("api.plan")
+            for name in backend.device.counter.per_kernel
+        )
 
     def test_failed_tick_resolves_tickets_with_the_error(self):
         class Exploding:
