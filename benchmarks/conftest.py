@@ -39,16 +39,6 @@ SCALES = {
         "cleanup": dict(batch_size=1 << 10, num_batches=63),
         "cleanup_speedup": dict(batch_size=1 << 9, num_batches=127,
                                 stale_fraction=0.1, num_queries=1 << 14),
-        "sharded": dict(total_elements=1 << 15, batch_size=1 << 10,
-                        shard_counts=(1, 2, 4, 8)),
-        "mixed": dict(num_ops=1 << 14, tick_size=1 << 10),
-        "serve": dict(num_ops=1 << 12, target_tick_size=1 << 8,
-                      utilisations=(0.5, 0.9, 2.0)),
-        "query_accel": dict(total_elements=1 << 14, queries_per_cell=1 << 11),
-        "maintenance": dict(batch_size=1 << 9, num_steps=40,
-                            queries_per_step=1 << 11),
-        "rebalance": dict(num_ops=1 << 14, tick_size=1 << 9,
-                          shard_counts=(8, 16)),
     },
     "paper": {
         "table1": dict(small_elements=1 << 12, large_elements=1 << 16, batch_size=1 << 9),
@@ -64,16 +54,6 @@ SCALES = {
         "cleanup": dict(batch_size=1 << 12, num_batches=63),
         "cleanup_speedup": dict(batch_size=1 << 11, num_batches=127,
                                 stale_fraction=0.1, num_queries=1 << 15),
-        "sharded": dict(total_elements=1 << 17, batch_size=1 << 12,
-                        shard_counts=(1, 2, 4, 8, 16)),
-        "mixed": dict(num_ops=1 << 17, tick_size=1 << 12),
-        "serve": dict(num_ops=1 << 16, target_tick_size=1 << 11,
-                      utilisations=(0.5, 0.9, 2.0)),
-        "query_accel": dict(total_elements=1 << 17, queries_per_cell=1 << 13),
-        "maintenance": dict(batch_size=1 << 11, num_steps=64,
-                            queries_per_step=1 << 13),
-        "rebalance": dict(num_ops=1 << 16, tick_size=1 << 11,
-                          shard_counts=(8, 16, 32)),
     },
 }
 

@@ -15,16 +15,6 @@ One module per concern:
 * :mod:`repro.bench.cleanup_exp` — the cleanup-rate and cleanup-speedup
   experiments of Section V-D, extended with a full-vs-incremental
   reclaim-cost comparison.
-* :mod:`repro.bench.maintenance` — beyond the paper: sustained serving
-  throughput and p95 query latency under delete-heavy and update-heavy
-  churn, for no-maintenance / full-cleanup / incremental+policy
-  configurations of the maintenance subsystem.
-* :mod:`repro.bench.serve` — beyond the paper: the open-loop serving
-  experiment (latency percentiles vs offered load under the adaptive tick
-  scheduler of :mod:`repro.serve`).
-* :mod:`repro.bench.query_accel` — beyond the paper: the query
-  acceleration sweep (fence / Bloom / sorted-probe lookup rates against
-  the unfiltered path, across hit / miss / Zipf query populations).
 * :mod:`repro.bench.report` — plain-text and CSV rendering of rows/series.
 * :mod:`repro.bench.wallclock` — the deterministic prefill that seeds the
   stores of ``benchmarks/e2e``, the repository's wall-clock record.
@@ -39,15 +29,7 @@ rows of every table and figure.
 
 from repro.bench.workloads import WorkloadConfig, make_workload
 from repro.bench.runner import ExperimentRunner, RateSummary
-from repro.bench import (
-    cleanup_exp,
-    figures,
-    maintenance,
-    query_accel,
-    report,
-    serve,
-    tables,
-)
+from repro.bench import cleanup_exp, figures, report, tables
 
 __all__ = [
     "WorkloadConfig",
@@ -57,8 +39,5 @@ __all__ = [
     "tables",
     "figures",
     "cleanup_exp",
-    "maintenance",
-    "query_accel",
     "report",
-    "serve",
 ]

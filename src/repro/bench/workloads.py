@@ -233,9 +233,9 @@ def derived_rng(seed: int, *stream: int) -> np.random.Generator:
     """An independent RNG stream derived from one top-level seed.
 
     Consumers that need extra randomness *alongside* a generated workload
-    (an open-loop benchmark's arrival times, a stress test's client
-    interleaving) derive it with a distinct ``stream`` tag instead of
-    inventing their own seed defaults — drawing from a derived stream can
+    (a hot-key set, arrival times, a stress test's client interleaving)
+    derive it with a distinct ``stream`` tag instead of inventing their
+    own seed defaults — drawing from a derived stream can
     never perturb the operation stream itself, so the whole multi-batch
     workload stays reproducible from the single ``MixedOpConfig.seed``.
     """

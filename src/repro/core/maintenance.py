@@ -532,8 +532,8 @@ class LevelCountPolicy(MaintenancePolicy):
     rather than the whole structure.
 
     With ``full_rebuild=True`` the trip runs a full :func:`run_cleanup`
-    instead (the whole-structure answer, used as the ``full``
-    configuration of the maintenance benchmark).  Note that a full
+    instead (the whole-structure answer, the ``full`` configuration of
+    the churn floors in ``tests/test_maintenance_subsystem.py``).  Note that a full
     cleanup's level count is dictated by the surviving element count, so
     unlike the fold it cannot promise to get under the bound when the
     live population alone needs that many levels.
@@ -602,7 +602,8 @@ class AnyOf(MaintenancePolicy):
     ``AnyOf(LevelCountPolicy(6), StaleFractionPolicy(0.5))`` keeps the
     level count bounded with cheap incremental compactions and falls back
     to a full cleanup when staleness accumulates anyway — the
-    ``incremental+policy`` configuration of the maintenance benchmark.
+    ``incremental`` configuration of the churn floors in
+    ``tests/test_maintenance_subsystem.py``.
     """
 
     name = "any_of"

@@ -25,11 +25,11 @@ def percentile_summary(
 ) -> Dict[str, float]:
     """Latency-style percentile columns (``p50`` / ``p95`` / ``p99`` …).
 
-    The serving telemetry (:meth:`repro.serve.engine.Engine.stats`) and the
-    open-loop benchmark report per-operation latency through this one
-    helper so every surface uses the same column names and the same
-    (linear-interpolation) percentile definition.  Empty input yields NaN
-    columns, matching how the report writer renders missing cells.
+    The exact (linear-interpolation) percentiles that
+    :class:`LatencyHistogram`, behind the serving telemetry of
+    :meth:`repro.serve.engine.Engine.stats`, approximates under the same
+    column names.  Empty input yields NaN columns, matching how the report
+    writer renders missing cells.
     """
     arr = np.asarray(list(values), dtype=np.float64)
     if arr.size == 0:

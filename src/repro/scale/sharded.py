@@ -1144,8 +1144,8 @@ class ShardedLSM:
             shard.rollback_to(sub)
 
     def shard_stats(self) -> List[dict]:
-        """Per-shard occupancy, profiler and traffic counters (for the
-        bench report and the rebalance planner's diagnostics)."""
+        """Per-shard occupancy, profiler and traffic counters (per-shard
+        rates and the rebalance planner's diagnostics)."""
         rows = []
         for s, shard in enumerate(self.shards):
             lo, hi = self.shard_range(s)

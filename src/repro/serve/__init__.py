@@ -7,8 +7,7 @@ exactly those batches:
 
 * :mod:`repro.serve.scheduler` — :class:`TickConfig`, the dual-trigger
   (target tick size *or* linger deadline) tick-formation policy with a
-  backpressure bound, shared by the threaded engine and the open-loop
-  benchmark simulator.
+  backpressure bound, applied by the threaded engine's worker.
 * :mod:`repro.serve.engine` — :class:`Engine`: thread-safe
   ``submit(op) -> OpTicket`` / ``submit_batch(batch) -> BatchTicket``
   admission and one worker thread that cuts each tick, plans it and

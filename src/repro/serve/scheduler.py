@@ -15,10 +15,8 @@ queued, :meth:`repro.serve.engine.Engine.submit` blocks (backpressure)
 instead of letting the queue grow without bound.
 
 The decision function :meth:`TickConfig.trigger` is *pure* — it looks only
-at the queue length and the oldest op's age — so the threaded engine
-(wall-clock ages) and the open-loop benchmark simulator (simulated-clock
-ages, :mod:`repro.bench.serve`) share one tick-formation policy instead of
-re-implementing it twice.
+at the queue length and the oldest op's age — so the threaded engine's
+worker and the tests that pin each trigger drive the same policy.
 """
 
 from __future__ import annotations
@@ -50,8 +48,7 @@ class TickConfig:
         overshoot by at most one client batch).
     linger:
         Seconds the oldest queued operation may wait before the deadline
-        trigger cuts a partial tick.  Wall-clock seconds in the threaded
-        engine, simulated seconds in the open-loop benchmark.
+        trigger cuts a partial tick, in wall-clock seconds.
     max_queue_depth:
         Backpressure bound on queued (admitted, not yet executed)
         operations.  Defaults to ``4 * target_tick_size``.

@@ -54,6 +54,39 @@ def recording_device():
     return lambda: RecordingDevice(K40C_SPEC, seed=1)
 
 
+def _assert_results_bit_identical(a, b, context=""):
+    where = f" ({context})" if context else ""
+    if not np.array_equal(a.statuses, b.statuses):
+        raise AssertionError(f"statuses diverged{where}")
+    if not np.array_equal(a.found, b.found):
+        raise AssertionError(f"found flags diverged{where}")
+    if (a.values is None) != (b.values is None) or (
+        a.values is not None and not np.array_equal(a.values, b.values)
+    ):
+        raise AssertionError(f"values diverged{where}")
+    if not np.array_equal(a.counts, b.counts):
+        raise AssertionError(f"counts diverged{where}")
+    if not np.array_equal(a.range_offsets, b.range_offsets):
+        raise AssertionError(f"range offsets diverged{where}")
+    if not np.array_equal(a.range_keys, b.range_keys):
+        raise AssertionError(f"range keys diverged{where}")
+    if (a.range_values is None) != (b.range_values is None) or (
+        a.range_values is not None
+        and not np.array_equal(a.range_values, b.range_values)
+    ):
+        raise AssertionError(f"range values diverged{where}")
+    if sorted(a.errors) != sorted(b.errors):
+        raise AssertionError(f"error sets diverged{where}")
+
+
+@pytest.fixture
+def assert_results_bit_identical():
+    """``check(a, b, context="")``: raise ``AssertionError`` unless two
+    :class:`~repro.api.ops.ResultBatch` objects agree bit for bit — the
+    comparison behind every "this knob changes no answer" test."""
+    return _assert_results_bit_identical
+
+
 @pytest.fixture
 def rng():
     """Deterministic NumPy RNG."""

@@ -23,10 +23,13 @@ from repro.api import (
 )
 from repro.baselines.cuckoo_hash import CuckooHashTable
 from repro.baselines.sorted_array import GPUSortedArray
+from repro.bench.runner import PAPER_INSERTION_ELEMENTS, scaled_spec
+from repro.bench.workloads import MixedOpConfig, make_mixed_batches
 from repro.core.config import LSMConfig
 from repro.core.lsm import GPULSM
 from repro.gpu.device import Device
 from repro.gpu.spec import K40C_SPEC
+from repro.scale.protocol import simulated_seconds
 from repro.scale.sharded import ShardedLSM
 
 KEY_SPACE = 48  # small on purpose: maximises duplicate/delete interactions
@@ -490,3 +493,44 @@ class TestFacadeBasics:
         out = store.lookup(keys)
         assert out.found.all()
         assert np.array_equal(out.values, (keys * 3).astype(out.values.dtype))
+
+
+class TestMixedTickPays:
+    """One :class:`OpBatch` tick folds its insertions and deletions into one
+    canonical cascade and serves each query kind with one bulk pass; the
+    same traffic split into homogeneous per-method calls pays two padded
+    update cascades.  The stream is 16 ticks of 1024 mixed operations on a
+    device scaled to that size."""
+
+    @pytest.mark.parametrize("num_shards", [None, 4], ids=["gpulsm", "sharded4"])
+    def test_one_tick_beats_the_segregated_calls(self, num_shards):
+        num_ops, tick = 1 << 14, 1 << 10
+        batches = make_mixed_batches(
+            MixedOpConfig(num_ops=num_ops, tick_size=tick, seed=0xC0FFEE)
+        )
+        spec = scaled_spec(num_ops, PAPER_INSERTION_ELEMENTS)
+
+        def backend():
+            if num_shards is None:
+                return GPULSM(batch_size=tick, device=Device(spec, seed=1))
+            return ShardedLSM(num_shards, batch_size=tick, spec=spec, seed=1)
+
+        store, segregated = KVStore(backend=backend()), backend()
+        issued = 0
+        for batch in batches:
+            store.apply(batch)
+            keys, ends = batch.keys, batch.range_ends
+            for code, call, columns in (
+                (OpCode.INSERT, segregated.insert, (keys, batch.values)),
+                (OpCode.DELETE, segregated.delete, (keys,)),
+                (OpCode.LOOKUP, segregated.lookup, (keys,)),
+                (OpCode.COUNT, segregated.count, (keys, ends)),
+                (OpCode.RANGE, segregated.range_query, (keys, ends)),
+            ):
+                mask = batch.opcodes == code
+                if mask.any():
+                    call(*(column[mask] for column in columns))
+                    issued += int(mask.sum())
+        assert store.stats().ops_completed == issued == num_ops
+        # Equal op totals, so the rate ratio is the inverse clock ratio.
+        assert simulated_seconds(segregated) > 1.05 * simulated_seconds(store.backend)

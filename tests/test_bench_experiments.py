@@ -1,5 +1,5 @@
-"""Smoke and shape tests for the experiment harness (tables, figures, cleanup,
-and the rebalance benchmark's bit-identity assertion).
+"""Smoke and shape tests for the experiment harness (tables, figures, cleanup),
+plus the shared bit-identity assertion of ``tests/conftest.py``.
 
 These run every table/figure generator at a tiny scale and assert the
 qualitative relationships the paper reports — the same checks the targets
@@ -11,7 +11,6 @@ import numpy as np
 import pytest
 
 from repro.bench import cleanup_exp, figures, report, tables
-from repro.bench.rebalance import assert_results_bit_identical
 
 
 pytestmark = pytest.mark.filterwarnings("ignore")
@@ -250,10 +249,10 @@ class TestBitIdentityAssertion:
         base.update(overrides)
         return ResultBatch(**base)
 
-    def test_identical_results_pass(self):
+    def test_identical_results_pass(self, assert_results_bit_identical):
         assert_results_bit_identical(self._result(), self._result())
 
-    def test_value_divergence_raises(self):
+    def test_value_divergence_raises(self, assert_results_bit_identical):
         with pytest.raises(AssertionError, match="values"):
             assert_results_bit_identical(
                 self._result(),
@@ -261,7 +260,7 @@ class TestBitIdentityAssertion:
                 context="tick 3",
             )
 
-    def test_found_divergence_raises(self):
+    def test_found_divergence_raises(self, assert_results_bit_identical):
         with pytest.raises(AssertionError, match="found"):
             assert_results_bit_identical(
                 self._result(), self._result(found=np.array([True, True]))

@@ -114,7 +114,7 @@ class TestMixedStreamSeeding:
         """Drawing from a derived stream cannot perturb the op stream."""
         config = MixedOpConfig(num_ops=1 << 9, tick_size=1 << 7, seed=99)
         before = make_mixed_batches(config)
-        # A consumer (e.g. the open-loop benchmark's arrival process)
+        # A consumer (e.g. an arrival-time process)
         # derives extra randomness from the same top-level seed…
         derived_rng(config.seed, 0xA221).exponential(1.0, 100)
         after = make_mixed_batches(config)

@@ -23,7 +23,6 @@ import pytest
 
 from repro.api.kvstore import KVStore
 from repro.api.ops import OpBatch
-from repro.bench.rebalance import assert_results_bit_identical
 from repro.bench.workloads import MixedOpConfig, make_mixed_batches
 from repro.core.lsm import GPULSM
 from repro.durability.faults import FaultInjector, InjectedCrash
@@ -257,7 +256,9 @@ def _insert_batch_arrays(lo, n):
 class TestEngineWiring:
     @pytest.mark.parametrize("fsync_every", [1, 8])
     @pytest.mark.parametrize("kind", ["gpulsm", "sharded4"])
-    def test_durability_off_is_bitwise_invisible(self, tmp_path, kind, fsync_every):
+    def test_durability_off_is_bitwise_invisible(
+        self, tmp_path, kind, fsync_every, assert_results_bit_identical
+    ):
         """The WAL changes no answer on a mixed stream (COUNT/RANGE
         included), at fsync-every-tick and at group commit, and a backend
         recovered from the log holds the live store's levels byte for

@@ -4,13 +4,17 @@ Covers the extracted cleanup stage pipeline, incremental
 ``compact_levels(k)`` compaction, the pluggable maintenance policies
 (ManualOnly / StaleFractionPolicy / LevelCountPolicy / AnyOf), the
 per-shard evaluation and selective ``cleanup(shards=...)`` of the sharded
-front-end, and the engine-scheduled maintenance polls between ticks.
+front-end, the engine-scheduled maintenance polls between ticks, and what
+the policies buy a serving loop under churn on the simulated clock.
 """
+
+import functools
 
 import numpy as np
 import pytest
 
 from repro.api.ops import OpBatch
+from repro.bench.runner import PAPER_INSERTION_ELEMENTS, scaled_spec
 from repro.core.config import LSMConfig
 from repro.core.invariants import check_lsm_invariants
 from repro.core.lsm import GPULSM
@@ -21,6 +25,7 @@ from repro.core.maintenance import (
     ManualOnly,
     StaleFractionPolicy,
 )
+from repro.gpu.device import Device
 from repro.scale.sharded import ShardedLSM
 from repro.serve.engine import Engine
 from repro.serve.scheduler import TickConfig
@@ -609,3 +614,79 @@ class TestEngineScheduledMaintenance:
         stats = engine.stats()
         assert stats.maintenance_runs == 0
         assert stats.backend_maintenance is None
+
+
+#: The policies a serving loop under churn is run with.  ``full`` answers
+#: both triggers with a whole-structure rebuild; ``incremental`` keeps the
+#: level count down with prefix compactions and rebuilds only once
+#: staleness piles up anyway (a prefix compaction cannot reclaim a
+#: tombstone/victim pair that spans the prefix and an untouched level).
+CHURN_POLICIES = {
+    "none": lambda: None,
+    "full": lambda: AnyOf(
+        StaleFractionPolicy(threshold=0.35),
+        LevelCountPolicy(max_occupied_levels=2, full_rebuild=True),
+    ),
+    "incremental": lambda: AnyOf(
+        LevelCountPolicy(max_occupied_levels=2),
+        StaleFractionPolicy(threshold=0.7),
+    ),
+}
+
+
+@functools.lru_cache(maxsize=None)
+def _churn(workload, policy):
+    """40 steps of one 512-key update batch, a maintenance poll and 2048
+    lookups, on a device scaled to the run.  Returns the lookup answers as
+    bytes, the lookups' simulated seconds over the second half (the steady
+    state) and the maintenance counters."""
+    b, steps, window, num_queries = 1 << 9, 40, 4, 1 << 11
+    device = Device(scaled_spec(b * steps, PAPER_INSERTION_ELEMENTS), seed=91)
+    lsm = GPULSM(
+        config=LSMConfig(batch_size=b, maintenance_policy=CHURN_POLICIES[policy]()),
+        device=device,
+    )
+    rng = np.random.default_rng(91 + 13)
+    answers, steady_seconds = [], 0.0
+    for step in range(steps):
+        if workload == "delete_heavy":
+            # A sliding window: tombstone the block that left it, insert a
+            # fresh one.
+            if step >= window:
+                gone = step - window
+                lsm.delete(np.arange(gone * b, (gone + 1) * b, dtype=np.uint32))
+            keys = np.arange(step * b, (step + 1) * b, dtype=np.uint32)
+            lsm.insert(keys, keys)
+            queries = rng.integers(0, steps * b, num_queries)
+        else:
+            # Re-insertions over a fixed population: replaced copies pile up.
+            keys = rng.choice(window * b, size=b, replace=False).astype(np.uint32)
+            lsm.insert(keys, np.full(b, step, dtype=np.uint32))
+            queries = rng.integers(0, 2 * window * b, num_queries)
+        lsm.run_due_maintenance()
+        before = device.snapshot()
+        result = lsm.lookup(queries.astype(np.uint32))
+        if step >= steps // 2:
+            steady_seconds += device.elapsed_since(before)
+        answers.append((result.found.tobytes(), result.values.tobytes()))
+    return answers, steady_seconds, lsm.maintenance_stats()
+
+
+class TestMaintenanceUnderChurn:
+    @pytest.mark.parametrize("workload", ["delete_heavy", "update_heavy"])
+    def test_policies_run_and_change_no_answer(self, workload):
+        answers, _, stats = _churn(workload, "none")
+        assert stats["runs"] == 0
+        for policy in ("full", "incremental"):
+            maintained, _, stats = _churn(workload, policy)
+            assert maintained == answers, policy
+            assert stats["runs"] > 0, policy
+        # Not only full rebuilds: the incremental policy compacted.
+        assert _churn(workload, "incremental")[2]["compactions"] > 0
+
+    def test_maintenance_pays_under_deletes(self):
+        # Equal lookups measured, so the query-rate ratio is the inverse
+        # ratio of the steady-state lookup seconds.
+        unmaintained = _churn("delete_heavy", "none")[1]
+        for policy in ("full", "incremental"):
+            assert unmaintained > 1.2 * _churn("delete_heavy", policy)[1], policy

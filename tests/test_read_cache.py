@@ -7,7 +7,6 @@ import pytest
 from repro import KVStore
 from repro.api import Consistency, OpBatch, OpCode
 from repro.baselines.cuckoo_hash import CuckooHashTable
-from repro.bench.rebalance import assert_results_bit_identical
 from repro.bench.wallclock import make_prefill
 from repro.bench.workloads import MixedOpConfig, hot_key_set, make_mixed_batches
 from repro.core.lsm import GPULSM
@@ -229,7 +228,7 @@ class TestEngineIntegration:
                 np.testing.assert_array_equal(cached.values, plain.values)
 
     @pytest.mark.parametrize("kind", ["gpulsm", "sharded4"])
-    def test_cached_replay_matches_uncached(self, kind):
+    def test_cached_replay_matches_uncached(self, assert_results_bit_identical, kind):
         """A prefilled multi-level store, a mixed stream (COUNT / RANGE
         included), then hot-key lookups: the cached engine answers every
         tick bit for bit as the uncached one, and serves the hot reads."""

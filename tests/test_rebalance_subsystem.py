@@ -1,13 +1,18 @@
 """Unit tests for load-aware shard rebalancing: the split/merge
 primitives on :class:`~repro.scale.sharded.ShardedLSM`, the
 :class:`~repro.scale.rebalance.LoadImbalancePolicy`, the split planner,
-the executor, and the engine/KVStore stats surfacing."""
+the executor, the engine/KVStore stats surfacing, and what rebalancing
+buys under skew on the simulated clock."""
+
+import functools
 
 import numpy as np
 import pytest
 
 from repro import KVStore
-from repro.api.ops import OpBatch
+from repro.api.ops import OpBatch, OpCode
+from repro.bench.runner import PAPER_INSERTION_ELEMENTS, scaled_spec
+from repro.bench.workloads import MixedOpConfig, make_mixed_batches
 from repro.core.lsm import GPULSM
 from repro.core.maintenance import MaintenanceAction
 from repro.scale import (
@@ -439,3 +444,92 @@ class TestStatsSurfacing:
         assert action.kind == "rebalance"
         with pytest.raises(ValueError, match="kind"):
             MaintenanceAction(kind="reshard")
+
+
+#: Read-mostly mix of the skew replays: a query's cost tracks the traffic
+#: the router counts, so balancing traffic balances work (an update-heavy
+#: mix spends its time in cascades whose cost follows resident state).
+SKEW_MIX = {
+    OpCode.INSERT: 0.20,
+    OpCode.DELETE: 0.05,
+    OpCode.LOOKUP: 0.60,
+    OpCode.COUNT: 0.075,
+    OpCode.RANGE: 0.075,
+}
+#: ``zipf``: Zipf(1.0) over 1024 keys spread evenly over the domain, so the
+#: popular head is one hot range (~73% of point traffic in the lowest
+#: eighth).  ``hot_tenant``: a steeper curve over 16 keys — fewer tenants
+#: than shards, so one unsplittable key bounds the balance it can reach.
+SKEWS = {
+    "zipf": dict(zipf_theta=1.0, zipf_key_count=1024),
+    "hot_tenant": dict(zipf_theta=1.8, zipf_key_count=16),
+}
+
+
+@functools.lru_cache(maxsize=None)
+def _skew_replay(skew, num_shards, rebalancing):
+    """32 ticks of 512 operations through ``Engine.apply`` on a static
+    partition or under a :class:`LoadImbalancePolicy`; every clock is reset
+    at the halfway tick, so the clocks hold the steady state only."""
+    tick, num_ops = 1 << 9, 1 << 14
+    batches = make_mixed_batches(
+        MixedOpConfig(
+            num_ops=num_ops, tick_size=tick, seed=11, mix=SKEW_MIX, **SKEWS[skew]
+        )
+    )
+    policy = (
+        LoadImbalancePolicy(1.5, min_traffic=tick // 2, cooldown_ticks=0)
+        if rebalancing
+        else None
+    )
+    backend = ShardedLSM(
+        num_shards,
+        batch_size=tick,
+        spec=scaled_spec(num_ops, PAPER_INSERTION_ELEMENTS),
+        seed=1,
+        rebalance_policy=policy,
+        max_shards=num_shards,
+    )
+    engine = Engine(backend)
+    results = []
+    for t, batch in enumerate(batches):
+        if t == len(batches) // 2:
+            backend.reset_counters()
+        results.append(engine.apply(batch))
+    return backend, results
+
+
+def _traffic_imbalance(backend):
+    ewma = backend.rebalance_stats()["shard_traffic_ewma"]
+    return max(ewma) / min(ewma)
+
+
+class TestRebalancingUnderSkew:
+    @pytest.mark.parametrize("num_shards", [8, 16])
+    @pytest.mark.parametrize("skew", ["zipf", "hot_tenant"])
+    def test_rebalancing_moves_rows_and_no_answer(
+        self, assert_results_bit_identical, skew, num_shards
+    ):
+        static, static_results = _skew_replay(skew, num_shards, False)
+        moving, moving_results = _skew_replay(skew, num_shards, True)
+        assert len(static_results) == len(moving_results) == 32
+        for t, (a, b) in enumerate(zip(static_results, moving_results)):
+            assert_results_bit_identical(a, b, f"tick {t}")
+        # Off by default: the static arm never moved a row.
+        stats = static.rebalance_stats()
+        assert stats["rebalance_runs"] == stats["rows_migrated"] == 0
+        assert stats["boundary_version"] == 0
+        # The policy arm really rebalanced.
+        stats = moving.rebalance_stats()
+        assert stats["rebalance_runs"] >= 1 and stats["rows_migrated"] >= 1
+
+    def test_rebalancing_pays_on_zipf_at_8_shards(self):
+        static, _ = _skew_replay("zipf", 8, False)
+        moving, _ = _skew_replay("zipf", 8, True)
+        # Same operations measured, so the rate ratio is the inverse ratio
+        # of the steady-state parallel clocks (router plus slowest shard).
+        speedup = static.profile()["parallel_seconds"] / moving.profile()["parallel_seconds"]
+        assert speedup >= 1.5
+        assert _traffic_imbalance(moving) <= 2.0
+        # The stream is skewed enough to measure rebalancing against.
+        assert _traffic_imbalance(static) > 2.0

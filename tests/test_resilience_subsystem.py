@@ -18,7 +18,6 @@ import pytest
 
 from repro.api.kvstore import KVStore
 from repro.api.ops import Op, OpBatch
-from repro.bench.rebalance import assert_results_bit_identical
 from repro.bench.workloads import MixedOpConfig, make_mixed_batches
 from repro.core.lsm import GPULSM
 from repro.durability.faults import FaultInjector, InjectedCrash
@@ -379,7 +378,7 @@ def _replay_ticks(kind, batches, resilience):
 
 
 @pytest.mark.parametrize("kind", ["gpulsm", "sharded4"])
-def test_recurring_fault_over_a_stream(kind):
+def test_recurring_fault_over_a_stream(kind, assert_results_bit_identical):
     """A fault on every 5th update segment of a mixed stream: protected
     mode answers every op exactly as a fault-free run does, unprotected
     mode loses ticks."""

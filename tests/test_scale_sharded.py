@@ -16,8 +16,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.bench.runner import PAPER_INSERTION_ELEMENTS, scaled_spec
 from repro.bench.wallclock import make_prefill
-from repro.bench.workloads import MixedOpConfig, make_mixed_batches
+from repro.bench.workloads import (
+    MixedOpConfig,
+    WorkloadConfig,
+    make_mixed_batches,
+    make_workload,
+)
 from repro.core.lsm import GPULSM
 from repro.core.semantics import BatchOp, ReferenceDictionary
 from repro.gpu.device import Device
@@ -190,6 +196,33 @@ class TestShardedMechanics:
         assert list(res.found) == [True, False, True]
         with pytest.raises(ValueError, match="no values"):
             sharded.insert(np.array([1], dtype=np.uint32), np.array([1], dtype=np.uint32))
+
+
+def test_shards_buy_parallel_rate_with_serial_work():
+    """32 768 uniform keys inserted in 1024-key batches through 1, 2, 4 and
+    8 shards on a device scaled to that size.  The parallel clock (router
+    plus the slowest shard) falls with every shard added, to below 1/1.5 of
+    one shard's; the serial clock (all the work) rises above one shard's,
+    since routing and padded per-shard batches are extra work; uniform keys
+    keep every shard's insertion rate within 2x of the others'."""
+    total, batch = 1 << 15, 1 << 10
+    spec = scaled_spec(total, PAPER_INSERTION_ELEMENTS)
+    workload = make_workload(WorkloadConfig(num_elements=total, seed=0xC0FFEE))
+    parallel, serial = [], []
+    for num_shards in (1, 2, 4, 8):
+        sharded = ShardedLSM(num_shards=num_shards, batch_size=batch, spec=spec)
+        for keys, values in workload.batches(batch):
+            sharded.insert(keys, values)
+        profile = sharded.profile()
+        parallel.append(profile["parallel_seconds"])
+        serial.append(profile["serial_seconds"])
+        rates = [
+            s["total_insertions"] / s["simulated_seconds"] for s in sharded.shard_stats()
+        ]
+        assert max(rates) < 2.0 * min(rates), num_shards
+    assert parallel == sorted(parallel, reverse=True)
+    assert parallel[0] > 1.5 * parallel[-1]
+    assert all(seconds > serial[0] for seconds in serial[1:])
 
 
 class TestRoutingArithmetic:
