@@ -97,7 +97,6 @@ from repro.durability import (
     EveryNTicks,
     FaultInjector,
     InjectedCrash,
-    NoSnapshots,
     RecoveryReport,
     SnapshotPolicy,
     WalBytesPolicy,
@@ -181,7 +180,6 @@ __all__ = [
     # Durability subsystem (WAL, snapshots, recovery, fault injection)
     "DurabilityConfig",
     "SnapshotPolicy",
-    "NoSnapshots",
     "EveryNTicks",
     "WalBytesPolicy",
     "WriteAheadLog",

@@ -203,29 +203,12 @@ class KVStore:
     # ------------------------------------------------------------------ #
     def supported_operations(self) -> frozenset:
         """The backend's supported operation set (its Table I row)."""
-        probe = getattr(self.backend, "supported_operations", None)
-        if probe is None:
-            from repro.scale.protocol import supports
-
-            return frozenset(
-                op
-                for op in (
-                    "bulk_build",
-                    "insert",
-                    "delete",
-                    "lookup",
-                    "count",
-                    "range_query",
-                )
-                if supports(self.backend, op)
-            )
-        return frozenset(probe())
+        return frozenset(self.backend.supported_operations())
 
     @property
-    def epoch(self):
-        """The backend's structural epoch (``None`` for epoch-less
-        backends)."""
-        return getattr(self.backend, "epoch", None)
+    def epoch(self) -> int:
+        """The backend's structural epoch."""
+        return self.backend.epoch
 
     # ------------------------------------------------------------------ #
     # Maintenance
@@ -245,16 +228,16 @@ class KVStore:
         return self.engine.run_due_maintenance()
 
     def maintenance_stats(self) -> Optional[dict]:
-        """The backend's lifetime maintenance counters (``None`` for
-        backends without a maintenance subsystem); also surfaced on
-        :attr:`EngineStats.backend_maintenance` via :meth:`stats`."""
-        return self.engine.backend_maintenance_stats()
+        """The backend's lifetime maintenance counters —
+        :attr:`EngineStats.backend_maintenance` of :meth:`stats` (``None``
+        for backends without a maintenance subsystem)."""
+        return self.stats().backend_maintenance
 
     def rebalance_stats(self) -> Optional[dict]:
-        """The backend's shard-rebalance counters (``None`` for backends
-        without a rebalancing surface); also surfaced on
-        :attr:`EngineStats.backend_rebalance` via :meth:`stats`."""
-        return self.engine.backend_rebalance_stats()
+        """The backend's shard-rebalance counters —
+        :attr:`EngineStats.backend_rebalance` of :meth:`stats` (``None``
+        for backends without a rebalancing surface)."""
+        return self.stats().backend_rebalance
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (

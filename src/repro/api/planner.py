@@ -17,10 +17,9 @@ Two intra-batch orderings are offered via the ``consistency`` knob:
     updates are folded into one canonical paper batch (Section III-A rules
     4 and 6 — a deletion dominates the whole batch, the first insertion of
     a key wins) applied afterwards.  The executor pins the backend's
-    structural epoch (the per-shard epoch tuple on a sharded backend)
-    around the reads; if a cascade runs mid-read the pin breaks and
-    :class:`SnapshotViolationError` is raised instead of returning torn
-    results.
+    structural ``epoch`` around the reads; if a cascade runs mid-read the
+    pin breaks and :class:`SnapshotViolationError` is raised instead of
+    returning torn results.
 
 :data:`Consistency.STRICT`
     Strict arrival order: operation *i* observes every update at positions
@@ -54,11 +53,7 @@ from repro.gpu.device import Device, get_default_device
 from repro.primitives.multisplit import record_multisplit
 from repro.primitives.radix_sort import stable_order
 from repro.primitives.scan import exclusive_scan
-from repro.scale.protocol import (
-    UnsupportedOperationError,
-    structural_epoch,
-    supports,
-)
+from repro.scale.protocol import UnsupportedOperationError, supports
 
 
 class Consistency(str, Enum):
@@ -213,21 +208,11 @@ def plan_batch(
 # ---------------------------------------------------------------------- #
 # Epoch pinning
 # ---------------------------------------------------------------------- #
-def _read_epoch(backend) -> Optional[Tuple]:
-    """The backend's structural epoch — the per-shard tuple when sharded,
-    the scalar counter otherwise, ``None`` for epoch-less backends.
-
-    Delegates to :func:`repro.scale.protocol.structural_epoch`, the shared
-    contract the durability subsystem's snapshot manifests also record as
-    their epoch mark."""
-    return structural_epoch(backend)
-
-
-def _check_pin(backend, pinned: Optional[Tuple]) -> None:
-    if pinned is not None and _read_epoch(backend) != pinned:
+def _check_pin(backend, pinned: Optional[int]) -> None:
+    if pinned is not None and backend.epoch != pinned:
         raise SnapshotViolationError(
             "the backend's level set changed while a tick's pinned reads "
-            f"were running (pinned {pinned}, now {_read_epoch(backend)}); "
+            f"were running (pinned epoch {pinned}, now {backend.epoch}); "
             "snapshot-consistent results cannot be returned"
         )
 
@@ -503,7 +488,7 @@ def execute_plan(
                 fault_check("engine.mid_execute")
         else:
             if pinned is None:
-                pinned = _read_epoch(backend)
+                pinned = backend.epoch
             _run_query_segment(backend, batch, segment, acc)
     _check_pin(backend, pinned)
     return acc.freeze()

@@ -38,7 +38,6 @@ from repro.durability.manager import DurabilityConfig, DurabilityManager
 from repro.durability.recovery import RecoveryReport, recover
 from repro.durability.snapshot import (
     EveryNTicks,
-    NoSnapshots,
     SnapshotPolicy,
     WalBytesPolicy,
     write_snapshot,
@@ -62,7 +61,6 @@ __all__ = [
     "decode_payload",
     "read_records",
     "SnapshotPolicy",
-    "NoSnapshots",
     "EveryNTicks",
     "WalBytesPolicy",
     "write_snapshot",

@@ -70,9 +70,8 @@ class DurabilityConfig:
     snapshot_policy:
         When to checkpoint, evaluated between ticks:
         :class:`~repro.durability.snapshot.EveryNTicks`,
-        :class:`~repro.durability.snapshot.WalBytesPolicy`, or ``None`` /
-        :class:`~repro.durability.snapshot.NoSnapshots` for WAL-only
-        durability (recovery then replays the whole log).
+        :class:`~repro.durability.snapshot.WalBytesPolicy`, or ``None``
+        for WAL-only durability (recovery then replays the whole log).
     recover:
         When true (the default), attaching to a directory with prior
         state recovers it.  When false the directory must be **fresh**
@@ -102,7 +101,7 @@ class DurabilityConfig:
         ):
             raise TypeError(
                 "snapshot_policy must be a SnapshotPolicy instance "
-                "(NoSnapshots / EveryNTicks / WalBytesPolicy)"
+                "(EveryNTicks / WalBytesPolicy) or None"
             )
 
 

@@ -12,10 +12,9 @@ write-temp-then-rename:
    no pickle anywhere), fsynced;
 2. the temp directory is renamed to ``snapshot-<seq>/``;
 3. the manifest — recording the backend kind and shape, the **epoch
-   mark** (:func:`repro.scale.protocol.structural_epoch` at snapshot
-   time), the committed tick count, and the **WAL offset** the snapshot
-   covers — is written to a temp file and renamed to
-   ``manifest-<seq>.json``.
+   mark** (the backend's ``epoch`` at snapshot time, an int), the
+   committed tick count, and the **WAL offset** the snapshot covers — is
+   written to a temp file and renamed to ``manifest-<seq>.json``.
 
 The manifest rename is the commit point: recovery only trusts
 ``manifest-*.json`` files, so a crash anywhere earlier leaves stray
@@ -41,7 +40,6 @@ import numpy as np
 
 from repro.durability import faults as faults_mod
 from repro.durability.faults import FaultInjector
-from repro.scale.protocol import structural_epoch
 
 #: On-disk snapshot format version (manifest and structure files).
 SNAPSHOT_FORMAT_VERSION = 1
@@ -72,16 +70,6 @@ class SnapshotPolicy(ABC):
     @abstractmethod
     def due(self, ticks_since: int, wal_bytes_since: int) -> bool:
         """True when a snapshot should be taken now."""
-
-
-class NoSnapshots(SnapshotPolicy):
-    """Never snapshot automatically (recovery replays the whole WAL)."""
-
-    def due(self, ticks_since: int, wal_bytes_since: int) -> bool:
-        return False
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return "NoSnapshots()"
 
 
 class EveryNTicks(SnapshotPolicy):
@@ -241,15 +229,6 @@ def _backend_states(backend) -> Tuple[str, dict, List[dict]]:
     return "gpulsm", {}, [backend.snapshot_state()]
 
 
-def _epoch_mark(backend) -> Optional[list]:
-    """The structural-epoch token in its JSON shape (tuples → lists)."""
-    mark = structural_epoch(backend)
-    if mark is None:
-        return None
-    kind, payload = mark
-    return [kind, list(payload) if isinstance(payload, tuple) else payload]
-
-
 def _fsync_write(path: str, data: bytes) -> None:
     with open(path, "wb") as handle:
         handle.write(data)
@@ -304,7 +283,6 @@ def write_snapshot(
     tmp_dir = os.path.join(directory, snap_name + ".tmp")
     final_dir = os.path.join(directory, snap_name)
     kind, frontend, states = _backend_states(backend)
-    epoch_mark = _epoch_mark(backend)
 
     os.makedirs(tmp_dir)
     structures = []
@@ -330,7 +308,7 @@ def write_snapshot(
         "frontend": frontend,
         "tick_count": int(tick_count),
         "wal_offset": int(wal_offset),
-        "epoch_mark": epoch_mark,
+        "epoch_mark": int(backend.epoch),
         "structures": structures,
     }
     manifest_path = os.path.join(directory, f"manifest-{seq:08d}.json")

@@ -20,23 +20,6 @@ from repro.gpu.cost_model import CostModel
 from repro.gpu.counters import TrafficCounter
 
 
-def percentile_summary(
-    values: Sequence[float], percentiles: Sequence[int] = (50, 95, 99)
-) -> Dict[str, float]:
-    """Latency-style percentile columns (``p50`` / ``p95`` / ``p99`` …).
-
-    The exact (linear-interpolation) percentiles that
-    :class:`LatencyHistogram`, behind the serving telemetry of
-    :meth:`repro.serve.engine.Engine.stats`, approximates under the same
-    column names.  Empty input yields NaN columns, matching how the report
-    writer renders missing cells.
-    """
-    arr = np.asarray(list(values), dtype=np.float64)
-    if arr.size == 0:
-        return {f"p{p}": float("nan") for p in percentiles}
-    return {f"p{p}": float(np.percentile(arr, p)) for p in percentiles}
-
-
 @dataclass
 class ProfileRecord:
     """One profiled region name: its calls, items, traffic and time, summed.
@@ -205,14 +188,13 @@ class Profiler:
 class LatencyHistogram:
     """Bounded log-bucketed latency accumulator with O(1) recording.
 
-    :func:`percentile_summary` recomputes ``np.percentile`` over the full
-    sample list on every call — fine for a benchmark's one-shot report,
-    quadratic for a long-running engine polling :meth:`Engine.stats
-    <repro.serve.engine.Engine.stats>` between ticks.  This histogram
-    keeps a fixed number of geometrically spaced buckets instead:
-    ``record`` is a constant-time bucket increment, percentile queries
-    walk the (constant-size) bucket array, and memory never grows with
-    the number of samples.
+    Exact percentiles (``np.percentile`` over the full sample list) cost
+    a sort of every sample on every call — quadratic for a long-running
+    engine polling :meth:`Engine.stats <repro.serve.engine.Engine.stats>`
+    between ticks.  This histogram keeps a fixed number of geometrically
+    spaced buckets instead: ``record`` is a constant-time bucket
+    increment, percentile queries walk the (constant-size) bucket array,
+    and memory never grows with the number of samples.
 
     Buckets span ``[min_latency, max_latency)`` with ``bins_per_octave``
     buckets per factor of two, giving a bounded *relative* error of
@@ -308,8 +290,9 @@ class LatencyHistogram:
     def summary(
         self, percentiles: Sequence[int] = (50, 95, 99)
     ) -> Dict[str, float]:
-        """The :func:`percentile_summary` columns plus ``mean`` — the
-        drop-in dict the serving telemetry exposes."""
+        """``p50`` / ``p95`` / ``p99`` (one ``p<n>`` column per requested
+        percentile) plus ``mean`` — the dict the serving telemetry
+        exposes."""
         out = {f"p{p}": self.percentile(p) for p in percentiles}
         out["mean"] = self.mean
         return out

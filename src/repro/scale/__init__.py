@@ -15,7 +15,6 @@
 from repro.scale.protocol import (
     DictionaryProtocol,
     UnsupportedOperationError,
-    clear_supports_cache,
     simulated_seconds,
     supports,
 )
@@ -29,7 +28,6 @@ from repro.scale.sharded import ShardedLSM
 __all__ = [
     "DictionaryProtocol",
     "UnsupportedOperationError",
-    "clear_supports_cache",
     "simulated_seconds",
     "supports",
     "ShardedLSM",

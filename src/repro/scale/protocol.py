@@ -7,18 +7,19 @@ points (plus ``bulk_build``), even though some cells of the table are
 "unsupported" for a given structure.  :class:`DictionaryProtocol` captures
 that shared surface as a structural (``typing.Protocol``) type, so the
 scale-out layer — :class:`repro.scale.sharded.ShardedLSM` — and the
-benchmark harness can be written against *a dictionary*, not against a
+serving layers can be written against *a dictionary*, not against a
 concrete class.
 
 A structure that cannot implement an operation (the cuckoo table has no
 ordered queries, for example) still provides the method and raises
-:class:`UnsupportedOperationError`, mirroring the dashes of Table I; the
-caller can probe support cheaply via :func:`supports`.
+:class:`UnsupportedOperationError`, mirroring the dashes of Table I.  Its
+row of the table is *declared*, never probed: ``supported_operations()``
+names the operations it implements, and :func:`supports` reads that set.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Protocol, Tuple, runtime_checkable
+from typing import Optional, Protocol, runtime_checkable
 
 import numpy as np
 
@@ -37,7 +38,25 @@ class DictionaryProtocol(Protocol):
     All methods are *batch* operations: they take arrays of keys (and
     values / range bounds) and answer every element of the batch in one
     bulk-synchronous pass over the simulated device.
+
+    Two members are the contract the serving layers read directly:
+    :attr:`epoch`, the one structural token (the planner's pin, the read
+    cache's key, the engine's quarantine check and a checkpoint's epoch
+    mark), and :meth:`supported_operations`, the Table I row.
     """
+
+    @property
+    def epoch(self) -> int:
+        """Monotone structural epoch: strictly increases on every mutation
+        that can change the resident state (update batch, bulk build,
+        cleanup, compaction, restore, rollback, shard split or merge) and
+        never moves on a read.  Two equal reads mean the same state."""
+        ...
+
+    def supported_operations(self) -> frozenset:
+        """The operations this structure implements for real (its row of
+        the paper's Table I)."""
+        ...
 
     def bulk_build(
         self, keys: np.ndarray, values: Optional[np.ndarray] = None
@@ -66,29 +85,6 @@ class DictionaryProtocol(Protocol):
         ...
 
 
-def structural_epoch(dictionary) -> Optional[Tuple]:
-    """The dictionary's structural epoch as one comparable token.
-
-    ``("shards", (boundary version, per-shard epoch...))`` for a sharded
-    front-end — the boundary version leads so a rebalance that rebuilds
-    shards (whose fresh counters could alias an earlier tuple) still
-    changes the token; ``("epoch", counter)`` for a single structure;
-    ``None`` for backends without an epoch.  Two equal tokens mean neither
-    any level set nor the shard partition changed between the two reads —
-    the contract both the planner's snapshot pinning and the durability
-    subsystem's snapshot manifests are built on (a checkpoint records this
-    token as its epoch mark).
-    """
-    shard_epochs = getattr(dictionary, "shard_epochs", None)
-    if shard_epochs is not None:
-        version = int(getattr(dictionary, "boundary_version", 0))
-        return ("shards", (version,) + tuple(int(e) for e in shard_epochs))
-    epoch = getattr(dictionary, "epoch", None)
-    if epoch is None:
-        return None
-    return ("epoch", int(epoch))
-
-
 def simulated_seconds(dictionary) -> float:
     """The dictionary's simulated clock, in wall-clock terms.
 
@@ -107,78 +103,10 @@ def simulated_seconds(dictionary) -> float:
     return 0.0
 
 
-#: Memoised ``supports`` answers keyed by (class, operation).  Dictionary
-#: capabilities are *class-level and static* — every structure's Table I
-#: row is a property of the data structure, not of an instance's state —
-#: so the cache is never invalidated; hot paths (the mixed-op executor
-#: gates every segment through ``supports``) pay one dict lookup instead
-#: of an empty-batch probe per tick.
-_SUPPORTS_CACHE: Dict[Tuple[type, str], bool] = {}
-
-
-def clear_supports_cache() -> None:
-    """Drop every memoised ``supports`` answer (test isolation hook)."""
-    _SUPPORTS_CACHE.clear()
-
-
 def supports(dictionary: DictionaryProtocol, operation: str) -> bool:
-    """True when ``dictionary`` implements ``operation`` for real.
-
-    Every structure in this library declares its Table I row via a
-    ``supported_operations()`` classmethod; when present that declaration
-    is authoritative and the answer is a set lookup, with no probe call at
-    all.
-
-    For foreign backends without the classmethod, the method is probed
-    with an empty batch, mirroring each operation's real call shape
-    (``insert`` / ``bulk_build`` take a key *and* a value array, the other
-    operations take exactly the arrays their signature names).  Only two
-    probe outcomes mean "supported": the call returning normally, or
-    raising :class:`ValueError` (argument validation such as "batch must
-    be non-empty" proves the operation is implemented — it examined its
-    input).  :class:`UnsupportedOperationError` (and any other
-    ``NotImplementedError``) means unsupported, and — unlike the earlier
-    behaviour of this helper — so does every *other* exception: a
-    ``TypeError`` from a mismatched signature is evidence the surface is
-    absent, not present.
-
-    Probe verdicts are memoised per ``(type(dictionary), operation)`` —
-    capabilities are class-level and static, so the probe runs at most
-    once per class, not once per call.  The *declared* path is answered
-    fresh every call and never memoised: a wrapper such as
-    :class:`repro.serve.cache.ReadCachedBackend` forwards
-    ``supported_operations`` from whatever backend it wraps, so two
-    instances of the same wrapper class can legitimately give different
-    answers and a type-keyed cache entry would poison one of them.
-    """
-    declared = getattr(dictionary, "supported_operations", None)
-    if callable(declared):
-        return operation in declared()
-    key = (type(dictionary), operation)
-    cached = _SUPPORTS_CACHE.get(key)
-    if cached is not None:
-        return cached
-    result = _probe_supports(dictionary, operation)
-    _SUPPORTS_CACHE[key] = result
-    return result
-
-
-def _probe_supports(dictionary: DictionaryProtocol, operation: str) -> bool:
-    method = getattr(dictionary, operation, None)
-    if not callable(method):
-        return False
-    empty_u32 = np.zeros(0, dtype=np.uint32)
-    try:
-        if operation in ("count", "range_query", "insert", "bulk_build"):
-            method(empty_u32, empty_u32)
-        else:  # lookup / delete take a single key array
-            method(empty_u32)
-    except UnsupportedOperationError:
-        return False
-    except ValueError:
-        # Argument validation (e.g. "batch must be non-empty") proves the
-        # operation exists and looked at its input.
-        return True
-    except Exception:
-        return False
-    return True
+    """True when ``dictionary`` implements ``operation`` for real: the
+    operation is in its declared :meth:`~DictionaryProtocol.
+    supported_operations` row.  The declaration is read on every call, so
+    a proxy that forwards it from the backend it wraps answers for that
+    backend."""
+    return operation in dictionary.supported_operations()

@@ -281,32 +281,29 @@ class ShardedLSM:
 
     @property
     def shard_epochs(self) -> Tuple[int, ...]:
-        """Per-shard structural epochs (each shard's cascade counter).
-
-        The mixed-operation executor pins this tuple around a tick's reads;
-        any shard running a cascade mid-read changes its entry, which is
-        detected even when another shard's counter would mask it in an
-        aggregate sum.
-        """
+        """Per-shard structural epochs (each shard's own counter); their
+        sum is the moving part of :attr:`epoch`."""
         return tuple(shard.epoch for shard in self.shards)
 
     @property
     def epoch(self) -> int:
-        """Monotone top-level structural epoch.
+        """Monotone top-level structural epoch — the one token the planner
+        pins, the read cache keys on and a checkpoint records.
 
-        The per-shard epoch sum plus a base the rebalancer advances on
-        every shard replacement: a split/merge rebuilds shards whose fresh
-        counters start near zero, so the raw sum could *alias* an earlier
-        state — the base is adjusted so this property strictly increases
-        across every boundary change as well as every shard cascade.
+        The per-shard epoch sum plus a base rebased on every boundary
+        change.  Every shard counter only grows, so any shard mutation
+        raises the sum; a split/merge rebuilds shards whose fresh counters
+        start near zero, so the raw sum could *alias* an earlier state —
+        the base is set so the property still moves strictly forward.  It
+        therefore changes exactly when ``(boundary_version,
+        shard_epochs)`` does.
         """
         return self._epoch_base + sum(self.shard_epochs)
 
     @property
     def boundary_version(self) -> int:
         """Monotone counter of shard-boundary changes (splits, merges and
-        recovery restores); part of the structural-epoch token so pinned
-        readers and the read cache observe every re-partition."""
+        recovery restores); each one also advances :attr:`epoch`."""
         return self._boundary_version
 
     @property
@@ -976,8 +973,9 @@ class ShardedLSM:
         self._after_boundary_change(epoch_before)
 
     def rebalance_stats(self) -> dict:
-        """Lifetime rebalance counters plus the current traffic breakdown
-        (surfaced as ``EngineStats.backend_rebalance`` by the engine)."""
+        """Lifetime rebalance counters and the current partition shape
+        (surfaced as ``EngineStats.backend_rebalance`` by the engine); the
+        per-shard traffic is :meth:`traffic_stats`."""
         return {
             "rebalance_runs": self._rebalance_runs,
             "splits": self._rebalance_splits,
@@ -986,8 +984,6 @@ class ShardedLSM:
             "boundary_version": self._boundary_version,
             "num_shards": self.num_shards,
             "max_shards": self.max_shards,
-            "shard_traffic_ops": [int(t) for t in self._traffic_total],
-            "shard_traffic_ewma": [float(e) for e in self._traffic_ewma],
         }
 
     # ------------------------------------------------------------------ #
@@ -1117,7 +1113,7 @@ class ShardedLSM:
         A tick fans updates across shards, so an aborted tick may have
         mutated any subset of them; each shard reloads its captured levels
         verbatim (:meth:`repro.core.lsm.GPULSM.rollback_to`) and bumps its
-        epoch, which moves :attr:`shard_epochs` — pinned readers and
+        epoch, which moves :attr:`epoch` — pinned readers and
         epoch-keyed caches notice, answers match the capture point.
 
         A rollback can never span a rebalance: rebalancing runs in the

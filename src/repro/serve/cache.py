@@ -4,14 +4,16 @@ The paper's structures amortise work over bulk-synchronous batches, so a
 repeated hot key still pays a full per-level probe on every tick.
 :class:`ReadCachedBackend` is a transparent proxy that memoises LOOKUP
 answers per key in a bounded LRU, keyed on the backend's **structural
-epoch**: every mutation (batch push, cascade, cleanup, maintenance) bumps
-the epoch, and the cache is invalidated *wholesale* the moment the
-observed epoch differs from the epoch the cache was filled at.  That
-makes the contract trivially bit-identical — a cached answer is only ever
-served for the exact structure state that produced it — and composes with
-the planner's SNAPSHOT/STRICT epoch pinning unchanged (the proxy forwards
-``epoch`` / ``shard_epochs`` untouched, so
-:func:`repro.api.planner.execute_plan` pins and verifies the same values
+epoch** — the ``epoch`` member of
+:class:`~repro.scale.protocol.DictionaryProtocol`.  Every mutation (batch
+push, cascade, cleanup, maintenance, rollback, shard split or merge)
+strictly increases it, and the cache is invalidated *wholesale* the
+moment the observed epoch differs from the epoch the cache was filled
+at.  That makes the contract trivially bit-identical — a cached answer
+is only ever served for the exact structure state that produced it — and
+composes with the planner's SNAPSHOT/STRICT epoch pinning unchanged (the
+proxy forwards ``epoch`` untouched, so
+:func:`repro.api.planner.execute_plan` pins and verifies the same value
 it would see without the cache).
 
 Only ``lookup`` is intercepted; ordered queries, every mutation and a
@@ -26,10 +28,6 @@ first slot at or after their home that no earlier one took.  The
 the last slot stays empty, so every probe ends.  Recency is
 batch-granular: every key touched by one ``lookup`` call shares one LRU
 stamp, and eviction drops the oldest-stamped entries first.
-
-Backends without an ``epoch`` / ``shard_epochs`` surface cannot signal
-mutations, so the proxy degrades to a counting pass-through for them
-(nothing is ever cached; correctness over speed).
 """
 
 from __future__ import annotations
@@ -65,7 +63,7 @@ class ReadCachedBackend:
     ----------
     inner:
         The backend to wrap (``GPULSM``, ``ShardedLSM``, or any
-        epoch-bearing dictionary).
+        :class:`~repro.scale.protocol.DictionaryProtocol` backend).
     capacity:
         Maximum number of distinct keys held; the least recently used
         keys (batch-granular stamps) are evicted first.  ``0`` disables
@@ -77,7 +75,7 @@ class ReadCachedBackend:
             raise ValueError(f"capacity must be >= 0, got {capacity}")
         self._inner = inner
         self._capacity = int(capacity)
-        self._fill_token = self._epoch_token()
+        self._fill_token = self._inner.epoch
         self._has_values: Optional[bool] = None
         self._values_dtype = np.dtype(np.uint64)
         self._clock = 0
@@ -129,24 +127,8 @@ class ReadCachedBackend:
     # ------------------------------------------------------------------ #
     # Epoch guard
     # ------------------------------------------------------------------ #
-    def _epoch_token(self):
-        """The structural-state token answers are keyed on.
-
-        A sharded backend's boundary version plus its tuple of per-shard
-        epochs (a summed ``epoch`` could in principle alias two distinct
-        states, and a rebalance rebuilds shards whose fresh counters could
-        alias an earlier tuple — the boundary version disambiguates); a
-        single structure's ``epoch`` counter; ``None`` when the backend
-        has neither — in which case nothing is ever cached.
-        """
-        shard_epochs = getattr(self._inner, "shard_epochs", None)
-        if shard_epochs is not None:
-            version = int(getattr(self._inner, "boundary_version", 0))
-            return (version, tuple(shard_epochs))
-        return getattr(self._inner, "epoch", None)
-
     def _maybe_invalidate(self) -> None:
-        token = self._epoch_token()
+        token = self._inner.epoch
         if token != self._fill_token:
             if self._n_entries:
                 self._reset_store()
@@ -232,21 +214,20 @@ class ReadCachedBackend:
 
         Bit-identical to ``inner.lookup(query_keys)``: per-key answers
         are a pure function of the structure state, the cache only holds
-        answers produced at the *current* epoch token, and missing keys
+        answers produced at the *current* epoch, and missing keys
         are resolved by the inner backend itself.  A batch the backend
         rejects raises its exception and leaves the cache untouched.
         """
         query_keys = np.asarray(query_keys)
         keys = _exact_keys(query_keys)
-        usable = self._capacity and self._fill_token is not None
-        if keys is None or not keys.size or not usable:
+        if keys is None or not keys.size or not self._capacity:
             result = self._inner.lookup(query_keys)
             self._maybe_invalidate()
             self._misses += int(query_keys.size)
             return result
 
         n = keys.size
-        if self._n_entries and self._epoch_token() == self._fill_token:
+        if self._n_entries and self._inner.epoch == self._fill_token:
             hit, entry = self._probe(keys)
             hit_idx = np.flatnonzero(hit)
             miss_idx = np.flatnonzero(~hit)
@@ -331,7 +312,7 @@ class ReadCachedBackend:
     def clear(self) -> None:
         """Drop every cached answer (counters are kept)."""
         self._reset_store()
-        self._fill_token = self._epoch_token()
+        self._fill_token = self._inner.epoch
 
     def reset_cache_counters(self) -> None:
         self._hits = 0

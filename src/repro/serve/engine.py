@@ -65,7 +65,6 @@ from repro.api.planner import (
     Consistency,
     Plan,
     _backend_device,
-    _read_epoch,
     execute_plan,
     plan_batch,
 )
@@ -295,8 +294,9 @@ class EngineStats:
     health: str = HealthState.OK.value
     #: Shard-rebalance counters of a sharded backend
     #: (``ShardedLSM.rebalance_stats``: rebalance runs, splits/merges,
-    #: rows migrated, boundary version, per-shard traffic), or ``None``
-    #: for backends without a rebalancing surface.
+    #: rows migrated, boundary version, shard count; per-shard traffic is
+    #: ``ShardedLSM.traffic_stats``), or ``None`` for backends without a
+    #: rebalancing surface.
     backend_rebalance: Optional[Dict[str, object]] = None
 
     @property
@@ -347,7 +347,9 @@ class Engine:
         Any :class:`~repro.scale.protocol.DictionaryProtocol` backend —
         a :class:`~repro.core.lsm.GPULSM`, a
         :class:`~repro.scale.sharded.ShardedLSM` (ticks fan out across its
-        shards through the one-multisplit route), or a baseline.
+        shards through the one-multisplit route), or a baseline.  A
+        backend without ``epoch`` or ``supported_operations`` is refused
+        with a ``TypeError`` naming the missing member.
     config:
         The :class:`~repro.serve.scheduler.TickConfig` of the adaptive
         tick scheduler.
@@ -404,6 +406,16 @@ class Engine:
         durability: Optional[DurabilityConfig] = None,
         resilience: Optional[ResilienceConfig] = None,
     ) -> None:
+        missing = [
+            name
+            for name in ("epoch", "supported_operations")
+            if not hasattr(backend, name)
+        ]
+        if missing:
+            raise TypeError(
+                f"{type(backend).__name__} lacks {' and '.join(missing)}: an "
+                "Engine backend must implement DictionaryProtocol"
+            )
         self.resilience = resilience or ResilienceConfig()
         if self.resilience.transactional_ticks and not supports_rollback(backend):
             raise TypeError(
@@ -1146,7 +1158,7 @@ class Engine:
         raw = self._raw_backend
         innocents: List[_Entry] = []
         for entry in tick.entries:
-            epoch_before = None if token is None else _read_epoch(raw)
+            epoch_before = None if token is None else raw.epoch
             try:
                 alone = plan_batch(
                     entry.batch, consistency=self.consistency, device=device
@@ -1156,7 +1168,7 @@ class Engine:
                 innocents.append(entry)
             except Exception as cause:
                 entry.ticket._fail(PoisonOperationError(cause, entry.batch))
-            if token is not None and _read_epoch(raw) != epoch_before:
+            if token is not None and raw.epoch != epoch_before:
                 raw.rollback_to(token)
         with self._cond:
             self._quarantined_ticks += 1
@@ -1299,18 +1311,6 @@ class Engine:
         without durability."""
         return self._durability
 
-    def backend_maintenance_stats(self) -> Optional[Dict[str, object]]:
-        """The backend's lifetime maintenance counters — what
-        :meth:`stats` snapshots as ``backend_maintenance`` (``KVStore``
-        forwards to this)."""
-        return self._backend_stats("maintenance_stats")
-
-    def backend_rebalance_stats(self) -> Optional[Dict[str, object]]:
-        """The backend's shard-rebalance counters — what :meth:`stats`
-        snapshots as ``backend_rebalance`` (``KVStore`` forwards to
-        this)."""
-        return self._backend_stats("rebalance_stats")
-
     # ------------------------------------------------------------------ #
     # Telemetry
     # ------------------------------------------------------------------ #
@@ -1387,7 +1387,7 @@ class Engine:
                 maintenance_runs=self._maintenance_runs,
                 maintenance_seconds=self._maintenance_seconds,
                 maintenance_reclaimed=self._maintenance_reclaimed,
-                backend_maintenance=self.backend_maintenance_stats(),
+                backend_maintenance=self._backend_stats("maintenance_stats"),
                 read_cache=(
                     self._read_cache.cache_stats()
                     if self._read_cache is not None
@@ -1406,7 +1406,7 @@ class Engine:
                 internal_faults=self._health.internal_faults,
                 loop_restarts=self._loop_restarts,
                 health=self._health.state.value,
-                backend_rebalance=self.backend_rebalance_stats(),
+                backend_rebalance=self._backend_stats("rebalance_stats"),
             )
 
     def _backend_stats(self, method: str) -> Optional[dict]:

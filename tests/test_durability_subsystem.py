@@ -30,7 +30,6 @@ from repro.durability.manager import DurabilityConfig, DurabilityError
 from repro.durability.recovery import WAL_FILENAME, recover
 from repro.durability.snapshot import (
     EveryNTicks,
-    NoSnapshots,
     WalBytesPolicy,
     clean_stale_temps,
     list_manifests,
@@ -151,6 +150,7 @@ class TestSnapshots:
         )
         assert manifest["seq"] == 1 and manifest["kind"] == "gpulsm"
         assert manifest["tick_count"] == 3 and manifest["wal_offset"] == 123
+        assert manifest["epoch_mark"] == backend.epoch
         loaded = load_latest_manifest(str(tmp_path))
         assert loaded == json.loads(json.dumps(manifest))
 
@@ -227,7 +227,6 @@ class TestSnapshots:
         assert manifest["seq"] == 1
 
     def test_policies(self):
-        assert not NoSnapshots().due(10**6, 10**9)
         policy = EveryNTicks(4)
         assert not policy.due(3, 0) and policy.due(4, 0)
         by_bytes = WalBytesPolicy(1024)
@@ -429,5 +428,7 @@ class TestEngineWiring:
         recovered = _fresh("sharded4")
         report = recover(directory, recovered)
         assert report.ticks == 4 and report.restored_from_snapshot
+        # A sharded checkpoint marks the front-end's one int epoch too.
+        assert isinstance(load_latest_manifest(directory)["epoch_mark"], int)
         probe = list(range(0, 3 * BATCH, 13))
         assert _lookup_values(recovered, probe) == _lookup_values(live, probe)

@@ -509,7 +509,11 @@ class TestFilterPropagation:
 
     def test_engine_stats_without_filter_backend(self):
         class Bare:
-            pass
+            epoch = 0
+
+            @classmethod
+            def supported_operations(cls):
+                return frozenset()
 
         engine = Engine(Bare())
         assert engine.stats().backend_filters is None

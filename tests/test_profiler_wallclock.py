@@ -1,10 +1,25 @@
 """Wall-clock profiler regions and the bounded latency histogram."""
 
+from typing import Dict, Sequence
+
 import numpy as np
 import pytest
 
 from repro.gpu.device import Device
-from repro.gpu.profiler import LatencyHistogram, percentile_summary
+from repro.gpu.profiler import LatencyHistogram
+
+
+def percentile_summary(
+    values: Sequence[float], percentiles: Sequence[int] = (50, 95, 99)
+) -> Dict[str, float]:
+    """Exact (linear-interpolation) percentiles under the column names of
+    :meth:`LatencyHistogram.summary` — the reference the histogram's
+    bucketed approximation is checked against.  Empty input yields NaN
+    columns, as the histogram's summary does."""
+    arr = np.asarray(list(values), dtype=np.float64)
+    if arr.size == 0:
+        return {f"p{p}": float("nan") for p in percentiles}
+    return {f"p{p}": float(np.percentile(arr, p)) for p in percentiles}
 
 
 class TestWallClockRegions:

@@ -92,20 +92,6 @@ class TestReadCachedBackend:
         with pytest.raises(ValueError, match="capacity"):
             ReadCachedBackend(_lsm(), capacity=-1)
 
-    def test_epoch_less_backend_is_never_cached(self):
-        class NoEpoch:
-            def __init__(self, inner):
-                self._i = inner
-
-            def lookup(self, keys):
-                return self._i.lookup(keys)
-
-        proxy = ReadCachedBackend(NoEpoch(_lsm()), capacity=32)
-        proxy.lookup(np.array([1], dtype=np.uint64))
-        proxy.lookup(np.array([1], dtype=np.uint64))
-        assert len(proxy) == 0
-        assert proxy.cache_stats()["hits"] == 0
-
     def test_forwards_epoch_and_telemetry_surfaces(self):
         lsm = _lsm()
         proxy = ReadCachedBackend(lsm, capacity=4)
@@ -125,14 +111,14 @@ class TestReadCachedBackend:
         assert first.values is None and second.values is None
         np.testing.assert_array_equal(second.found, np.array([True, False]))
 
-    def test_sharded_backend_uses_shard_epoch_tuple(self):
+    def test_sharded_backend_invalidates_on_one_shards_mutation(self):
         sharded = ShardedLSM(num_shards=4, batch_size=16)
         keys = np.arange(64, dtype=np.uint64)
         sharded.bulk_build(keys, keys * 3)
         proxy = ReadCachedBackend(sharded, capacity=64)
         q = np.array([5, 5, 40], dtype=np.uint64)
         proxy.lookup(q)
-        # Mutating ONE shard must invalidate (the token is the tuple).
+        # Mutating ONE shard moves the front-end's epoch and invalidates.
         sharded.insert(np.array([5], dtype=np.uint64), np.array([77], dtype=np.uint64))
         got = proxy.lookup(q)
         assert int(got.values[0]) == 77
@@ -141,9 +127,9 @@ class TestReadCachedBackend:
     def test_rebalance_invalidates_despite_shard_epoch_aliasing(self):
         """Regression: a rebalance rebuilds shards whose fresh per-shard
         epochs can reproduce an earlier tuple exactly (here (1, 1) both
-        before and after a merge+split round trip).  The cache token must
-        carry the boundary version so the aliased tuple still invalidates,
-        and the backend's top-level epoch must stay strictly monotone."""
+        before and after a merge+split round trip).  The top-level epoch
+        the cache keys on is rebased on every boundary change, so it stays
+        strictly monotone and the aliased tuple still invalidates."""
         sharded = ShardedLSM(num_shards=2, batch_size=64, key_domain=1 << 10)
         keys = np.arange(0, 1 << 10, 4, dtype=np.uint64)
         sharded.bulk_build(keys, keys * 3)
@@ -160,8 +146,8 @@ class TestReadCachedBackend:
         sharded.merge_shards(0)
         sharded.split_shard(0, 256)
         assert sharded.shard_epochs == (1, 1)
-        # ...but the boundary version moved, so the cache must invalidate
-        # rather than serve entries pinned to the old partition.
+        # ...but the epoch moved, so the cache must invalidate rather than
+        # serve entries pinned to the old partition.
         got = proxy.lookup(q)
         assert proxy.cache_stats()["invalidations"] == 1
         np.testing.assert_array_equal(got.found, np.array([True, True]))
@@ -173,10 +159,12 @@ class TestSupportsThroughProxy:
     def test_declared_path_not_poisoned_by_wrapper_type(self):
         """Two ReadCachedBackend instances wrapping backends with
         different Table I rows must answer supports() independently —
-        the declared path is never memoised by wrapper type."""
+        each forwards its own backend's declaration."""
         full = ReadCachedBackend(_lsm(), capacity=4)
 
         class KeyOnlyish:
+            epoch = 0
+
             @classmethod
             def supported_operations(cls):
                 return frozenset({"insert", "lookup"})

@@ -8,6 +8,7 @@ import functools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro import KVStore
 from repro.api.ops import OpBatch, OpCode
@@ -21,7 +22,6 @@ from repro.scale import (
     choose_split_key,
     execute_rebalance,
 )
-from repro.scale.protocol import structural_epoch
 from repro.serve.engine import Engine
 
 DOMAIN = 1 << 12
@@ -157,6 +157,29 @@ class TestMergeShards:
         assert s.profile()["serial_seconds"] >= serial_before
 
 
+_EPOCH_DOMAIN = 256
+_EPOCH_BATCH = 16
+_EPOCH_KEYS = st.lists(
+    st.integers(0, _EPOCH_DOMAIN - 1), min_size=1, max_size=_EPOCH_BATCH
+)
+_EPOCH_PAIR = st.tuples(
+    st.integers(0, _EPOCH_DOMAIN - 1), st.integers(0, _EPOCH_DOMAIN - 1)
+)
+_EPOCH_STEP = st.one_of(
+    st.tuples(st.just("insert"), _EPOCH_KEYS),
+    st.tuples(st.just("delete"), _EPOCH_KEYS),
+    st.tuples(st.just("cleanup"), st.none()),
+    st.tuples(st.just("compact"), st.integers(1, 3)),
+    st.tuples(st.just("split"), st.tuples(st.integers(0, 7), st.integers(0, 255))),
+    st.tuples(st.just("merge"), st.integers(0, 7)),
+    st.tuples(st.just("capture"), st.none()),
+    st.tuples(st.just("rollback"), st.none()),
+    st.tuples(st.just("lookup"), _EPOCH_PAIR),
+    st.tuples(st.just("count"), _EPOCH_PAIR),
+    st.tuples(st.just("range"), _EPOCH_PAIR),
+)
+
+
 class TestEpochContract:
     def test_epoch_strictly_increases_across_boundary_changes(self):
         s = _sharded(2)
@@ -185,15 +208,77 @@ class TestEpochContract:
         # ...but the top-level epoch moved strictly forward.
         assert s.epoch > epoch_before
 
-    def test_structural_epoch_token_carries_boundary_version(self):
-        s = _sharded(2)
-        _fill(s, np.arange(0, DOMAIN, 9, dtype=np.uint64))
-        kind, payload = structural_epoch(s)
-        assert kind == "shards"
-        assert payload[0] == 0
-        s.split_shard(0, 512)
-        kind, payload = structural_epoch(s)
-        assert payload[0] == 1
+    @settings(max_examples=40, deadline=None)
+    @given(
+        backend=st.sampled_from(["gpulsm", 2, 3, 4]),
+        steps=st.lists(_EPOCH_STEP, min_size=1, max_size=24),
+    )
+    def test_epoch_moves_on_every_mutation_and_never_on_a_read(
+        self, backend, steps
+    ):
+        """``epoch`` is the one structural token the planner pins, the
+        read cache keys on and a checkpoint records: it must strictly
+        increase on every mutation and hold still across every read."""
+        if backend == "gpulsm":
+            store = GPULSM(batch_size=_EPOCH_BATCH)
+        else:
+            store = ShardedLSM(
+                backend, batch_size=_EPOCH_BATCH, key_domain=_EPOCH_DOMAIN
+            )
+        sharded = backend != "gpulsm"
+        capture = store.snapshot_state()
+        for kind, arg in steps:
+            before = store.epoch
+            mutated = True
+            if kind == "insert":
+                keys = np.asarray(arg, dtype=np.uint64)
+                store.insert(keys, keys + 1)
+            elif kind == "delete":
+                store.delete(np.asarray(arg, dtype=np.uint64))
+            elif kind in ("cleanup", "compact"):
+                stats = (
+                    store.cleanup() if kind == "cleanup" else store.compact_levels(arg)
+                )
+                # A run that found nothing resident rebuilds nothing.
+                mutated = stats["elements_before"] > 0
+            elif kind == "split":
+                shard, where = arg
+                mutated = sharded and store.num_shards < 6
+                if mutated:
+                    shard %= store.num_shards
+                    lo, hi = store.shard_range(shard)
+                    mutated = lo < hi
+                    if mutated:
+                        store.split_shard(shard, lo + 1 + where % (hi - lo))
+            elif kind == "merge":
+                mutated = sharded and store.num_shards > 1
+                if mutated:
+                    store.merge_shards(arg % (store.num_shards - 1))
+            elif kind == "capture":
+                capture = store.snapshot_state()
+                mutated = False
+            elif kind == "rollback":
+                # A rollback cannot cross a boundary change.
+                mutated = (
+                    not sharded or capture["bounds"] == list(store.shard_bounds)
+                )
+                if mutated:
+                    store.rollback_to(capture)
+            else:
+                mutated = False
+                a, b = sorted(arg)
+                k1 = np.array([a], dtype=np.uint64)
+                k2 = np.array([b], dtype=np.uint64)
+                if kind == "lookup":
+                    store.lookup(np.arange(a, b + 1, dtype=np.uint64))
+                elif kind == "count":
+                    store.count(k1, k2)
+                else:
+                    store.range_query(k1, k2)
+            if mutated:
+                assert store.epoch > before, (kind, arg)
+            else:
+                assert store.epoch == before, (kind, arg)
 
     def test_rollback_cannot_cross_boundary_change(self):
         s = _sharded(2)
@@ -413,7 +498,7 @@ class TestStatsSurfacing:
             stats.backend_rebalance["boundary_version"]
             == backend.boundary_version
         )
-        assert len(stats.backend_rebalance["shard_traffic_ops"]) == (
+        assert len(backend.traffic_stats()["per_shard_ops"]) == (
             backend.num_shards
         )
 
@@ -500,7 +585,7 @@ def _skew_replay(skew, num_shards, rebalancing):
 
 
 def _traffic_imbalance(backend):
-    ewma = backend.rebalance_stats()["shard_traffic_ewma"]
+    ewma = backend.traffic_stats()["per_shard_ewma"]
     return max(ewma) / min(ewma)
 
 

@@ -94,7 +94,11 @@ def test_resilience_config_validation():
 
 def test_transactional_requires_rollback_capable_backend():
     class NoRollback:
-        pass
+        epoch = 0
+
+        @classmethod
+        def supported_operations(cls):
+            return GPULSM.supported_operations()
 
     assert supports_rollback(GPULSM(batch_size=BATCH))
     assert supports_rollback(

@@ -11,9 +11,9 @@ from repro.scale import (
     DictionaryProtocol,
     ShardedLSM,
     UnsupportedOperationError,
-    clear_supports_cache,
     supports,
 )
+from repro.serve.engine import Engine
 
 
 class TestStructuralConformance:
@@ -26,6 +26,27 @@ class TestStructuralConformance:
         ]
         for structure in structures:
             assert isinstance(structure, DictionaryProtocol), structure
+
+    def test_epoch_is_a_required_member(self, device):
+        lsm = GPULSM(config=LSMConfig(batch_size=8), device=device)
+        del lsm.epoch
+        assert not isinstance(lsm, DictionaryProtocol)
+
+    @pytest.mark.parametrize("missing", ["epoch", "supported_operations"])
+    def test_engine_names_the_missing_contract_member(self, missing):
+        class Partial:
+            epoch = 0
+
+            @classmethod
+            def supported_operations(cls):
+                return frozenset({"lookup"})
+
+            def lookup(self, keys):  # pragma: no cover - never reached
+                raise AssertionError
+
+        delattr(Partial, missing)
+        with pytest.raises(TypeError, match=missing):
+            Engine(Partial())
 
     def test_supports_reflects_table1(self, device):
         lsm = GPULSM(config=LSMConfig(batch_size=8), device=device)
@@ -64,84 +85,12 @@ class TestSupportedOperationsDeclarations:
         assert not supports(backend, "count")
         assert not Declared.probed
 
-    def test_probe_fallback_empty_batch_outcomes(self, device):
-        class Foreign:
-            """No supported_operations(): supports() falls back to probing."""
-
-            def lookup(self, keys):
-                return []  # returns normally on an empty batch
-
-            def delete(self, keys):
-                raise ValueError("delete requires a non-empty batch")
-
-            def insert(self, keys, values=None):
-                raise UnsupportedOperationError("read-only structure")
-
-            def count(self, k1, k2):
-                raise TypeError("wrong arity somewhere inside")
-
-        backend = Foreign()
-        assert supports(backend, "lookup")
-        # Argument validation on the empty probe proves the op exists.
-        assert supports(backend, "delete")
-        assert not supports(backend, "insert")
-        # Arbitrary exceptions no longer count as "supported".
-        assert not supports(backend, "count")
-        # Missing methods never do.
-        assert not supports(backend, "range_query")
-
-    def test_probe_mirrors_each_operations_call_shape(self):
-        seen = {}
-
-        class Recording:
-            def insert(self, *args):
-                seen["insert"] = len(args)
-
-            def lookup(self, *args):
-                seen["lookup"] = len(args)
-
-            def delete(self, *args):
-                seen["delete"] = len(args)
-
-            def count(self, *args):
-                seen["count"] = len(args)
-
-        backend = Recording()
-        for op in ("insert", "lookup", "delete", "count"):
-            assert supports(backend, op)
-        # insert/count probe with (keys, values)/(k1, k2); lookup/delete
-        # with a single key array — the real signatures.
-        assert seen == {"insert": 2, "count": 2, "lookup": 1, "delete": 1}
-
-
-class TestSupportsCache:
-    def test_probe_runs_once_per_class_and_operation(self):
-        """Hot-path gate: the empty-batch probe is memoised per class."""
-
-        class Counting:
-            probes = 0
-
-            def lookup(self, keys):
-                type(self).probes += 1
-                return []
-
-        clear_supports_cache()
-        first, second = Counting(), Counting()
-        assert supports(first, "lookup")
-        assert supports(first, "lookup")
-        # A different *instance* of the same class reuses the verdict too:
-        # capabilities are class-level and static.
-        assert supports(second, "lookup")
-        assert Counting.probes == 1
-        # Distinct operations are cached independently.
-        assert not supports(first, "count")
-        assert not supports(first, "count")
-
     def test_declared_path_is_answered_fresh_never_memoised(self):
-        """The declared path must NOT be keyed on the wrapper's type: a
-        proxy class (e.g. ``ReadCachedBackend``) forwards
-        ``supported_operations`` from whatever backend it wraps, so two
-        instances of one class can legitimately answer differently."""
+        """``supports`` reads the declaration on every call and keys
+        nothing on the type: a proxy class (e.g. ``ReadCachedBackend``)
+        forwards ``supported_operations`` from whatever backend it wraps,
+        so two instances of one class can legitimately answer
+        differently."""
 
         class Declared:
             calls = 0
@@ -151,13 +100,10 @@ class TestSupportsCache:
                 cls.calls += 1
                 return {"insert"}
 
-        clear_supports_cache()
         backend = Declared()
         assert supports(backend, "insert")
         assert supports(backend, "insert")
         assert not supports(backend, "delete")
-        # Every call re-reads the declaration (a cheap set build) instead
-        # of poisoning a type-keyed cache entry.
         assert Declared.calls == 3
 
     def test_declared_path_distinguishes_instances_of_one_class(self):
@@ -168,7 +114,6 @@ class TestSupportsCache:
             def supported_operations(self):
                 return self._ops
 
-        clear_supports_cache()
         rich = Forwarding({"insert", "lookup", "range_query"})
         poor = Forwarding({"insert", "lookup"})
         assert supports(rich, "range_query")

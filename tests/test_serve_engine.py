@@ -309,6 +309,7 @@ class TestThreadedEngine:
     def test_failed_tick_resolves_tickets_with_the_error(self):
         class Exploding:
             key_only = True
+            epoch = 0
 
             @classmethod
             def supported_operations(cls):
