@@ -162,6 +162,25 @@ class TestSnapshots:
             backend, probe
         )
 
+    def test_sharded_epoch_mark_moves_forward_across_a_rebalance(
+        self, tmp_path
+    ):
+        """A sharded manifest records the front-end's one int epoch, and
+        the mark still rises when a split and merge rebuild shards whose
+        own counters restart near zero."""
+        backend = _fresh("sharded4")
+        for i in range(3):
+            backend.insert(*_insert_batch_arrays(i * BATCH, BATCH))
+        first = write_snapshot(str(tmp_path), backend, tick_count=3, wal_offset=0)
+        assert first["epoch_mark"] == backend.epoch
+        lo, hi = backend.shard_range(0)
+        backend.split_shard(0, lo + (hi - lo) // 2)
+        backend.merge_shards(0)
+        second = write_snapshot(str(tmp_path), backend, tick_count=3, wal_offset=0)
+        assert isinstance(second["epoch_mark"], int)
+        assert second["epoch_mark"] == backend.epoch
+        assert second["epoch_mark"] > first["epoch_mark"]
+
     def test_gc_keeps_last_n(self, tmp_path):
         backend = self._built_backend()
         for tick in range(4):

@@ -307,6 +307,22 @@ class TestRestoreBoundaries:
         assert s.boundary_version == 1
         _assert_bounds_invariants(s)
 
+    def test_restore_advances_epoch_past_a_drained_store(self):
+        """A store emptied by deletes and a cleanup has a high epoch; the
+        restore rebuilds fresh shards whose counters restart at zero, and
+        the top-level epoch must still move strictly forward."""
+        s = _sharded(2)
+        keys = np.arange(0, DOMAIN, DOMAIN // 64, dtype=np.uint64)
+        s.insert(keys, keys * 3)
+        s.delete(keys)
+        s.cleanup()
+        assert s.num_elements == 0
+        epoch_before = s.epoch
+        assert epoch_before > 0
+        s.restore_boundaries([0, 100, 700, DOMAIN])
+        assert s.boundary_version == 1
+        assert s.epoch > epoch_before
+
     def test_identical_bounds_is_a_no_op(self):
         s = _sharded(2)
         epoch = s.epoch
